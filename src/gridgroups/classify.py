@@ -122,6 +122,15 @@ def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims):
     return None, still
 
 
+def structural_flags(pairing: Pairing) -> dict[str, bool]:
+    """The grid-only flags of a class record, keyed by their field names."""
+    return dict(
+        row_connected=row_connected(pairing),
+        column_connected=column_connected(pairing),
+        no_proper_invariant_subgrid=not proper_invariant_subgrids(pairing),
+    )
+
+
 def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
                     assume_canonical: bool = True) -> ClassificationRecord:
     if not assume_canonical:
@@ -131,11 +140,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     pres = presentation_from_matrix(mat)
     toolbox = GroupToolbox(pres, budgets)
 
-    flags = dict(
-        row_connected=row_connected(pairing),
-        column_connected=column_connected(pairing),
-        no_proper_invariant_subgrid=not proper_invariant_subgrids(pairing),
-    )
+    flags = structural_flags(pairing)
     inv = toolbox.abelianization.invariants
 
     verdict: Optional[Verdict] = None
@@ -284,19 +289,12 @@ def filter_flags(record: ClassificationRecord) -> ClassificationRecord:
     Pure matrix predicates plus the syntactic mirror test; no group
     computation happens here, so this is safe on undecided records too.
     """
-    pairing = record.matrix.pairing()
     forces = record.forces_a_eq_b
-    dims = record.matrix.dims
-    if dims.rows == dims.cols and _forces_syntactic(record.matrix):
+    if _forces_syntactic(record.matrix):
         forces = True
-    fields = dict(record.__dict__)
-    fields.update(
-        row_connected=row_connected(pairing),
-        column_connected=column_connected(pairing),
-        no_proper_invariant_subgrid=not proper_invariant_subgrids(pairing),
-        forces_a_eq_b=forces,
-    )
-    return ClassificationRecord(**fields)
+    return ClassificationRecord(**{**record.__dict__,
+                                   **structural_flags(record.matrix.pairing()),
+                                   "forces_a_eq_b": forces})
 
 
 def forces_a_eq_b(record_or_matrix, budgets: Budgets = Budgets()) -> Optional[bool]:

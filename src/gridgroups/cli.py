@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .classify import ClassificationRecord, classify_matrix, record_to_json
+from .classify import (_forces_syntactic, classify_matrix, record_to_json,
+                       structural_flags)
 from .enumerate import (EnumerationBudgetExceeded, EnumerationConfig,
                         SearchCheckpoint, enumerate_pairings, read_checkpoint,
                         resume, split_frontier, write_checkpoint)
@@ -34,18 +35,22 @@ _PROFILES = {
 }
 
 
-def _budgets_from_args(args) -> Budgets:
-    base = _PROFILES[os.environ.get(PROFILE_ENV, "default")]
-    return Budgets(
-        max_cosets=args.max_cosets if args.max_cosets else base.max_cosets,
-        kb_max_rules=args.kb_max_rules if args.kb_max_rules else base.kb_max_rules,
-        kb_max_len=args.kb_max_len if args.kb_max_len else base.kb_max_len,
-        torsion_word_len=args.torsion_word_len if args.torsion_word_len
-        else base.torsion_word_len,
-        order_cap=base.order_cap,
-        hom_degree=base.hom_degree,
-        hom_nodes=base.hom_nodes,
-    )
+_BUDGET_FLAGS = ("max_cosets", "kb_max_rules", "kb_max_len", "torsion_word_len")
+
+
+def _budgets_from_args(args, base: Budgets) -> Budgets:
+    return replace(base, **{name: getattr(args, name) for name in _BUDGET_FLAGS
+                            if getattr(args, name) is not None})
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _out_stream(path: Optional[str]):
@@ -86,16 +91,14 @@ _FILTERS = ("none", "connected", "subgrid-free", "mirror", "non-mirror")
 
 
 def _passes_filter(mat: PairingMatrix, name: str) -> bool:
-    from .classify import _forces_syntactic
-    from .grid import column_connected, proper_invariant_subgrids, row_connected
     if name == "none":
         return True
-    if name == "connected":
-        p = mat.pairing()
-        return row_connected(p) and column_connected(p)
-    if name == "subgrid-free":
-        return not proper_invariant_subgrids(mat.pairing())
-    mirror = mat.dims.rows == mat.dims.cols and _forces_syntactic(mat)
+    if name in ("connected", "subgrid-free"):
+        flags = structural_flags(mat.pairing())
+        if name == "connected":
+            return flags["row_connected"] and flags["column_connected"]
+        return flags["no_proper_invariant_subgrid"]
+    mirror = _forces_syntactic(mat)
     return mirror if name == "mirror" else not mirror
 
 
@@ -138,7 +141,7 @@ def _expand_item(dims, cp, item):
 
 
 def cmd_classify(args) -> int:
-    budgets = _budgets_from_args(args)
+    budgets = args.budgets
     out, close = _out_stream(args.out)
     try:
         if args.from_file:
@@ -163,7 +166,7 @@ def cmd_classify(args) -> int:
 
 def cmd_resume(args) -> int:
     cp = read_checkpoint(args.checkpoint)
-    budgets = _budgets_from_args(args)
+    budgets = args.budgets
     out, close = _out_stream(args.out)
     try:
         for mat in resume(cp):
@@ -386,10 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_budget_flags(p):
-        p.add_argument("--max-cosets", type=int, default=None)
-        p.add_argument("--kb-max-rules", type=int, default=None)
-        p.add_argument("--kb-max-len", type=int, default=None)
-        p.add_argument("--torsion-word-len", type=int, default=None)
+        for name in _BUDGET_FLAGS:
+            p.add_argument("--" + name.replace("_", "-"), type=_positive_int)
 
     p = sub.add_parser("enumerate", help="stream canonical pairing matrices")
     p.add_argument("--rows", type=int, required=True)
@@ -441,7 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "max_cosets" in vars(args):  # a command that takes budget flags
+        profile = os.environ.get(PROFILE_ENV, "default")
+        if profile not in _PROFILES:
+            parser.error(f"unknown {PROFILE_ENV} {profile!r}; "
+                         f"valid profiles: {', '.join(_PROFILES)}")
+        args.budgets = _budgets_from_args(args, _PROFILES[profile])
     return args.func(args)
 
 

@@ -211,11 +211,6 @@ def all_symmetries(dims: GridDims) -> Iterator[GridSymmetry]:
 # ---------------------------------------------------------------------------
 # Row-major traversal order (skipping the sentinel corner)
 
-def traversal_value(flat: Sequence[int], pos: int) -> int:
-    """Value at 0-based traversal position; position p is flat index p+1."""
-    return flat[pos + 1]
-
-
 def lex_compare(a: _Matrix, b: _Matrix) -> int:
     """Lexicographic comparison of the row-major sequences starting at (0,1)."""
     if a.dims != b.dims:
@@ -272,15 +267,6 @@ def is_stacked(mat: _Matrix) -> bool:
 # Facts used throughout (stacked + consecutively numbered input, with the
 # first row fully filled): row 0 reads 1..C-1, label L < C sits in row 0 at
 # column L, and every image's renumbered first row is again 1..C-1.
-
-
-def _row_profile(flat: Sequence[int], rows: int, cols: int, filled: int):
-    """Counts of the stacked shape: full interior rows and partial-row length."""
-    beyond = filled - (cols - 1)
-    n_full = beyond // cols
-    part_len = beyond % cols
-    part_row = 1 + n_full if part_len else 0
-    return n_full, part_row, part_len
 
 
 class _CanonWorkspace:
@@ -700,35 +686,49 @@ def column_connected(pairing: Pairing) -> bool:
 
 
 def proper_invariant_subgrids(pairing: Pairing) -> list[tuple[frozenset, frozenset]]:
-    """All proper sub-rectangles through (0,0) that the pairing never leaves.
+    """Proper sub-rectangles through (0,0) that the pairing never leaves.
 
-    An empty result is the stронgest structural filter: such pairings are in
-    particular row and column connected.
+    Every such subgrid contains a seed {0,i} x {0,j}, and invariant subgrids
+    are closed under intersection, so each seed has a least invariant
+    subgrid around it: its closure under "a cell inside pulls in its
+    partner's row and column".  The result lists the distinct proper
+    closures, sorted by rows then columns, so it is empty exactly
+    when no proper invariant subgrid exists, and every proper invariant
+    subgrid contains one of its members.  An empty result is the strongest
+    structural filter: such pairings are in particular row and column
+    connected.
     """
     rows, cols = pairing.dims
-    out = []
-    pairs = pairing.pairs
-    for rbits in range(1, 1 << (rows - 1)):
-        rset = frozenset({0} | {i + 1 for i in range(rows - 1) if rbits >> i & 1})
-        if len(rset) < 2:
-            continue
-        for cbits in range(1, 1 << (cols - 1)):
-            cset = frozenset({0} | {j + 1 for j in range(cols - 1) if cbits >> j & 1})
-            if len(cset) < 2:
-                continue
-            if len(rset) == rows and len(cset) == cols:
-                continue
-            closed = True
-            for (i, j), (k, l) in pairs:
-                first = i in rset and j in cset
-                second = k in rset and l in cset
-                if first != second:
-                    closed = False
-                    break
-            if closed:
-                out.append((rset, cset))
-    out.sort(key=lambda rc: (sorted(rc[0]), sorted(rc[1])))
-    return out
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in pairing.pairs:
+        partner[a] = b
+        partner[b] = a
+    # full_cols[i] holds j when the closure of seed (i, j) is the whole grid;
+    # a closure that reaches such a seed is the whole grid too
+    full_cols: list[set[int]] = [set() for _ in range(rows)]
+    found = set()
+    for i in range(1, rows):
+        for j in range(1, cols):
+            rset, cset = {0, i}, {0, j}
+            reach = set(full_cols[i])
+            pending = [(0, j), (i, 0), (i, j)]
+            full = False
+            while pending and not full:
+                r, c = partner[pending.pop()]
+                if r not in rset:
+                    rset.add(r)
+                    reach |= full_cols[r]
+                    pending.extend([(r, k) for k in cset])
+                if c not in cset:
+                    cset.add(c)
+                    pending.extend([(k, c) for k in rset])
+                full = (not reach.isdisjoint(cset)
+                        or (len(rset) == rows and len(cset) == cols))
+            if full:
+                full_cols[i].add(j)
+            else:
+                found.add((frozenset(rset), frozenset(cset)))
+    return sorted(found, key=lambda rc: (sorted(rc[0]), sorted(rc[1])))
 
 
 # ---------------------------------------------------------------------------

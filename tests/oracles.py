@@ -98,6 +98,24 @@ def invariant_factors_by_minors(matrix):
     return factors
 
 
+def scan_proper_invariant_subgrids(pairing: Pairing):
+    """Every proper invariant subgrid through (0,0), by testing each row and
+    column subset that holds index 0 and at least one other index."""
+    rows, cols = pairing.dims
+    out = []
+    for rbits in range(1, 1 << (rows - 1)):
+        rset = frozenset({0} | {i + 1 for i in range(rows - 1) if rbits >> i & 1})
+        for cbits in range(1, 1 << (cols - 1)):
+            cset = frozenset({0} | {j + 1 for j in range(cols - 1) if cbits >> j & 1})
+            if len(rset) == rows and len(cset) == cols:
+                continue
+            if all((i in rset and j in cset) == (k in rset and l in cset)
+                   for (i, j), (k, l) in pairing.pairs):
+                out.append((rset, cset))
+    out.sort(key=lambda rc: (sorted(rc[0]), sorted(rc[1])))
+    return out
+
+
 def naive_group_from_table(table):
     """Multiplication dict from a coset table, for cross-checks."""
     n = table.coset_count

@@ -87,6 +87,33 @@ class TestClassifyCommand:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+class TestBudgetFlags:
+    @pytest.mark.parametrize("flag", ["--max-cosets", "--kb-max-rules",
+                                      "--kb-max-len", "--torsion-word-len"])
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_bad_budget_value_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("classify", "--rows", "3", "--cols", "3", flag, value)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_unknown_profile_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("GRIDGROUPS_PROFILE", "fast")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("classify", "--rows", "3", "--cols", "3")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'fast'" in err and "default, quick, deep" in err
+
+    def test_flags_override_the_profile(self):
+        from gridgroups.cli import _PROFILES, _budgets_from_args, build_parser
+        args = build_parser().parse_args(["classify", "--max-cosets", "1",
+                                          "--kb-max-len", "7"])
+        budgets = _budgets_from_args(args, _PROFILES["quick"])
+        assert (budgets.max_cosets, budgets.kb_max_len) == (1, 7)
+        assert budgets.kb_max_rules == _PROFILES["quick"].kb_max_rules
+
+
 class TestTableCommand:
     def test_text_and_csv(self, tmp_path):
         rec = tmp_path / "r.jsonl"

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,10 @@ from gridgroups.grid import (GridDims, GridError, GridSymmetry, OddDimensionErro
                              row_connected, LESS, EQUAL, GREATER,
                              _renumber_flat)
 
-from oracles import brute_force_pairing_matrices, brute_canonical, explicit_orbit
+from gridgroups.enumerate import enumerate_pairings
+
+from oracles import (brute_force_pairing_matrices, brute_canonical, explicit_orbit,
+                     scan_proper_invariant_subgrids)
 from reference_tables import RANK_3x3
 
 
@@ -249,6 +254,29 @@ class TestInvariantSubgrids:
     def test_all_3x3_classes_subgrid_free(self):
         for text, _, _ in RANK_3x3:
             assert proper_invariant_subgrids(parse_matrix(text).pairing()) == []
+
+    def test_closures_agree_with_subset_scan(self):
+        mats = brute_force_pairing_matrices(3, 3)
+        for dims in [(3, 5), (3, 7)]:
+            mats.extend(enumerate_pairings(GridDims(*dims)))
+        mats.extend(islice(enumerate_pairings(GridDims(5, 5)), 300))
+        # the 5x5 prefix has no subgrids (the first class with one is at
+        # index 103 048), so add every symmetry image of two 5x5 classes that do
+        for text in ["x 1 2 5 6\n1 3 4 7 8\n2 4 3 9 10\n5 7 9 11 12\n6 8 10 12 11",
+                     "x 1 2 3 4\n1 2 5 4 3\n5 6 7 8 9\n6 10 11 9 12\n7 11 10 12 8"]:
+            mat = parse_matrix(text)
+            mats.extend(apply_symmetry(mat, g) for g in all_symmetries(mat.dims))
+        with_subgrid = 0
+        for mat in mats:
+            p = mat.pairing()
+            closures = proper_invariant_subgrids(p)
+            scanned = scan_proper_invariant_subgrids(p)
+            assert bool(closures) == bool(scanned), mat
+            assert all(sub in scanned for sub in closures), mat
+            assert all(any(r <= rs and c <= cs for r, c in closures)
+                       for rs, cs in scanned), mat
+            with_subgrid += bool(scanned)
+        assert with_subgrid > 0
 
 
 class TestTextFormat:
