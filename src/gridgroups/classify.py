@@ -17,7 +17,7 @@ from .grid import (GridDims, GridError, Pairing, PairingMatrix, column_connected
                    format_matrix, orbit_canonical_form, parse_matrix,
                    proper_invariant_subgrids, row_connected)
 from .groupring import DirectFinitenessReport, verify_direct_finiteness
-from .present import (Presentation, Word, concat, free_reduce, invert,
+from .present import (Presentation, Word, format_word, free_reduce,
                       presentation_from_matrix)
 from .rewrite import RewriteSystem
 from .smallgroups import abelian_name, identify_small_group
@@ -132,7 +132,10 @@ def structural_flags(pairing: Pairing) -> dict[str, bool]:
 
 
 def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
-                    assume_canonical: bool = True) -> ClassificationRecord:
+                    assume_canonical: bool = True,
+                    flags: Optional[dict[str, bool]] = None) -> ClassificationRecord:
+    """The record of one class.  `flags` are the matrix's structural_flags
+    when the caller has computed them already."""
     if not assume_canonical:
         mat = orbit_canonical_form(mat)
     dims = GridDims(*mat.dims).require_odd()
@@ -140,16 +143,20 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     pres = presentation_from_matrix(mat)
     toolbox = GroupToolbox(pres, budgets)
 
-    flags = structural_flags(pairing)
-    inv = toolbox.abelianization.invariants
+    if flags is None:
+        flags = structural_flags(pairing)
 
     verdict: Optional[Verdict] = None
     table: Optional[CosetTable] = None
 
     first = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
-    if first.status != "complete" and inv.free_rank == 0 \
-            and budgets.max_cosets > TC_FIRST_PASS:
-        first = toolbox.coset_run(budgets.max_cosets)
+    if first.status == "complete" and first.table.coset_count == 1:
+        inv = AbelianInvariants(0, ())  # the trivial group: no Smith form needed
+    else:
+        inv = toolbox.abelianization.invariants
+        if first.status != "complete" and inv.free_rank == 0 \
+                and budgets.max_cosets > TC_FIRST_PASS:
+            first = toolbox.coset_run(budgets.max_cosets)
 
     if first.status == "complete":
         table = first.table
@@ -373,7 +380,7 @@ def torsion_quotient_report(pres: Presentation, dims: GridDims,
             break
         current = Presentation(current.names,
                                current.relators + tuple(w for w, _ in new_relators))
-        found.extend((format_wordname(w, current.names), k) for w, k in new_relators)
+        found.extend((format_word(w, current.names), k) for w, k in new_relators)
         iterations += 1
 
     toolbox = GroupToolbox(current, budgets)
@@ -407,11 +414,6 @@ def torsion_quotient_report(pres: Presentation, dims: GridDims,
             if collision:
                 break
     return TorsionQuotientReport(tuple(found), iterations, quotient_abelian, collision)
-
-
-def format_wordname(word: Word, names) -> str:
-    from .present import format_word
-    return format_word(word, names)
 
 
 def _short_words(toolbox: GroupToolbox, max_len: int):

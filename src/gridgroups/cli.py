@@ -53,10 +53,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _out_stream(path: Optional[str]):
+def _out_stream(path: Optional[str], mode: str = "w"):
     if path in (None, "-"):
         return sys.stdout, False
-    return open(path, "w"), True
+    return open(path, mode), True
 
 
 # ---------------------------------------------------------------------------
@@ -90,31 +90,38 @@ def cmd_enumerate(args) -> int:
 _FILTERS = ("none", "connected", "subgrid-free", "mirror", "non-mirror")
 
 
-def _passes_filter(mat: PairingMatrix, name: str) -> bool:
-    if name == "none":
-        return True
-    if name in ("connected", "subgrid-free"):
-        flags = structural_flags(mat.pairing())
-        if name == "connected":
-            return flags["row_connected"] and flags["column_connected"]
-        return flags["no_proper_invariant_subgrid"]
-    mirror = _forces_syntactic(mat)
-    return mirror if name == "mirror" else not mirror
+def _filtered(mats: Iterable[PairingMatrix],
+              name: str) -> Iterable[tuple[PairingMatrix, Optional[dict]]]:
+    """The classes that pass the filter, each with its structural flags when
+    the filter computed them (classify_matrix then reuses them)."""
+    for mat in mats:
+        flags = None
+        if name in ("connected", "subgrid-free"):
+            flags = structural_flags(mat.pairing())
+            if name == "connected":
+                passes = flags["row_connected"] and flags["column_connected"]
+            else:
+                passes = flags["no_proper_invariant_subgrid"]
+        elif name in ("mirror", "non-mirror"):
+            passes = _forces_syntactic(mat) == (name == "mirror")
+        else:
+            passes = True
+        if passes:
+            yield mat, flags
 
 
 def _classify_worker(task):
-    text, budgets_tuple = task
+    text, budgets_tuple, flags = task
     mat = parse_matrix(text)
     budgets = Budgets(*budgets_tuple)
-    return record_to_json(classify_matrix(mat, budgets))
+    return record_to_json(classify_matrix(mat, budgets, flags=flags))
 
 
 def _iter_records(dims: GridDims, budgets: Budgets, workers: int,
                   split_depth: Optional[int], class_filter: str = "none") -> Iterable[str]:
     if workers <= 1:
-        for mat in enumerate_pairings(dims):
-            if _passes_filter(mat, class_filter):
-                yield record_to_json(classify_matrix(mat, budgets))
+        for mat, flags in _filtered(enumerate_pairings(dims), class_filter):
+            yield record_to_json(classify_matrix(mat, budgets, flags=flags))
         return
     import multiprocessing as mp
 
@@ -124,10 +131,10 @@ def _iter_records(dims: GridDims, budgets: Budgets, workers: int,
     budgets_tuple = (budgets.max_cosets, budgets.kb_max_rules, budgets.kb_max_len,
                      budgets.torsion_word_len, budgets.order_cap,
                      budgets.hom_degree, budgets.hom_nodes)
-    tasks = ((format_matrix(PairingMatrix(dims, flat)), budgets_tuple)
-             for item in cp.frontier
-             for flat in _expand_item(dims, cp, item)
-             if _passes_filter(PairingMatrix(dims, flat), class_filter))
+    mats = (PairingMatrix(dims, flat)
+            for item in cp.frontier for flat in _expand_item(dims, cp, item))
+    tasks = ((format_matrix(mat), budgets_tuple, flags)
+             for mat, flags in _filtered(mats, class_filter))
     with mp.Pool(workers) as pool:
         # chunked imap preserves frontier order: the merged stream is the
         # same as the serial one
@@ -146,13 +153,11 @@ def cmd_classify(args) -> int:
     try:
         if args.from_file:
             with open(args.from_file) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    mat = parse_matrix(line.replace(" / ", "\n"))
-                    if _passes_filter(mat, args.filter):
-                        out.write(record_to_json(classify_matrix(mat, budgets)) + "\n")
+                mats = (parse_matrix(line.strip().replace(" / ", "\n"))
+                        for line in fh if line.strip())
+                for mat, flags in _filtered(mats, args.filter):
+                    out.write(record_to_json(classify_matrix(mat, budgets, flags=flags))
+                              + "\n")
             return 0
         dims = GridDims(args.rows, args.cols)
         for line in _iter_records(dims, budgets, args.workers, args.split_depth,
@@ -167,13 +172,17 @@ def cmd_classify(args) -> int:
 def cmd_resume(args) -> int:
     cp = read_checkpoint(args.checkpoint)
     budgets = args.budgets
-    out, close = _out_stream(args.out)
+    # append: an earlier resume of this checkpoint wrote the records before
+    # the ones still to come
+    out, close = _out_stream(args.out, "a")
     try:
         for mat in resume(cp):
             if args.classify:
                 out.write(record_to_json(classify_matrix(mat, budgets)) + "\n")
             else:
                 out.write(format_matrix(mat).replace("\n", " / ") + "\n")
+            # the checkpoint never counts a record that is not yet in the file
+            out.flush()
             write_checkpoint(cp, args.checkpoint)
     finally:
         if close:

@@ -1,11 +1,16 @@
 """Coset enumeration over a finite presentation, plus finite-group probes.
 
-The enumerator is the fill-as-you-scan variant with a union-find over coset
-numbers: scanning a relator from a coset defines missing edges outright and
-queues coincidences when paths close inconsistently.  Runs are budgeted by
-the total number of cosets ever defined.  An overrun is a status, not an
-error, and the partial graph still certifies word equalities: two words
-tracing to the same vertex are provably equal in the group.
+The enumerator is the fill-as-you-scan (HLT) variant with eager coincidence
+processing, as in Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory* (2005), section 5.1: scanning a relator from a coset defines missing
+edges outright, and when a path closes inconsistently the two cosets merge
+at once.  The larger number dies; its row is unlinked from the table and
+relinked at the survivors, queueing the coincidences that follow.  Between
+scans every live row therefore holds only live cosets or UNDEF.  Runs are
+budgeted by the total number of cosets ever defined.  An overrun is a
+status, not an error, and the partial graph still certifies word
+equalities: two words tracing to the same vertex are provably equal in the
+group.
 """
 
 from __future__ import annotations
@@ -27,30 +32,16 @@ def _paths(relators: Sequence[Word]) -> list[tuple[int, ...]]:
     return out
 
 
+@dataclass
 class _Graph:
-    __slots__ = ("nd", "neigh", "label", "live", "defined")
+    """A partial coset graph: one row per coset ever defined, and for each
+    coset the smaller one it merged into (itself while live)."""
 
-    def __init__(self, nd: int):
-        self.nd = nd
-        self.neigh: list[list[int]] = []
-        self.label: list[int] = []
-        self.live = 0
-        self.defined = 0
+    neigh: list[list[int]]
+    label: list[int]
 
-    def find(self, c: int) -> int:
-        label = self.label
-        while label[c] != c:
-            label[c] = label[label[c]]
-            c = label[c]
-        return c
-
-    def add(self) -> int:
-        c = len(self.label)
-        self.label.append(c)
-        self.neigh.append([UNDEF] * self.nd)
-        self.live += 1
-        self.defined += 1
-        return c
+    def live(self) -> list[int]:
+        return [c for c, rep in enumerate(self.label) if rep == c]
 
 
 class EnumerationExhausted(Exception):
@@ -78,13 +69,11 @@ class CosetEnumeration:
 
 
 def _trace_partial(g: _Graph, word: Word) -> Optional[int]:
-    c = g.find(0)
+    c = 0
     for x in word:
-        d = (x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1
-        nxt = g.neigh[c][d]
-        if nxt == UNDEF:
+        c = g.neigh[c][(x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1]
+        if c == UNDEF:
             return None
-        c = g.find(nxt)
     return c
 
 
@@ -106,106 +95,120 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
                 raise ValueError(f"letter {x} out of range for {ngens} generators")
     rel_paths = _paths(pres.relators)
     sub_paths = _paths([free_reduce(w) for w in subgroup])
-    g = _Graph(nd)
-    g.add()
-    neigh = g.neigh
-    find = g.find
+    neigh: list[list[int]] = [[UNDEF] * nd]
+    label = [0]
 
-    pending: list[tuple[int, int]] = []
+    def find(c: int) -> int:
+        root = c
+        while label[root] != root:
+            root = label[root]
+        while label[c] != root:
+            label[c], c = root, label[c]
+        return root
 
-    def merge(a: int, b: int) -> None:
-        pending.append((a, b))
-        label = g.label
-        while pending:
-            x, y = pending.pop()
-            x, y = find(x), find(y)
-            if x == y:
-                continue
-            if x > y:
-                x, y = y, x
-            label[y] = x
-            g.live -= 1
-            row_x, row_y = neigh[x], neigh[y]
-            for d in range(nd):
-                ny = row_y[d]
-                if ny != UNDEF:
-                    nx = row_x[d]
-                    if nx == UNDEF:
-                        row_x[d] = ny
-                    else:
-                        pending.append((nx, ny))
-
-    def scan_and_fill(alpha: int, path: tuple[int, ...]) -> None:
-        if not path:
-            return
-        f = alpha
-        i = 0
-        b = alpha
-        r = len(path) - 1
-        while True:
-            while i <= r:
-                nxt = neigh[f][path[i]]
-                if nxt == UNDEF:
-                    break
-                f = find(nxt)
-                i += 1
-            if i > r:
-                if f != b:
-                    merge(f, b)
-                return
-            while r >= i:
-                nxt = neigh[b][path[r] ^ 1]
-                if nxt == UNDEF:
-                    break
-                b = find(nxt)
-                r -= 1
-            if r < i:
-                merge(f, b)
-                return
-            if r == i:
-                d = path[i]
-                neigh[f][d] = b
-                back = neigh[b][d ^ 1]
-                if back == UNDEF:
-                    neigh[b][d ^ 1] = f
-                else:
-                    merge(back, f)
-                return
-            if g.defined >= max_cosets:
-                raise EnumerationExhausted
-            c = g.add()
-            d = path[i]
-            neigh[f][d] = c
-            neigh[c][d ^ 1] = f
-            f = c
-            i += 1
+    def coincidence(a: int, b: int) -> None:
+        """Merge two live cosets, and everything their merge forces."""
+        if a > b:
+            a, b = b, a
+        label[b] = a
+        dead = [b]
+        for y in dead:  # grows while it is walked
+            # unlink each edge of the dead row and relink it at the
+            # survivors, or queue the coincidence that the edge forces
+            mu = label[y]
+            for d, target in enumerate(neigh[y]):
+                if target == UNDEF:
+                    continue
+                neigh[target][d ^ 1] = UNDEF
+                if label[mu] != mu:
+                    mu = find(mu)
+                nu = target
+                if label[nu] != nu:
+                    nu = find(nu)
+                other = neigh[mu][d]
+                if other == UNDEF:
+                    other = neigh[nu][d ^ 1]
+                    if other == UNDEF:  # both ends free: relink the edge
+                        neigh[mu][d] = nu
+                        neigh[nu][d ^ 1] = mu
+                        continue
+                    nu = mu  # nu's inverse edge is taken: its end is mu
+                # else mu's edge is taken: its end is nu
+                if label[other] != other:
+                    other = find(other)
+                if nu != other:
+                    if nu > other:
+                        nu, other = other, nu
+                    label[other] = nu
+                    dead.append(other)
 
     status = "complete"
     try:
-        for path in sub_paths:
-            scan_and_fill(0, path)
+        # subgroup words from coset 0 first, then every relator from each
+        # live coset in turn, until that coset dies
+        paths = sub_paths + rel_paths
         alpha = 0
-        while alpha < len(g.label):
-            if g.label[alpha] == alpha:
-                for path in rel_paths:
-                    scan_and_fill(alpha, path)
-                    if g.label[alpha] != alpha:
+        while alpha < len(neigh):
+            if label[alpha] == alpha:
+                for path in paths:
+                    f = b = alpha
+                    i = 0
+                    r = len(path) - 1
+                    while True:
+                        while i <= r:
+                            nxt = neigh[f][path[i]]
+                            if nxt == UNDEF:
+                                break
+                            f = nxt
+                            i += 1
+                        if i > r:
+                            if f != b:
+                                coincidence(f, b)
+                            break
+                        while r >= i:
+                            nxt = neigh[b][path[r] ^ 1]
+                            if nxt == UNDEF:
+                                break
+                            b = nxt
+                            r -= 1
+                        if r < i:
+                            if f != b:
+                                coincidence(f, b)
+                            break
+                        d = path[i]
+                        if r == i:  # one gap left: a deduction closes it
+                            neigh[f][d] = b
+                            neigh[b][d ^ 1] = f
+                            break
+                        c = len(neigh)
+                        if c >= max_cosets:
+                            raise EnumerationExhausted
+                        row = [UNDEF] * nd
+                        row[d ^ 1] = f
+                        neigh.append(row)
+                        label.append(c)
+                        neigh[f][d] = c
+                        f = c
+                        i += 1
+                    if label[alpha] != alpha:
                         break
+            paths = rel_paths
             alpha += 1
     except EnumerationExhausted:
         status = "exhausted"
 
+    graph = _Graph(neigh, label)
     if status == "complete":
-        live = [c for c in range(len(g.label)) if g.label[c] == c]
-        if any(neigh[c][d] == UNDEF for c in live for d in range(nd)):
+        live = graph.live()
+        if any(UNDEF in neigh[c] for c in live):
             status = "open"  # some generator never constrained: cannot close
     if status != "complete":
-        return CosetEnumeration(status, None, g, g.defined)
+        return CosetEnumeration(status, None, graph, len(neigh))
 
     renum = {c: k for k, c in enumerate(live)}
-    action = [[renum[find(neigh[c][d])] for d in range(nd)] for c in live]
+    action = [[renum[x] for x in neigh[c]] for c in live]
     table = CosetTable(ngens, action, pres)
-    return CosetEnumeration("complete", table, None, g.defined)
+    return CosetEnumeration("complete", table, None, len(neigh))
 
 
 class CosetTable:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coset import CosetTable, todd_coxeter
-from .present import Presentation, Word
+from .present import Presentation
 
 
 class GroupRingError(ValueError):
@@ -98,14 +98,6 @@ def gr_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
 
 def gr_scal(k: int, x: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(x.p, x.table, {g: k * c for g, c in x.coeffs.items()})
-
-
-def gr_from_words(p: int, table: CosetTable, words: Sequence[Word]) -> GroupRingElement:
-    out: dict[int, int] = {}
-    for w in words:
-        g = table.element(w)
-        out[g] = (out.get(g, 0) + 1) % p
-    return GroupRingElement(p, table, out)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +205,6 @@ def rank2_zero_divisor(p: int, r: int, n: int) -> tuple[int, ...]:
 class DirectFinitenessReport:
     ab_is_one: bool
     ba_is_one: bool
-
-
-def support_elements(table: CosetTable, rows: int, cols: int) -> tuple[list[int], list[int]]:
-    """Images of the two generator families (identity included) in the table."""
-    acount = rows - 1
-    a_elems = [0] + [table.element((i,)) for i in range(1, rows)]
-    b_elems = [0] + [table.element((acount + j,)) for j in range(1, cols)]
-    return a_elems, b_elems
 
 
 def verify_direct_finiteness(pairing, table: CosetTable,

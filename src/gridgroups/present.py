@@ -184,19 +184,6 @@ def presentation_from_matrix(mat) -> Presentation:
     return Presentation(names, tuple(relators))
 
 
-def presentation_from_pairing(pairing) -> Presentation:
-    return presentation_from_matrix(pairing.to_matrix())
-
-
-def ulie_support_words(dims) -> tuple[list[Word], list[Word]]:
-    """Generator words for the two support families (identity included)."""
-    rows, cols = dims
-    acount = rows - 1
-    a_words: list[Word] = [()] + [(i,) for i in range(1, rows)]
-    b_words: list[Word] = [()] + [(acount + j,) for j in range(1, cols)]
-    return a_words, b_words
-
-
 # ---------------------------------------------------------------------------
 # Tietze simplification
 

@@ -227,40 +227,36 @@ class RewriteSystem:
                 node = fail[node]
 
         # walk the product of the automaton with the free monoid, skipping
-        # terminal states; a reachable cycle means infinitely many forms
-        n = len(goto)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * n
-        counts: dict[int, Optional[int]] = {}
-
-        import sys
-        sys.setrecursionlimit(max(10000, 4 * n + 100))
-
-        def visit(node: int) -> Optional[int]:
-            # number of irreducible words readable from this state, None=infinite
-            if color[node] == GRAY:
-                return None
-            if node in counts:
-                return counts[node]
-            color[node] = GRAY
-            total = 1  # the empty continuation
-            for ch in range(nd):
-                nxt = step(node, ch)
-                if terminal[nxt]:
-                    continue
-                sub = visit(nxt)
-                if sub is None:
-                    total = None
-                    break
-                total += sub
-            color[node] = BLACK
-            counts[node] = total
-            return total
-
-        total = visit(0)
-        if total is None:
-            return "infinite", None
-        return "finite", total
+        # terminal states; a reachable cycle means infinitely many forms.
+        # Depth-first with an explicit stack: one frame per open state
+        # (state, next letter, irreducible words readable from it so far).
+        GRAY, BLACK = 1, 2
+        color = [0] * len(goto)
+        counts = [0] * len(goto)
+        color[0] = GRAY
+        stack = [[0, 0, 1]]  # the empty continuation counts once
+        while stack:
+            frame = stack[-1]
+            node, ch = frame[0], frame[1]
+            if ch == nd:
+                stack.pop()
+                color[node] = BLACK
+                counts[node] = frame[2]
+                if stack:
+                    stack[-1][2] += frame[2]
+                continue
+            frame[1] = ch + 1
+            nxt = step(node, ch)
+            if terminal[nxt]:
+                continue
+            if color[nxt] == GRAY:
+                return "infinite", None
+            if color[nxt] == BLACK:
+                frame[2] += counts[nxt]
+                continue
+            color[nxt] = GRAY
+            stack.append([nxt, 0, 1])
+        return "finite", counts[0]
 
     def normal_forms(self, limit: int) -> list[bytes]:
         """Irreducible words in shortlex order, up to `limit` of them."""

@@ -32,11 +32,6 @@ class Budgets:
     hom_degree: int = 6          # symmetric-group targets up to S6
     hom_nodes: int = 50_000
 
-    def scaled(self, factor: int) -> "Budgets":
-        return Budgets(self.max_cosets * factor, self.kb_max_rules * factor,
-                       self.kb_max_len * factor, self.torsion_word_len,
-                       self.order_cap, self.hom_degree, self.hom_nodes * factor)
-
 
 @dataclass(frozen=True)
 class WordVerdict:

@@ -1,8 +1,10 @@
 """Independent reference implementations used only to check the fast paths.
 
 Everything here is deliberately naive: exhaustive matchings, explicit orbit
-expansion, determinant-based invariant factors.  Tests freeze expected
-values computed by these oracles and compare the real code against them.
+expansion, determinant-based invariant factors, or else the implementation
+that a faster one replaced (the union-find coset enumerator, the recursive
+normal-form count).  Tests freeze expected values computed by these oracles
+and compare the real code against them.
 """
 
 from itertools import combinations, permutations
@@ -120,3 +122,254 @@ def naive_group_from_table(table):
     """Multiplication dict from a coset table, for cross-checks."""
     n = table.coset_count
     return {(i, j): table.mult(i, j) for i in range(n) for j in range(n)}
+
+
+class _ReferenceGraph:
+    """Coset graph whose entries may name merged cosets (resolved by find)."""
+
+    __slots__ = ("nd", "neigh", "label", "defined")
+
+    def __init__(self, nd):
+        self.nd = nd
+        self.neigh = []
+        self.label = []
+        self.defined = 0
+
+    def find(self, c):
+        label = self.label
+        while label[c] != c:
+            label[c] = label[label[c]]
+            c = label[c]
+        return c
+
+    def add(self):
+        c = len(self.label)
+        self.label.append(c)
+        self.neigh.append([-1] * self.nd)
+        self.defined += 1
+        return c
+
+    def quotient(self):
+        """Live coset -> its row with every entry resolved to a live coset."""
+        return {c: [self.find(x) if x != -1 else -1 for x in self.neigh[c]]
+                for c in range(len(self.label)) if self.label[c] == c}
+
+
+class ReferenceEnumeration:
+    def __init__(self, status, action, graph, cosets_defined):
+        self.status = status
+        self.action = action
+        self.graph = graph
+        self.cosets_defined = cosets_defined
+
+    def equal_words(self, w1, w2):
+        """True when both words reach the same vertex of the partial graph."""
+        a = self._trace(w1)
+        b = self._trace(w2)
+        if a is not None and a == b:
+            return True
+        return None
+
+    def _trace(self, word):
+        g = self.graph
+        c = g.find(0)
+        for x in word:
+            nxt = g.neigh[c][(x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1]
+            if nxt == -1:
+                return None
+            c = g.find(nxt)
+        return c
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def reference_todd_coxeter(pres, subgroup=(), max_cosets=200_000):
+    """Fill-as-you-scan enumeration with a union-find over coset numbers.
+
+    Coincidences are merged lazily: the table may keep pointing at merged
+    cosets, and every scan step resolves its entry through find.  Returns a
+    ReferenceEnumeration whose action table (complete runs) or graph
+    (partial runs) the eager-coincidence kernel must reproduce exactly.
+    """
+    from gridgroups.present import free_reduce
+
+    UNDEF = -1
+    ngens = pres.generator_count
+    nd = 2 * ngens
+
+    def paths(words):
+        return [tuple((x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1 for x in w)
+                for w in words]
+
+    rel_paths = paths(pres.relators)
+    sub_paths = paths([free_reduce(w) for w in subgroup])
+    g = _ReferenceGraph(nd)
+    g.add()
+    neigh = g.neigh
+    find = g.find
+    pending = []
+
+    def merge(a, b):
+        pending.append((a, b))
+        label = g.label
+        while pending:
+            x, y = pending.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            label[y] = x
+            row_x, row_y = neigh[x], neigh[y]
+            for d in range(nd):
+                ny = row_y[d]
+                if ny != UNDEF:
+                    nx = row_x[d]
+                    if nx == UNDEF:
+                        row_x[d] = ny
+                    else:
+                        pending.append((nx, ny))
+
+    def scan_and_fill(alpha, path):
+        if not path:
+            return
+        f = alpha
+        i = 0
+        b = alpha
+        r = len(path) - 1
+        while True:
+            while i <= r:
+                nxt = neigh[f][path[i]]
+                if nxt == UNDEF:
+                    break
+                f = find(nxt)
+                i += 1
+            if i > r:
+                if f != b:
+                    merge(f, b)
+                return
+            while r >= i:
+                nxt = neigh[b][path[r] ^ 1]
+                if nxt == UNDEF:
+                    break
+                b = find(nxt)
+                r -= 1
+            if r < i:
+                merge(f, b)
+                return
+            if r == i:
+                d = path[i]
+                neigh[f][d] = b
+                back = neigh[b][d ^ 1]
+                if back == UNDEF:
+                    neigh[b][d ^ 1] = f
+                else:
+                    merge(back, f)
+                return
+            if g.defined >= max_cosets:
+                raise _Exhausted
+            c = g.add()
+            d = path[i]
+            neigh[f][d] = c
+            neigh[c][d ^ 1] = f
+            f = c
+            i += 1
+
+    status = "complete"
+    try:
+        for path in sub_paths:
+            scan_and_fill(0, path)
+        alpha = 0
+        while alpha < len(g.label):
+            if g.label[alpha] == alpha:
+                for path in rel_paths:
+                    scan_and_fill(alpha, path)
+                    if g.label[alpha] != alpha:
+                        break
+            alpha += 1
+    except _Exhausted:
+        status = "exhausted"
+
+    if status == "complete":
+        live = [c for c in range(len(g.label)) if g.label[c] == c]
+        if any(neigh[c][d] == UNDEF for c in live for d in range(nd)):
+            status = "open"
+    if status != "complete":
+        return ReferenceEnumeration(status, None, g, g.defined)
+    renum = {c: k for k, c in enumerate(live)}
+    action = [[renum[find(neigh[c][d])] for d in range(nd)] for c in live]
+    return ReferenceEnumeration("complete", action, None, g.defined)
+
+
+def reference_language(kb):
+    """Recursive normal-form language analysis of a confluent system:
+    ("finite", order) or ("infinite", None).  Recurses once per automaton
+    state, so it lifts the interpreter's recursion limit while it runs."""
+    import sys
+    from collections import deque
+
+    nd = 2 * kb.presentation.generator_count
+    goto = [{}]
+    fail = [0]
+    terminal = [False]
+    for pat in kb._rules:
+        node = 0
+        for ch in pat:
+            node = goto[node].setdefault(ch, len(goto))
+            if node >= len(fail):
+                goto.append({})
+                fail.append(0)
+                terminal.append(False)
+        terminal[node] = True
+    queue = deque(goto[0].values())
+    while queue:
+        node = queue.popleft()
+        if terminal[fail[node]]:
+            terminal[node] = True
+        for ch, nxt in goto[node].items():
+            f = fail[node]
+            while f and ch not in goto[f]:
+                f = fail[f]
+            fail[nxt] = goto[f].get(ch, 0) if goto[f].get(ch, 0) != nxt else 0
+            queue.append(nxt)
+
+    def step(node, ch):
+        while True:
+            if ch in goto[node]:
+                return goto[node][ch]
+            if node == 0:
+                return 0
+            node = fail[node]
+
+    color = [0] * len(goto)
+    counts = {}
+
+    def visit(node):
+        if color[node] == 1:
+            return None
+        if node in counts:
+            return counts[node]
+        color[node] = 1
+        total = 1
+        for ch in range(nd):
+            nxt = step(node, ch)
+            if terminal[nxt]:
+                continue
+            sub = visit(nxt)
+            if sub is None:
+                total = None
+                break
+            total += sub
+        color[node] = 2
+        counts[node] = total
+        return total
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * len(goto) + 100))
+    try:
+        total = visit(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return ("infinite", None) if total is None else ("finite", total)

@@ -7,6 +7,7 @@ import pytest
 
 from gridgroups.cli import (SummaryTable, export_cas_script, format_table_csv,
                             format_table_text, main, summarize)
+from gridgroups.grid import GridDims
 
 
 def run_cli(*args):
@@ -78,6 +79,28 @@ class TestClassifyCommand:
                 "--max-cosets", "20000")
         assert len(docs) < len(full.read_text().splitlines())
 
+    def test_filter_flags_are_computed_once(self, tmp_path, monkeypatch):
+        from gridgroups import classify
+        real = classify.proper_invariant_subgrids
+        calls = []
+
+        def counted(pairing):
+            calls.append(pairing)
+            return real(pairing)
+
+        monkeypatch.setattr(classify, "proper_invariant_subgrids", counted)
+        mats = tmp_path / "mats.txt"
+        run_cli("enumerate", "--rows", "3", "--cols", "5", "--out", str(mats))
+        for source in (["--rows", "3", "--cols", "5"], ["--from", str(mats)]):
+            calls.clear()
+            rec = tmp_path / "f.jsonl"
+            run_cli("classify", *source, "--out", str(rec),
+                    "--max-cosets", "20000", "--filter", "subgrid-free")
+            assert len(calls) == 76  # one per class filtered
+            docs = [json.loads(l) for l in rec.read_text().splitlines()]
+            assert len(docs) == 73
+            assert all(d["flags"]["no_proper_invariant_subgrid"] for d in docs)
+
     def test_worker_stream_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
         run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(serial),
@@ -85,6 +108,39 @@ class TestClassifyCommand:
         run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(parallel),
                 "--max-cosets", "20000", "--workers", "2")
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+class TestResumeCommand:
+    def test_two_resumes_write_the_records_of_one(self, tmp_path, monkeypatch):
+        from gridgroups import cli
+        from gridgroups.enumerate import read_checkpoint, split_frontier, write_checkpoint
+        for name in ("whole.txt", "parts.txt"):
+            write_checkpoint(split_frontier(GridDims(3, 5), 4), tmp_path / name)
+        whole = tmp_path / "whole.jsonl"
+        assert run_cli("resume", str(tmp_path / "whole.txt"), "--classify",
+                       "--out", str(whole), "--max-cosets", "20000") == 0
+
+        parts = tmp_path / "parts.jsonl"
+        stop_at = [10]
+
+        def checkpoint_then_stop(cp, path):
+            # every record the checkpoint counts is already in the file
+            assert len(parts.read_text().splitlines()) == sum(cp.emitted)
+            write_checkpoint(cp, path)
+            if sum(cp.emitted) == stop_at[0]:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_checkpoint", checkpoint_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("resume", str(tmp_path / "parts.txt"), "--classify",
+                    "--out", str(parts), "--max-cosets", "20000")
+        assert sum(read_checkpoint(tmp_path / "parts.txt").emitted) == 10
+        assert len(parts.read_text().splitlines()) == 10
+        stop_at[0] = None
+        assert run_cli("resume", str(tmp_path / "parts.txt"), "--classify",
+                       "--out", str(parts), "--max-cosets", "20000") == 0
+        assert parts.read_bytes() == whole.read_bytes()
+        assert len(whole.read_text().splitlines()) == 76
 
 
 class TestBudgetFlags:

@@ -305,3 +305,44 @@ class TestRewritingExtras:
                                         ((1, 1, 1), (2, 2), (1, 2, 1, 2))))
         assert rs.confluent
         assert rs.language() == ("finite", 6)
+
+    def test_language_leaves_the_recursion_limit_alone(self):
+        import sys
+        before = sys.getrecursionlimit()
+        rs = RewriteSystem(Presentation(("x", "y"),
+                                        ((1, 1, 1), (2, 2), (1, 2, 1, 2))))
+        rs.language()
+        assert sys.getrecursionlimit() == before
+
+    def test_language_matches_recursive_oracle(self):
+        from oracles import reference_language
+        systems = [RewriteSystem(Presentation(("x", "y"), rels), max_rules=500)
+                   for rels in (((1, 1, 1), (2, 2), (1, 2, 1, 2)),   # Sym3
+                                ((2, 2),),                           # Z * Z2
+                                ((1, 2, -1, -2),),                   # Z x Z
+                                ((1,) * 4, (2, 2), (1, 2, 1, 2)))]   # Dih4
+        systems += [RewriteSystem(presentation_from_matrix(parse_matrix(t)), max_rules=500)
+                    for t, _, _ in RANK_3x3]
+        confluent = [rs for rs in systems if rs.confluent]
+        assert {rs.language()[0] for rs in confluent} == {"finite", "infinite"}
+        for rs in confluent:
+            assert rs.language() == reference_language(rs)
+
+    def test_language_deeper_than_the_recursion_limit(self):
+        """The cyclic group of order 2k+1 under shortlex: its automaton has
+        a chain of k+1 states, longer here than the default limit."""
+        import sys
+        from oracles import reference_language
+        k = 1500
+        rs = RewriteSystem(Presentation(("x",), ((1, 1, 1),)))
+        x, X = b"\x00", b"\x01"
+        # the confluent system itself: completing x^(2k+1) from scratch
+        # takes minutes at this length
+        rs._rules = {x + X: b"", X + x: b"", x * (k + 1): X * k, X * (k + 1): x * k}
+        rs._index()
+        before = sys.getrecursionlimit()
+        assert k > before
+        assert rs.language() == ("finite", 2 * k + 1)
+        assert sys.getrecursionlimit() == before
+        assert reference_language(rs) == ("finite", 2 * k + 1)
+        assert sys.getrecursionlimit() == before
