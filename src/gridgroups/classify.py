@@ -8,8 +8,8 @@ budget is reported undecided with the budgets that were spent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .abelian import AbelianInvariants
 from .coset import CosetTable, GroupFingerprint, fingerprint, todd_coxeter
@@ -18,10 +18,10 @@ from .grid import (GridDims, GridError, Pairing, PairingMatrix, column_connected
                    proper_invariant_subgrids, row_connected)
 from .groupring import DirectFinitenessReport, verify_direct_finiteness
 from .present import (Presentation, Word, format_word, free_reduce,
-                      presentation_from_matrix)
+                      generator_families, presentation_from_matrix)
 from .rewrite import RewriteSystem
-from .smallgroups import abelian_name, identify_small_group
-from .wordprob import Budgets, GroupToolbox, WordVerdict
+from .smallgroups import identify_small_group
+from .wordprob import Budgets, GroupToolbox
 
 TC_FIRST_PASS = 1500  # coset budget for the cheap first attempt
 
@@ -63,18 +63,9 @@ class ClassificationRecord:
     annotations: tuple[str, ...] = ()
 
 
-def _generator_words(dims: GridDims) -> tuple[list[tuple[str, Word]], list[tuple[str, Word]]]:
-    rows, cols = dims
-    acount = rows - 1
-    a_fam = [(f"a{i}", (i,)) for i in range(1, rows)]
-    b_fam = [(f"b{j}", (acount + j,)) for j in range(1, cols)]
-    return a_fam, b_fam
-
-
 def _degeneracy_from_table(table: CosetTable, dims: GridDims, translate=None):
-    a_fam, b_fam = _generator_words(dims)
-    for fam in (a_fam, b_fam):
-        seen: dict[int, str] = {0: "1"}
+    for fam in generator_families(dims):
+        seen: dict[int, str] = {}
         for name, word in fam:
             e = table.element(word if translate is None else translate(word))
             if e in seen:
@@ -86,11 +77,9 @@ def _degeneracy_from_table(table: CosetTable, dims: GridDims, translate=None):
 def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims):
     """Equality proofs from a non-closed run: coincidences, then rewriting."""
     run = toolbox.coset_run()  # reuse whatever enumeration already ran
-    a_fam, b_fam = _generator_words(dims)
     kb: Optional[RewriteSystem] = None
     undecided: list[tuple[str, str]] = []
-    for fam in (a_fam, b_fam):
-        named = [("1", ())] + fam
+    for named in generator_families(dims):
         for i in range(len(named)):
             for k in range(i + 1, len(named)):
                 n1, w1 = named[i]
@@ -257,15 +246,8 @@ def _table_from_rewriting(kb: RewriteSystem) -> Optional[CosetTable]:
 
 
 def _forces_from_table(table: CosetTable, dims: GridDims, translate=None) -> bool:
-    rows, cols = dims
-    acount = rows - 1
-    words_a = [(i,) for i in range(1, rows)]
-    words_b = [(acount + j,) for j in range(1, cols)]
-    if translate is not None:
-        words_a = [translate(w) for w in words_a]
-        words_b = [translate(w) for w in words_b]
-    a_set = {0} | {table.element(w) for w in words_a}
-    b_set = {0} | {table.element(w) for w in words_b}
+    a_set, b_set = ({table.element(w if translate is None else translate(w))
+                     for _, w in fam} for fam in generator_families(dims))
     return a_set == b_set
 
 
@@ -280,11 +262,7 @@ def _forces_syntactic(mat: PairingMatrix) -> bool:
     if rows != cols:
         return False
     partner: dict[tuple[int, int], tuple[int, int]] = {}
-    where: dict[int, list[tuple[int, int]]] = {}
-    for idx, v in enumerate(mat.flat):
-        if v > 0:
-            where.setdefault(v, []).append(divmod(idx, cols))
-    for cells in where.values():
+    for cells in mat.cells_by_label().values():
         partner[cells[0]] = cells[1]
         partner[cells[1]] = cells[0]
     return all(partner[(0, k)][1] == 0 for k in range(1, cols))
@@ -323,9 +301,7 @@ def forces_a_eq_b(record_or_matrix, budgets: Budgets = Budgets()) -> Optional[bo
     run = toolbox.coset_run()
     if run.status == "complete":
         return _forces_from_table(run.table, dims)
-    a_fam, b_fam = _generator_words(dims)
-    a_named = [("1", ())] + a_fam
-    b_named = [("1", ())] + b_fam
+    a_named, b_named = generator_families(dims)
     unmatched_b = {n for n, _ in b_named}
     unknown = False
     for n1, w1 in a_named:
@@ -365,8 +341,8 @@ def torsion_quotient_report(pres: Presentation, dims: GridDims,
         run = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
         if run.status == "complete":
             # everything is torsion: the quotient collapses completely
-            a_fam, b_fam = _generator_words(dims)
-            coll = ("a", "1", a_fam[0][0]) if a_fam else None
+            a_fam, _ = generator_families(dims)
+            coll = ("a", "1", a_fam[1][0]) if len(a_fam) > 1 else None
             return TorsionQuotientReport(tuple(found), iterations, True, coll)
         existing = {free_reduce(r) for r in current.relators}
         new_relators: list[tuple[Word, int]] = []
@@ -386,12 +362,12 @@ def torsion_quotient_report(pres: Presentation, dims: GridDims,
     toolbox = GroupToolbox(current, budgets)
     quotient_abelian = toolbox.is_abelian()
     collision = None
-    a_fam, b_fam = _generator_words(dims)
+    families = tuple(zip("ab", generator_families(dims)))
     if quotient_abelian:
         ab = toolbox.abelianization
         tor = len(ab.invariants.torsion)
-        for famname, fam in (("a", a_fam), ("b", b_fam)):
-            seen: dict[tuple, str] = {tuple(ab.image(())[tor:]): "1"}
+        for famname, fam in families:
+            seen: dict[tuple, str] = {}
             for name, word in fam:
                 free_part = tuple(ab.image(word)[tor:])
                 if free_part in seen:
@@ -401,8 +377,7 @@ def torsion_quotient_report(pres: Presentation, dims: GridDims,
             if collision:
                 break
     else:
-        for famname, fam in (("a", a_fam), ("b", b_fam)):
-            named = [("1", ())] + fam
+        for famname, named in families:
             for i in range(len(named)):
                 for k in range(i + 1, len(named)):
                     v = toolbox.word_equal(named[i][1], named[k][1])

@@ -12,15 +12,20 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .classify import (_forces_syntactic, classify_matrix, record_to_json,
                        structural_flags)
-from .enumerate import (EnumerationBudgetExceeded, EnumerationConfig,
+# split_frontier stays bound here: the campaign tracer (perfbench/tracer.py)
+# wraps the enumeration entry points under their names on this module
+from .enumerate import (EnumerationBudgetExceeded, EnumerationConfig,  # noqa: F401
                         SearchCheckpoint, enumerate_pairings, read_checkpoint,
                         resume, split_frontier, write_checkpoint)
-from .grid import GridDims, PairingMatrix, format_matrix, parse_matrix
+from .grid import GridDims, GridError, PairingMatrix, format_matrix, parse_matrix
 from .groupring import matrix_unit_lab, rank2_inverse, rank2_zero_divisor
 from .present import format_word, presentation_from_matrix
 from .wordprob import Budgets
@@ -53,141 +58,151 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _out_stream(path: Optional[str], mode: str = "w"):
+@contextmanager
+def _output(path: Optional[str], mode: str = "w"):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, mode), True
+        yield sys.stdout
+    else:
+        with open(path, mode) as fh:
+            yield fh
 
 
 # ---------------------------------------------------------------------------
-# enumerate
-
-def cmd_enumerate(args) -> int:
-    dims = GridDims(args.rows, args.cols)
-    out, close = _out_stream(args.out)
-    try:
-        config = EnumerationConfig(max_nodes=args.max_nodes,
-                                   split_depth=args.split_depth)
-        try:
-            for mat in enumerate_pairings(dims, config):
-                out.write(format_matrix(mat).replace("\n", " / ") + "\n")
-        except EnumerationBudgetExceeded as exc:
-            if args.checkpoint:
-                write_checkpoint(exc.checkpoint, args.checkpoint)
-                print(f"budget exhausted; checkpoint written to {args.checkpoint}",
-                      file=sys.stderr)
-                return 3
-            raise
-    finally:
-        if close:
-            out.close()
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# classify
+# campaigns: enumerate, classify and resume
 
 _FILTERS = ("none", "connected", "subgrid-free", "mirror", "non-mirror")
+LEAVES_PER_TASK = 32  # consecutive classes per worker task
 
 
-def _filtered(mats: Iterable[PairingMatrix],
-              name: str) -> Iterable[tuple[PairingMatrix, Optional[dict]]]:
-    """The classes that pass the filter, each with its structural flags when
-    the filter computed them (classify_matrix then reuses them)."""
+class InputError(Exception):
+    """Bad input from outside the program: reported in one line, no traceback."""
+
+
+@contextmanager
+def _checked_input():
+    """Where the input is read and checked, before a campaign starts: a
+    GridError or OSError there is bad input, not a fault of the program."""
+    try:
+        yield
+    except (GridError, OSError) as exc:
+        raise InputError(exc) from None
+
+
+def _leaf_lines(mats: Iterable[PairingMatrix], budgets: Optional[Budgets],
+                class_filter: str = "none") -> Iterator[str]:
+    """One output line per class that passes the filter: its record, or its
+    matrix when there are no budgets to classify with.  Structural flags the
+    filter computed are handed on to classify_matrix."""
     for mat in mats:
         flags = None
-        if name in ("connected", "subgrid-free"):
+        if class_filter in ("connected", "subgrid-free"):
             flags = structural_flags(mat.pairing())
-            if name == "connected":
+            if class_filter == "connected":
                 passes = flags["row_connected"] and flags["column_connected"]
             else:
                 passes = flags["no_proper_invariant_subgrid"]
-        elif name in ("mirror", "non-mirror"):
-            passes = _forces_syntactic(mat) == (name == "mirror")
+        elif class_filter in ("mirror", "non-mirror"):
+            passes = _forces_syntactic(mat) == (class_filter == "mirror")
         else:
             passes = True
-        if passes:
-            yield mat, flags
+        if not passes:
+            continue
+        if budgets is None:
+            yield format_matrix(mat).replace("\n", " / ") + "\n"
+        else:
+            yield record_to_json(classify_matrix(mat, budgets, flags=flags)) + "\n"
 
 
-def _classify_worker(task):
-    text, budgets_tuple, flags = task
-    mat = parse_matrix(text)
-    budgets = Budgets(*budgets_tuple)
-    return record_to_json(classify_matrix(mat, budgets, flags=flags))
+def _task_lines(budgets: Budgets, class_filter: str, mats: list[PairingMatrix]) -> list[str]:
+    """Worker task: the lines of a run of consecutive classes."""
+    return list(_leaf_lines(mats, budgets, class_filter))
 
 
-def _iter_records(dims: GridDims, budgets: Budgets, workers: int,
-                  split_depth: Optional[int], class_filter: str = "none") -> Iterable[str]:
-    if workers <= 1:
-        for mat, flags in _filtered(enumerate_pairings(dims), class_filter):
-            yield record_to_json(classify_matrix(mat, budgets, flags=flags))
-        return
+def _tasks(mats: Iterable[PairingMatrix]) -> Iterator[list[PairingMatrix]]:
+    it = iter(mats)
+    while task := list(islice(it, LEAVES_PER_TASK)):
+        yield task
+
+
+def _worker_lines(mats: Iterable[PairingMatrix], budgets: Budgets, class_filter: str,
+                  workers: int) -> Iterator[str]:
+    """_leaf_lines computed by a pool of workers.  The parent enumerates and
+    sends runs of LEAVES_PER_TASK classes; imap returns the workers' blocks
+    in task order, so the lines come out in the serial order."""
     import multiprocessing as mp
 
-    depth = split_depth if split_depth is not None else min(dims.cols + 2,
-                                                            dims.cell_count)
-    cp = split_frontier(dims, depth)
-    budgets_tuple = (budgets.max_cosets, budgets.kb_max_rules, budgets.kb_max_len,
-                     budgets.torsion_word_len, budgets.order_cap,
-                     budgets.hom_degree, budgets.hom_nodes)
-    mats = (PairingMatrix(dims, flat)
-            for item in cp.frontier for flat in _expand_item(dims, cp, item))
-    tasks = ((format_matrix(mat), budgets_tuple, flags)
-             for mat, flags in _filtered(mats, class_filter))
     with mp.Pool(workers) as pool:
-        # chunked imap preserves frontier order: the merged stream is the
-        # same as the serial one
-        yield from pool.imap(_classify_worker, tasks, chunksize=16)
+        for block in pool.imap(partial(_task_lines, budgets, class_filter), _tasks(mats)):
+            yield from block
 
 
-def _expand_item(dims, cp, item):
-    one = SearchCheckpoint(dims, cp.split_depth, [item])
-    for mat in resume(one):
-        yield mat.flat
+def _run_campaign(out_path: Optional[str], lines: Iterable[str],
+                  checkpoint: Optional[tuple[SearchCheckpoint, str]] = None,
+                  mode: str = "w") -> int:
+    """The output loop of every campaign.  With a `(checkpoint, path)` the
+    output is flushed before the checkpoint is rewritten after each line,
+    so the checkpoint never counts a line that is not yet in the file."""
+    with _output(out_path, mode) as out:
+        for line in lines:
+            out.write(line)
+            if checkpoint is not None:
+                out.flush()
+                write_checkpoint(*checkpoint)
+    return 0
+
+
+def _read_matrices(fh) -> Iterator[PairingMatrix]:
+    """The matrices of an open enumerate output file, one per line."""
+    with fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                mat = parse_matrix(line.strip().replace(" / ", "\n"))
+            except ValueError as exc:
+                raise InputError(f"{fh.name} line {number}: not a matrix line ({exc})") from None
+            if not isinstance(mat, PairingMatrix):
+                raise InputError(f"{fh.name} line {number}: matrix is not complete")
+            yield mat
+
+
+def cmd_enumerate(args) -> int:
+    with _checked_input():
+        dims = GridDims(args.rows, args.cols).require_odd()
+        if not 0 <= (args.split_depth or 0) <= dims.cell_count:
+            raise GridError(f"split depth {args.split_depth} out of range 0..{dims.cell_count}")
+    config = EnumerationConfig(max_nodes=args.max_nodes, split_depth=args.split_depth)
+    try:
+        return _run_campaign(args.out, _leaf_lines(enumerate_pairings(dims, config), None))
+    except EnumerationBudgetExceeded as exc:
+        then = "pass --checkpoint to make the run resumable"
+        if args.checkpoint:
+            write_checkpoint(exc.checkpoint, args.checkpoint)
+            then = f"checkpoint written to {args.checkpoint}"
+        print(f"budget exhausted; {then}", file=sys.stderr)
+        return 3
 
 
 def cmd_classify(args) -> int:
-    budgets = args.budgets
-    out, close = _out_stream(args.out)
-    try:
+    with _checked_input():
         if args.from_file:
-            with open(args.from_file) as fh:
-                mats = (parse_matrix(line.strip().replace(" / ", "\n"))
-                        for line in fh if line.strip())
-                for mat, flags in _filtered(mats, args.filter):
-                    out.write(record_to_json(classify_matrix(mat, budgets, flags=flags))
-                              + "\n")
-            return 0
-        dims = GridDims(args.rows, args.cols)
-        for line in _iter_records(dims, budgets, args.workers, args.split_depth,
-                                  args.filter):
-            out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
-    return 0
+            mats = _read_matrices(open(args.from_file))
+        else:
+            mats = enumerate_pairings(GridDims(args.rows, args.cols).require_odd())
+    if args.workers > 1:
+        lines = _worker_lines(mats, args.budgets, args.filter, args.workers)
+    else:
+        lines = _leaf_lines(mats, args.budgets, args.filter)
+    return _run_campaign(args.out, lines)
 
 
 def cmd_resume(args) -> int:
-    cp = read_checkpoint(args.checkpoint)
-    budgets = args.budgets
-    # append: an earlier resume of this checkpoint wrote the records before
+    with _checked_input():
+        cp = read_checkpoint(args.checkpoint)
+    lines = _leaf_lines(resume(cp), args.budgets if args.classify else None)
+    # append: an earlier resume of this checkpoint wrote the lines before
     # the ones still to come
-    out, close = _out_stream(args.out, "a")
-    try:
-        for mat in resume(cp):
-            if args.classify:
-                out.write(record_to_json(classify_matrix(mat, budgets)) + "\n")
-            else:
-                out.write(format_matrix(mat).replace("\n", " / ") + "\n")
-            # the checkpoint never counts a record that is not yet in the file
-            out.flush()
-            write_checkpoint(cp, args.checkpoint)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _run_campaign(args.out, lines, checkpoint=(cp, args.checkpoint), mode="a")
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +319,12 @@ def format_table_csv(tables: dict[tuple[int, int], SummaryTable]) -> str:
 def cmd_table(args) -> int:
     with open(args.records) as fh:
         tables = summarize(fh)
-    out, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         if args.csv:
             out.write(format_table_csv(tables))
         else:
             for dims in sorted(tables):
                 out.write(format_table_text(tables[dims]))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -321,8 +332,7 @@ def cmd_table(args) -> int:
 # lab
 
 def cmd_lab(args) -> int:
-    out, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         for p in args.primes:
             rep = matrix_unit_lab(p)
             out.write(f"characteristic {p}:\n")
@@ -337,9 +347,6 @@ def cmd_lab(args) -> int:
         for (p, r, n) in [(2, 1, 2), (3, 1, 3), (5, 4, 2)]:
             out.write(f"  annihilator of 1 - {r}*g in F{p}[Z{n}]: "
                       f"{rank2_zero_divisor(p, r, n)}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -417,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_file", default=None,
                    help="classify matrices from an enumerate output file")
     p.add_argument("--out", default="-")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--split-depth", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="worker processes classifying runs of enumerated classes")
     p.add_argument("--filter", choices=_FILTERS, default="none",
                    help="restrict to classes passing a structural filter")
     add_budget_flags(p)
@@ -459,7 +466,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"unknown {PROFILE_ENV} {profile!r}; "
                          f"valid profiles: {', '.join(_PROFILES)}")
         args.budgets = _budgets_from_args(args, _PROFILES[profile])
-    return args.func(args)
+    if args.command == "classify":
+        if args.from_file is None and None in (args.rows, args.cols):
+            parser.error("classify needs --from FILE or both --rows and --cols")
+        if args.from_file is not None and args.workers > 1:
+            parser.error("--workers splits a rank's search tree; it does not apply to --from")
+    try:
+        return args.func(args)
+    except InputError as exc:
+        parser.exit(1, f"gridgroups {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

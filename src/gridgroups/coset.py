@@ -19,17 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .abelian import AbelianInvariants, invariants_from_order_counts
-from .present import Presentation, Word, free_reduce, invert
+from .present import (Presentation, Word, free_reduce, letters_to_word,
+                      word_to_letters)
 
 UNDEF = -1
-
-
-def _paths(relators: Sequence[Word]) -> list[tuple[int, ...]]:
-    """Words over signed letters -> direction paths (gen g: 2g, inverse: 2g+1)."""
-    out = []
-    for rel in relators:
-        out.append(tuple((x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1 for x in rel))
-    return out
 
 
 @dataclass
@@ -70,8 +63,8 @@ class CosetEnumeration:
 
 def _trace_partial(g: _Graph, word: Word) -> Optional[int]:
     c = 0
-    for x in word:
-        c = g.neigh[c][(x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1]
+    for d in word_to_letters(word):
+        c = g.neigh[c][d]
         if c == UNDEF:
             return None
     return c
@@ -93,8 +86,10 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
         for x in w:
             if not 1 <= abs(x) <= ngens:
                 raise ValueError(f"letter {x} out of range for {ngens} generators")
-    rel_paths = _paths(pres.relators)
-    sub_paths = _paths([free_reduce(w) for w in subgroup])
+    # each word as its edge directions, in tuples: the scans index them,
+    # which is faster on a tuple than on bytes
+    rel_paths = [tuple(word_to_letters(w)) for w in pres.relators]
+    sub_paths = [tuple(word_to_letters(free_reduce(w))) for w in subgroup]
     neigh: list[list[int]] = [[UNDEF] * nd]
     label = [0]
 
@@ -218,6 +213,7 @@ class CosetTable:
         self.ngens = ngens
         self.action = action
         self.presentation = pres
+        self._letters: Optional[list[bytes]] = None
         self._words: Optional[list[Word]] = None
         self._inv: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
@@ -227,9 +223,12 @@ class CosetTable:
         return len(self.action)
 
     def trace(self, coset: int, word: Word) -> int:
+        return self._follow(coset, word_to_letters(word))
+
+    def _follow(self, coset: int, letters: bytes) -> int:
         action = self.action
-        for x in word:
-            coset = action[coset][(x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1]
+        for d in letters:
+            coset = action[coset][d]
         return coset
 
     def element(self, word: Word) -> int:
@@ -248,31 +247,38 @@ class CosetTable:
     def element_words(self) -> list[Word]:
         """A shortest word reaching each coset from 0, in search order."""
         if self._words is None:
-            n = self.coset_count
-            words: list[Optional[Word]] = [None] * n
-            words[0] = ()
+            self._words = [letters_to_word(p) for p in self._element_letters()]
+        return self._words
+
+    def _element_letters(self) -> list[bytes]:
+        """element_words in the doubled alphabet."""
+        if self._letters is None:
+            steps = [bytes((d,)) for d in range(2 * self.ngens)]
+            paths: list[Optional[bytes]] = [None] * self.coset_count
+            paths[0] = b""
             queue = [0]
             qi = 0
             while qi < len(queue):
                 c = queue[qi]
                 qi += 1
-                for d in range(2 * self.ngens):
+                for d, step in enumerate(steps):
                     nxt = self.action[c][d]
-                    if words[nxt] is None:
-                        letter = d // 2 + 1 if d % 2 == 0 else -(d // 2 + 1)
-                        words[nxt] = words[c] + (letter,)
+                    if paths[nxt] is None:
+                        paths[nxt] = paths[c] + step
                         queue.append(nxt)
-            if any(w is None for w in words):
+            if any(p is None for p in paths):
                 raise ValueError("coset table is not transitive")
-            self._words = words  # type: ignore[assignment]
-        return self._words
+            self._letters = paths  # type: ignore[assignment]
+        return self._letters
 
     def mult(self, i: int, j: int) -> int:
-        return self.trace(i, self.element_words()[j])
+        return self._follow(i, self._element_letters()[j])
 
     def inverse(self, i: int) -> int:
         if self._inv is None:
-            self._inv = [self.element(invert(w)) for w in self.element_words()]
+            # the inverse of a path: its letters reversed, each inverted
+            self._inv = [self._follow(0, bytes(d ^ 1 for d in reversed(p)))
+                         for p in self._element_letters()]
         return self._inv[i]
 
     def order_of(self, i: int) -> int:

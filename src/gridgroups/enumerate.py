@@ -201,13 +201,14 @@ def branch_values(mat: PartialPairingMatrix) -> BranchValueSet:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("left", "free")
 
     def __init__(self, max_nodes: Optional[int]):
         self.left = max_nodes
+        self.free = False  # while set, nodes are not charged
 
     def spend(self) -> bool:
-        if self.left is None:
+        if self.left is None or self.free:
             return True
         if self.left <= 0:
             return False
@@ -263,26 +264,31 @@ def resume(cp: SearchCheckpoint,
 
     The checkpoint is updated in place as leaves are emitted, so a caller may
     persist it at any time.  A node-budget overrun raises
-    EnumerationBudgetExceeded carrying the updated checkpoint.
+    EnumerationBudgetExceeded carrying the updated checkpoint.  The budget
+    is charged from the first new leaf or finished item on: walking again
+    past the emitted leaves, and on to the next leaf, is free, so every
+    call gets further than the checkpoint whatever its budget.
     """
     budget = _Budget(config.max_nodes if config else None)
+    budget.free = True
     dims = cp.dims
     for i in range(len(cp.frontier)):
         if cp.done[i]:
             continue
         cur = _Cursor(dims, cp.frontier[i])
         skip = cp.emitted[i]
-        seen = 0
         try:
             for flat in _iter_leaves(cur, budget):
-                seen += 1
-                if seen <= skip:
+                if skip:
+                    skip -= 1
                     continue
+                budget.free = False
                 cp.emitted[i] += 1
                 yield PairingMatrix(dims, flat)
         except _BudgetHit:
             raise EnumerationBudgetExceeded(cp) from None
         cp.done[i] = True
+        budget.free = False
 
 
 def enumerate_pairings(dims: GridDims,

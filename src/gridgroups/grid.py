@@ -114,6 +114,15 @@ class _Matrix:
         cols = self.dims.cols
         return [self.flat[r * cols:(r + 1) * cols] for r in range(self.dims.rows)]
 
+    def cells_by_label(self) -> dict[int, list[tuple[int, int]]]:
+        """Each label's cells in row-major order, labels by first occurrence."""
+        cols = self.dims.cols
+        cells: dict[int, list[tuple[int, int]]] = {}
+        for idx, v in enumerate(self.flat):
+            if v > 0:
+                cells.setdefault(v, []).append(divmod(idx, cols))
+        return cells
+
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.dims == other.dims and self.flat == other.flat
 
@@ -149,9 +158,6 @@ class PartialPairingMatrix(_Matrix):
 
     def is_complete(self) -> bool:
         return all(v != 0 for v in self.flat[1:])
-
-    def to_complete(self) -> PairingMatrix:
-        return PairingMatrix(self.dims, self.flat)
 
 
 @dataclass(frozen=True)
@@ -617,12 +623,7 @@ class Pairing:
 
     @staticmethod
     def from_matrix(mat: PairingMatrix) -> "Pairing":
-        cols = mat.dims.cols
-        where: dict[int, list[tuple[int, int]]] = {}
-        for idx, v in enumerate(mat.flat):
-            if v > 0:
-                where.setdefault(v, []).append(divmod(idx, cols))
-        return Pairing(mat.dims, [tuple(cells) for cells in where.values()])
+        return Pairing(mat.dims, [tuple(cells) for cells in mat.cells_by_label().values()])
 
     def to_matrix(self) -> PairingMatrix:
         """Consecutively numbered matrix: labels assigned in traversal order."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coset import CosetTable, todd_coxeter
-from .present import Presentation
+from .present import Presentation, generator_families
 
 
 class GroupRingError(ValueError):
@@ -218,14 +218,8 @@ def verify_direct_finiteness(pairing, table: CosetTable,
     table was built over eliminated generators.
     """
     rows, cols = pairing.dims
-    acount = rows - 1
-    words_a = [()] + [(i,) for i in range(1, rows)]
-    words_b = [()] + [(acount + j,) for j in range(1, cols)]
-    if translate is not None:
-        words_a = [translate(w) for w in words_a]
-        words_b = [translate(w) for w in words_b]
-    a_elems = [table.element(w) for w in words_a]
-    b_elems = [table.element(w) for w in words_b]
+    a_elems, b_elems = ([table.element(w if translate is None else translate(w))
+                         for _, w in fam] for fam in generator_families(pairing.dims))
     if len(set(a_elems)) != rows or len(set(b_elems)) != cols:
         raise GroupRingError("generator images collide: pairing is degenerate")
     a = GroupRingElement(2, table, {g: 1 for g in a_elems})

@@ -9,13 +9,23 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
 
 class PresentationError(ValueError):
     pass
+
+
+def word_to_letters(word: Word) -> bytes:
+    """The doubled alphabet of coset tables and rewriting: generator g is
+    letter 2g, its inverse 2g+1."""
+    return bytes((x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1 for x in word)
+
+
+def letters_to_word(letters: bytes) -> Word:
+    return tuple(b // 2 + 1 if b % 2 == 0 else -(b // 2 + 1) for b in letters)
 
 
 def free_reduce(seq: Iterable[int]) -> Word:
@@ -87,12 +97,6 @@ class Presentation:
     def generator_count(self) -> int:
         return len(self.names)
 
-    def word_from_text(self, text: str) -> Word:
-        return parse_word(text, self.names)
-
-    def word_to_text(self, word: Word) -> str:
-        return format_word(word, self.names)
-
 
 _TERM = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(\^(-?\d+))?$")
 
@@ -153,34 +157,36 @@ def parse_presentation(text: str) -> Presentation:
 # ---------------------------------------------------------------------------
 # Pairing -> presentation
 
+GeneratorFamily = tuple[tuple[str, Word], ...]
+
+
+def generator_families(dims) -> tuple[GeneratorFamily, GeneratorFamily]:
+    """The (name, word) of each element of a rows x cols grid group's two
+    families: row i is a_i, column j is b_j, and index 0 is the identity
+    ("1", ()), which leads each family.  Generators are numbered a1..a_{R-1},
+    then b1..b_{C-1}."""
+    rows, cols = dims
+    a_fam = (("1", ()),) + tuple((f"a{i}", (i,)) for i in range(1, rows))
+    b_fam = (("1", ()),) + tuple((f"b{j}", (rows - 1 + j,)) for j in range(1, cols))
+    return a_fam, b_fam
+
+
 def presentation_from_matrix(mat) -> Presentation:
     """Group presented by a complete pairing matrix.
 
-    Generators a1..a_{R-1}, b1..b_{C-1}; index 0 is the identity and is
-    elided.  Each label's two cells (i,j), (k,l) contribute the relator
-    a_i b_j (a_k b_l)^-1, ordered by label.
+    Each label's two cells (i,j), (k,l) contribute the relator
+    a_i b_j (a_k b_l)^-1, ordered by label (see generator_families).
     """
-    rows, cols = mat.dims
-    acount = rows - 1
-    names = tuple(f"a{i}" for i in range(1, rows)) + tuple(f"b{j}" for j in range(1, cols))
-
-    def a(i: int) -> tuple[int, ...]:
-        return (i,) if i else ()
-
-    def b(j: int) -> tuple[int, ...]:
-        return (acount + j,) if j else ()
-
-    where: dict[int, list[tuple[int, int]]] = {}
-    for idx, v in enumerate(mat.flat):
-        if v > 0:
-            where.setdefault(v, []).append(divmod(idx, cols))
+    a_fam, b_fam = generator_families(mat.dims)
+    names = tuple(name for name, _ in a_fam[1:] + b_fam[1:])
+    cells = mat.cells_by_label()
     relators = []
-    for label in sorted(where):
-        cells = where[label]
-        if len(cells) != 2:
+    for label in sorted(cells):
+        if len(cells[label]) != 2:
             raise PresentationError(f"label {label} does not occur twice")
-        (i, j), (k, l) = cells
-        relators.append(concat(a(i), b(j), invert(b(l)), invert(a(k))))
+        (i, j), (k, l) = cells[label]
+        relators.append(concat(a_fam[i][1], b_fam[j][1], invert(b_fam[l][1]),
+                               invert(a_fam[k][1])))
     return Presentation(names, tuple(relators))
 
 

@@ -11,17 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .present import Presentation, Word
-
-
-def word_to_letters(word: Word) -> bytes:
-    return bytes((x - 1) * 2 if x > 0 else (-x - 1) * 2 + 1 for x in word)
-
-
-def letters_to_word(letters: bytes) -> Word:
-    return tuple(b // 2 + 1 if b % 2 == 0 else -(b // 2 + 1) for b in letters)
+from .present import Presentation, Word, letters_to_word, word_to_letters
 
 
 def _shortlex_orient(a: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:

@@ -10,7 +10,7 @@ across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Optional, Sequence
 

@@ -5,9 +5,12 @@ import sys
 
 import pytest
 
-from gridgroups.cli import (SummaryTable, export_cas_script, format_table_csv,
-                            format_table_text, main, summarize)
+from gridgroups.cli import (_FILTERS, LEAVES_PER_TASK, _tasks, export_cas_script,
+                            format_table_csv, format_table_text, main, summarize)
+from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import GridDims
+
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "samples")
 
 
 def run_cli(*args):
@@ -102,12 +105,21 @@ class TestClassifyCommand:
             assert all(d["flags"]["no_proper_invariant_subgrid"] for d in docs)
 
     def test_worker_stream_matches_serial(self, tmp_path):
+        # workers filter, classify and render their own runs of leaves
         serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-        run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(serial),
-                "--max-cosets", "20000")
-        run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(parallel),
-                "--max-cosets", "20000", "--workers", "2")
-        assert serial.read_bytes() == parallel.read_bytes()
+        for class_filter in _FILTERS:
+            run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(serial),
+                    "--max-cosets", "20000", "--filter", class_filter)
+            run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(parallel),
+                    "--max-cosets", "20000", "--filter", class_filter, "--workers", "2")
+            assert serial.read_bytes() == parallel.read_bytes(), class_filter
+
+    def test_worker_tasks_are_bounded_runs_of_the_stream(self):
+        mats = list(enumerate_pairings(GridDims(3, 5)))
+        tasks = list(_tasks(mats))
+        assert [mat for task in tasks for mat in task] == mats
+        assert [len(task) for task in tasks[:-1]] == [LEAVES_PER_TASK] * (len(tasks) - 1)
+        assert 0 < len(tasks[-1]) <= LEAVES_PER_TASK
 
 
 class TestResumeCommand:
@@ -168,6 +180,37 @@ class TestBudgetFlags:
         budgets = _budgets_from_args(args, _PROFILES["quick"])
         assert (budgets.max_cosets, budgets.kb_max_len) == (1, 7)
         assert budgets.kb_max_rules == _PROFILES["quick"].kb_max_rules
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["classify"], "needs --from FILE or both --rows and --cols"),
+        (["classify", "--rows", "3"], "needs --from FILE or both --rows and --cols"),
+        (["classify", "--rows", "3", "--cols", "5", "--workers", "-2"], "--workers"),
+        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--workers", "2"],
+         "does not apply to --from"),
+    ])
+    def test_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--rows", "4", "--cols", "5"], "need odd row/column counts"),
+        (["enumerate", "--rows", "3", "--cols", "5", "--split-depth", "15"],
+         "split depth 15 out of range 0..14"),
+        (["classify", "--from", "no-such-file.txt"], "No such file"),
+        (["resume", "no-such-checkpoint.txt"], "No such file"),
+        (["classify", "--from", os.path.join(SAMPLES, "records.jsonl")],
+         "records.jsonl line 1: not a matrix line"),
+    ])
+    def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(tmp_path / "out.txt"))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 class TestTableCommand:

@@ -162,6 +162,26 @@ class TestSplitResume:
         rest = [m.flat for m in resume(cp)]
         assert got + rest == [m.flat for m in leaves(3, 5)]
 
+    def test_budgeted_retries_always_advance(self):
+        # the one item of this split takes 54 515 nodes, and two of its
+        # consecutive leaves lie 4 977 nodes apart: neither walking past the
+        # emitted leaves nor the way to the next one may eat a retry's budget
+        cp = split_frontier(GridDims(3, 7), 2)
+        config = EnumerationConfig(max_nodes=2000)
+        stream, retries = [], 0
+        while True:
+            before = (sum(cp.emitted), sum(cp.done))
+            try:
+                stream.extend(m.flat for m in resume(cp, config))
+                break
+            except EnumerationBudgetExceeded as exc:
+                cp = exc.checkpoint
+            assert (sum(cp.emitted), sum(cp.done)) > before
+            retries += 1
+        assert retries > 1
+        assert len(stream) == 3403
+        assert stream == [m.flat for m in leaves(3, 7)]
+
 
 class TestCheckpointFormat:
     def test_round_trip(self, tmp_path):
