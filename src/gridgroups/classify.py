@@ -217,7 +217,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
         if dims.rows == dims.cols:
             forces = _forces_syntactic(mat) or None
         if verdict.kind == "infinite":
-            ic = torsion_quotient_report(pres, dims, budgets)
+            ic = torsion_quotient_report(toolbox, dims)
 
     return ClassificationRecord(
         matrix=mat, verdict=verdict, forces_a_eq_b=forces,
@@ -324,20 +324,21 @@ def forces_a_eq_b(record_or_matrix, budgets: Budgets = Budgets()) -> Optional[bo
 # ---------------------------------------------------------------------------
 # Torsion-closure quotient approximation
 
-def torsion_quotient_report(pres: Presentation, dims: GridDims,
-                            budgets: Budgets = Budgets(),
+def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
                             max_iterations: int = 4) -> TorsionQuotientReport:
     """Iteratively adjoin short certified-torsion words and study the quotient.
 
     The final quotient maps onto the torsion-free core, so a generator
     collision found here certifies one there, and an abelian quotient makes
-    the collision decidable exactly in the free part.
+    the collision decidable exactly in the free part.  `toolbox` is the
+    class's own, so its presentation is not completed a second time.
     """
-    current = pres
+    budgets = toolbox.budgets
+    current = toolbox.presentation
     found: list[tuple[str, int]] = []
     iterations = 0
     for _ in range(max_iterations):
-        toolbox = GroupToolbox(current, budgets)
+        toolbox = _toolbox_on(current, toolbox)
         run = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
         if run.status == "complete":
             # everything is torsion: the quotient collapses completely
@@ -359,7 +360,7 @@ def torsion_quotient_report(pres: Presentation, dims: GridDims,
         found.extend((format_word(w, current.names), k) for w, k in new_relators)
         iterations += 1
 
-    toolbox = GroupToolbox(current, budgets)
+    toolbox = _toolbox_on(current, toolbox)
     quotient_abelian = toolbox.is_abelian()
     collision = None
     families = tuple(zip("ab", generator_families(dims)))
@@ -389,6 +390,12 @@ def torsion_quotient_report(pres: Presentation, dims: GridDims,
             if collision:
                 break
     return TorsionQuotientReport(tuple(found), iterations, quotient_abelian, collision)
+
+
+def _toolbox_on(pres: Presentation, last: GroupToolbox) -> GroupToolbox:
+    """A toolbox on `pres` with no coset run yet: a fork of `last` when that
+    is on the same presentation, else a fresh one."""
+    return last.fork() if pres is last.presentation else GroupToolbox(pres, last.budgets)
 
 
 def _short_words(toolbox: GroupToolbox, max_len: int):

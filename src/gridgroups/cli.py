@@ -26,7 +26,8 @@ from .enumerate import (EnumerationBudgetExceeded, EnumerationConfig,  # noqa: F
                         SearchCheckpoint, enumerate_pairings, read_checkpoint,
                         resume, split_frontier, write_checkpoint)
 from .grid import GridDims, GridError, PairingMatrix, format_matrix, parse_matrix
-from .groupring import matrix_unit_lab, rank2_inverse, rank2_zero_divisor
+from .groupring import (GroupRingError, check_prime, matrix_unit_lab, rank2_inverse,
+                        rank2_zero_divisor)
 from .present import format_word, presentation_from_matrix
 from .wordprob import Budgets
 
@@ -58,6 +59,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _prime(text: str) -> int:
+    value = _positive_int(text)
+    try:
+        check_prime(value)
+    except GroupRingError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 @contextmanager
 def _output(path: Optional[str], mode: str = "w"):
     if path in (None, "-"):
@@ -86,6 +96,12 @@ def _checked_input():
         yield
     except (GridError, OSError) as exc:
         raise InputError(exc) from None
+
+
+def _open_input(path: str):
+    """An input file opened for reading; one that cannot be opened is bad input."""
+    with _checked_input():
+        return open(path)
 
 
 def _leaf_lines(mats: Iterable[PairingMatrix], budgets: Optional[Budgets],
@@ -243,13 +259,22 @@ class SummaryTable:
                 + self.infinite_nonabelian + self.infinite_unknown)
 
 
+def _records(lines: Iterable[str]) -> Iterator[dict]:
+    """The records of a classify output, one JSON object per nonblank line."""
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:
+            name = getattr(lines, "name", "records")
+            raise InputError(f"{name} line {number}: not a JSON record ({exc})") from None
+        yield doc
+
+
 def summarize(lines: Iterable[str]) -> dict[tuple[int, int], SummaryTable]:
     tables: dict[tuple[int, int], SummaryTable] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        doc = json.loads(line)
+    for doc in _records(lines):
         dims = tuple(doc["dims"])
         tab = tables.setdefault(dims, SummaryTable(dims))
         tab.total += 1
@@ -317,7 +342,7 @@ def format_table_csv(tables: dict[tuple[int, int], SummaryTable]) -> str:
 
 
 def cmd_table(args) -> int:
-    with open(args.records) as fh:
+    with _open_input(args.records) as fh:
         tables = summarize(fh)
     with _output(args.out) as out:
         if args.csv:
@@ -383,12 +408,8 @@ def export_cas_script(doc: dict) -> str:
 def cmd_export_gap(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     count = 0
-    with open(args.records) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
+    with _open_input(args.records) as fh:
+        for doc in _records(fh):
             path = os.path.join(args.outdir, f"class_{count:06d}.g")
             with open(path, "w") as out:
                 out.write(export_cas_script(doc))
@@ -412,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=_positive_int, default=None)
     p.add_argument("--split-depth", type=int, default=None)
     p.add_argument("--checkpoint", default=None,
                    help="write a resumable checkpoint on budget overrun")
@@ -445,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("lab", help="matrix-unit and rank-2 verification labs")
-    p.add_argument("primes", nargs="*", type=int, default=[2, 3, 5])
+    p.add_argument("primes", nargs="*", type=_prime, default=[2, 3, 5])
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_lab)
 

@@ -18,7 +18,7 @@ class GroupRingError(ValueError):
     pass
 
 
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
     if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
         raise GroupRingError(f"{p} is not prime")
 
@@ -159,7 +159,7 @@ def rank2_inverse(p: int, r: int, n: int):
 
     The returned coefficients are re-verified by an actual convolution.
     """
-    _check_prime(p)
+    check_prime(p)
     if n < 2:
         raise GroupRingError("the cyclic order must be at least 2")
     r %= p
@@ -181,7 +181,7 @@ def rank2_inverse(p: int, r: int, n: int):
 def rank2_zero_divisor(p: int, r: int, n: int) -> tuple[int, ...]:
     """Two-sided annihilator 1 + r g + ... + r^(n-1) g^(n-1) of 1 - r*g
     when r^n = 1; verified by convolution both ways."""
-    _check_prime(p)
+    check_prime(p)
     if n < 2:
         raise GroupRingError("the cyclic order must be at least 2")
     r %= p
@@ -376,7 +376,7 @@ def matrix_unit_lab(p: int) -> LabReport:
     The symmetric-group corner runs unless p = 3; the dihedral corner runs
     unless p = 2.  Inapplicable branches are reported as skipped.
     """
-    _check_prime(p)
+    check_prime(p)
     checks: list[LabCheck] = []
     if p != 3:
         table = _group_table("S3", _S3)

@@ -94,11 +94,14 @@ def _symmetric_target(k: int) -> _HomTarget:
                       index[tuple(range(k))])
 
 
+_TABLE_TARGETS: list[_HomTarget] = []  # the catalog's groups, built once
 _SYM_CACHE: dict[int, _HomTarget] = {}
 
 
 def hom_targets(max_degree: int) -> list[_HomTarget]:
-    out = [_table_target(e.name, e.table) for e in catalog()]
+    if not _TABLE_TARGETS:
+        _TABLE_TARGETS.extend(_table_target(e.name, e.table) for e in catalog())
+    out = list(_TABLE_TARGETS)
     for k in range(3, max_degree + 1):
         if k not in _SYM_CACHE:
             _SYM_CACHE[k] = _symmetric_target(k)
@@ -158,6 +161,15 @@ class GroupToolbox:
         self._tc_limit = 0
         self._kb: Optional[RewriteSystem] = None
         self._kb_simplified: Optional[RewriteSystem] = None
+
+    def fork(self) -> GroupToolbox:
+        """A toolbox on the same presentation and budgets that shares the
+        artifacts built so far, except the coset run: callers enumerate at
+        different limits, and a partial table's proofs depend on its limit."""
+        other = GroupToolbox(self.presentation, self.budgets)
+        other._ab, other._simplified = self._ab, self._simplified
+        other._kb, other._kb_simplified = self._kb, self._kb_simplified
+        return other
 
     # -- cached artifacts ----------------------------------------------------
 

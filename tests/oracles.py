@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive matchings, explicit orbit
 expansion, determinant-based invariant factors, or else the implementation
 that a faster one replaced (the union-find coset enumerator, the recursive
-normal-form count).  Tests freeze expected values computed by these oracles
-and compare the real code against them.
+normal-form count, the torsion-quotient report on fresh toolboxes).  Tests
+freeze expected values computed by these oracles and compare the real code
+against them.
 """
 
 from itertools import combinations, permutations
@@ -373,3 +374,70 @@ def reference_language(kb):
     finally:
         sys.setrecursionlimit(old_limit)
     return ("infinite", None) if total is None else ("finite", total)
+
+
+def reference_torsion_quotient_report(pres, dims, budgets, max_iterations=4):
+    """The torsion-quotient report with a fresh toolbox for every
+    presentation it studies, so nothing the class's pipeline built is reused:
+    each iteration and the final abelian test complete their presentation
+    from scratch."""
+    from gridgroups.classify import TC_FIRST_PASS, TorsionQuotientReport, _short_words
+    from gridgroups.present import (Presentation, format_word, free_reduce,
+                                    generator_families)
+    from gridgroups.wordprob import GroupToolbox
+
+    current = pres
+    found = []
+    iterations = 0
+    for _ in range(max_iterations):
+        toolbox = GroupToolbox(current, budgets)
+        run = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
+        if run.status == "complete":
+            a_fam, _ = generator_families(dims)
+            coll = ("a", "1", a_fam[1][0]) if len(a_fam) > 1 else None
+            return TorsionQuotientReport(tuple(found), iterations, True, coll)
+        existing = {free_reduce(r) for r in current.relators}
+        new_relators = []
+        for word in _short_words(toolbox, budgets.torsion_word_len):
+            if free_reduce(word) in existing:
+                continue
+            order = toolbox.element_order(word)
+            if order.kind == "finite" and order.value and order.value > 1:
+                new_relators.append((word, order.value))
+        if not new_relators:
+            break
+        current = Presentation(current.names,
+                               current.relators + tuple(w for w, _ in new_relators))
+        found.extend((format_word(w, current.names), k) for w, k in new_relators)
+        iterations += 1
+
+    toolbox = GroupToolbox(current, budgets)
+    quotient_abelian = toolbox.is_abelian()
+    collision = None
+    families = tuple(zip("ab", generator_families(dims)))
+    if quotient_abelian:
+        ab = toolbox.abelianization
+        tor = len(ab.invariants.torsion)
+        for famname, fam in families:
+            seen = {}
+            for name, word in fam:
+                free_part = tuple(ab.image(word)[tor:])
+                if free_part in seen:
+                    collision = (famname, seen[free_part], name)
+                    break
+                seen[free_part] = name
+            if collision:
+                break
+    else:
+        for famname, named in families:
+            for i in range(len(named)):
+                for k in range(i + 1, len(named)):
+                    v = toolbox.word_equal(named[i][1], named[k][1])
+                    if v.outcome == "equal":
+                        collision = (famname, named[i][0], named[k][0])
+                        break
+                if collision:
+                    break
+            if collision:
+                break
+    return TorsionQuotientReport(tuple(found), iterations, quotient_abelian, collision)

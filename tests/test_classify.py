@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from gridgroups import wordprob
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.classify import (ClassificationRecord, classify,
                                  classify_matrix, family_pairing, family_record,
@@ -13,6 +15,7 @@ from gridgroups.grid import (GridDims, GridError, format_matrix,
 from gridgroups.present import Presentation, parse_word, presentation_from_matrix
 from gridgroups.wordprob import Budgets, GroupToolbox
 
+from oracles import reference_torsion_quotient_report
 from reference_tables import (NON_AMENABLE_5x5, RANK_3x3, RANK_3x5,
                               RANK_3x7_INFINITE)
 
@@ -102,22 +105,22 @@ class TestForces:
 class TestTorsionQuotient:
     def test_finite_group_trivial_quotient(self):
         pres = presentation_from_matrix(parse_matrix(RANK_3x3[1][0]))
-        rep = torsion_quotient_report(pres, GridDims(3, 3), QUICK)
+        rep = torsion_quotient_report(GroupToolbox(pres, QUICK), GridDims(3, 3))
         assert rep.quotient_abelian is True
         assert rep.collision is not None
 
     def test_first_infinite_class_collapses_to_free_part(self):
         mat = parse_matrix(RANK_3x3[0][0])
-        rep = torsion_quotient_report(presentation_from_matrix(mat),
-                                      GridDims(3, 3), QUICK)
+        rep = torsion_quotient_report(GroupToolbox(presentation_from_matrix(mat), QUICK),
+                                      GridDims(3, 3))
         assert rep.quotient_abelian is True
         assert rep.collision is not None
         assert rep.torsion_words  # some torsion was found and adjoined
 
     def test_infinite_nonabelian_3x7_class(self):
         mat = parse_matrix(RANK_3x7_INFINITE[0][0])
-        rep = torsion_quotient_report(presentation_from_matrix(mat),
-                                      GridDims(3, 7), QUICK)
+        rep = torsion_quotient_report(GroupToolbox(presentation_from_matrix(mat), QUICK),
+                                      GridDims(3, 7))
         assert rep.quotient_abelian is True
         assert rep.collision is not None
 
@@ -125,13 +128,48 @@ class TestTorsionQuotient:
         # the square family's torsion-free core is free; its map kills a1,
         # so a1 must collide with the identity among the tracked images
         mat = family_pairing(2)
-        rep = torsion_quotient_report(presentation_from_matrix(mat),
-                                      GridDims(5, 5),
-                                      Budgets(max_cosets=4000, kb_max_rules=2500))
+        budgets = Budgets(max_cosets=4000, kb_max_rules=2500)
+        rep = torsion_quotient_report(GroupToolbox(presentation_from_matrix(mat), budgets),
+                                      GridDims(5, 5))
         assert rep.quotient_abelian is True
         assert rep.collision is not None
         fam, g1, g2 = rep.collision
         assert fam in ("a", "b")
+
+    def test_reused_toolbox_matches_fresh_toolbox_oracle(self):
+        """The report built on the class's toolbox, after classify_matrix has
+        used it, equals the report on fresh toolboxes, on every infinite
+        class of ranks 3x3, 3x5 and 3x7 and on the smallest family member."""
+        family_budgets = Budgets(max_cosets=4000, kb_max_rules=2500)
+        cases = [(mat, QUICK) for rows, cols in ((3, 3), (3, 5), (3, 7))
+                 for mat in enumerate_pairings(GridDims(rows, cols))]
+        cases.append((orbit_canonical_form(family_pairing(2)), family_budgets))
+        infinite = 0
+        for mat, budgets in cases:
+            rec = classify_matrix(mat, budgets)
+            if rec.verdict.kind != "infinite":
+                continue
+            infinite += 1
+            dims = GridDims(*mat.dims)
+            pres = presentation_from_matrix(mat)
+            expected = reference_torsion_quotient_report(pres, dims, budgets)
+            assert rec.ic == expected, format_matrix(mat)
+            assert torsion_quotient_report(GroupToolbox(pres, budgets), dims) == expected
+        assert infinite == 4  # one at 3x3, none at 3x5, two at 3x7, the family member
+
+    def test_no_presentation_is_completed_twice(self, monkeypatch):
+        completions = Counter()
+        real = wordprob.RewriteSystem
+
+        def counting(pres, max_rules, max_len):
+            completions[pres.relators, max_rules, max_len] += 1
+            return real(pres, max_rules=max_rules, max_len=max_len)
+
+        monkeypatch.setattr(wordprob, "RewriteSystem", counting)
+        rec = classify_matrix(parse_matrix(RANK_3x7_INFINITE[0][0]), QUICK,
+                              assume_canonical=False)
+        assert rec.verdict.kind == "infinite" and rec.ic is not None
+        assert completions and max(completions.values()) == 1
 
 
 class TestFamily:

@@ -189,6 +189,11 @@ class TestBadInput:
         (["classify", "--rows", "3", "--cols", "5", "--workers", "-2"], "--workers"),
         (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--workers", "2"],
          "does not apply to --from"),
+        (["lab", "4"], "4 is not prime"),
+        (["lab", "0"], "must be a positive integer, got 0"),
+        (["lab", "-3"], "must be a positive integer, got -3"),
+        (["enumerate", "--rows", "3", "--cols", "3", "--max-nodes", "0"], "--max-nodes"),
+        (["enumerate", "--rows", "3", "--cols", "3", "--max-nodes", "-5"], "--max-nodes"),
     ])
     def test_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -204,10 +209,17 @@ class TestBadInput:
         (["resume", "no-such-checkpoint.txt"], "No such file"),
         (["classify", "--from", os.path.join(SAMPLES, "records.jsonl")],
          "records.jsonl line 1: not a matrix line"),
+        (["table", "no-such-records.jsonl"], "No such file"),
+        (["table", os.path.join(SAMPLES, "matrix.txt")],
+         "matrix.txt line 1: not a JSON record"),
+        (["export-gap", "no-such-records.jsonl"], "No such file"),
+        (["export-gap", os.path.join(SAMPLES, "matrix.txt")],
+         "matrix.txt line 1: not a JSON record"),
     ])
     def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
+        out_flag = "--outdir" if argv[0] == "export-gap" else "--out"
         with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, "--out", str(tmp_path / "out.txt"))
+            run_cli(*argv, out_flag, str(tmp_path / "out.txt"))
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err

@@ -12,7 +12,7 @@ from gridgroups.present import (Presentation, PresentationError, concat,
                                 presentation_from_matrix, simplify_presentation)
 from gridgroups.rewrite import RewriteSystem
 from gridgroups.smallgroups import catalog, identify_small_group
-from gridgroups.wordprob import Budgets, GroupToolbox
+from gridgroups.wordprob import Budgets, GroupToolbox, _table_target, hom_targets
 
 from oracles import invariant_factors_by_minors
 from reference_tables import HAND_PROOFS, RANK_3x3, RANK_3x5
@@ -232,6 +232,32 @@ class TestWordProblem:
         word = parse_word(word_text, pres.names)
         v = tb.word_equal(free_reduce(word * power), ())
         assert v.outcome == "equal", v
+
+    def test_fork_shares_all_but_the_coset_run(self):
+        tb = GroupToolbox(Presentation(("x", "y"), ((1, 1), (2, 2, 2))), Budgets(max_cosets=100))
+        shared = ("abelianization", "simplified", "rewriting", "rewriting_simplified")
+        before = [getattr(tb, name) for name in shared]
+        run = tb.coset_run()
+        fork = tb.fork()
+        assert (fork.presentation, fork.budgets) == (tb.presentation, tb.budgets)
+        assert all(getattr(fork, name) is b for name, b in zip(shared, before))
+        assert run.cosets_defined > 50
+        assert fork.coset_run(50).cosets_defined <= 50  # a run of its own
+        assert tb.coset_run() is run
+
+    def test_hom_targets_are_built_once(self):
+        first, second = hom_targets(6), hom_targets(6)
+        entries = catalog()
+        assert [t.name for t in first] == [e.name for e in entries] + ["Sym3", "Sym4",
+                                                                       "Sym5", "Sym6"]
+        assert all(a is b for a, b in zip(first, second))
+        for target, entry in zip(first, entries):
+            fresh = _table_target(entry.name, entry.table)
+            elems = range(fresh.size)
+            assert (target.size, target.identity) == (fresh.size, fresh.identity)
+            assert [[target.mult(a, b) for b in elems] for a in elems] \
+                == [[fresh.mult(a, b) for b in elems] for a in elems]
+            assert [target.inv(a) for a in elems] == [fresh.inv(a) for a in elems]
 
 
 class TestElementOrder:
