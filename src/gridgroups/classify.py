@@ -2,7 +2,7 @@
 
 classify() is a pure function of (matrix, budgets).  Every failure mode is
 a verdict, never an exception: a class the provers cannot settle within
-budget is reported undecided with the budgets that were spent.
+budget is reported undecided, with the budgets it was given.
 """
 
 from __future__ import annotations
@@ -331,16 +331,17 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
     The final quotient maps onto the torsion-free core, so a generator
     collision found here certifies one there, and an abelian quotient makes
     the collision decidable exactly in the free part.  `toolbox` is the
-    class's own, so its presentation is not completed a second time.
+    class's own, so its presentation is not completed, nor enumerated to the
+    same limit, a second time.
     """
     budgets = toolbox.budgets
+    first_pass = min(TC_FIRST_PASS, budgets.max_cosets)
     current = toolbox.presentation
     found: list[tuple[str, int]] = []
     iterations = 0
     for _ in range(max_iterations):
-        toolbox = _toolbox_on(current, toolbox)
-        run = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
-        if run.status == "complete":
+        toolbox = _toolbox_on(current, toolbox, first_pass)
+        if toolbox.coset_run().status == "complete":
             # everything is torsion: the quotient collapses completely
             a_fam, _ = generator_families(dims)
             coll = ("a", "1", a_fam[1][0]) if len(a_fam) > 1 else None
@@ -360,8 +361,14 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
         found.extend((format_word(w, current.names), k) for w, k in new_relators)
         iterations += 1
 
-    toolbox = _toolbox_on(current, toolbox)
+    # the final test starts from the first pass too, and enumerates to
+    # max_cosets only for a question that run leaves open: that run is a
+    # prefix of the larger one, so it decides nothing the larger one would
+    # not, and decided answers are proofs, so they agree
+    toolbox = _toolbox_on(current, toolbox, first_pass)
     quotient_abelian = toolbox.is_abelian()
+    if quotient_abelian is None and _escalate(toolbox):
+        quotient_abelian = toolbox.is_abelian()
     collision = None
     families = tuple(zip("ab", generator_families(dims)))
     if quotient_abelian:
@@ -382,6 +389,8 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
             for i in range(len(named)):
                 for k in range(i + 1, len(named)):
                     v = toolbox.word_equal(named[i][1], named[k][1])
+                    if v.outcome == "unknown" and _escalate(toolbox):
+                        v = toolbox.word_equal(named[i][1], named[k][1])
                     if v.outcome == "equal":
                         collision = (famname, named[i][0], named[k][0])
                         break
@@ -392,10 +401,26 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
     return TorsionQuotientReport(tuple(found), iterations, quotient_abelian, collision)
 
 
-def _toolbox_on(pres: Presentation, last: GroupToolbox) -> GroupToolbox:
-    """A toolbox on `pres` with no coset run yet: a fork of `last` when that
-    is on the same presentation, else a fresh one."""
-    return last.fork() if pres is last.presentation else GroupToolbox(pres, last.budgets)
+def _toolbox_on(pres: Presentation, last: GroupToolbox, limit: int) -> GroupToolbox:
+    """A toolbox on `pres` holding the coset run at `limit`: `last` itself
+    when it already holds that run, a fork of `last` when on the same
+    presentation, else a fresh one."""
+    if pres is not last.presentation:
+        toolbox = GroupToolbox(pres, last.budgets)
+    elif last.coset_limit == limit:
+        return last
+    else:
+        toolbox = last.fork()
+    toolbox.coset_run(limit)
+    return toolbox
+
+
+def _escalate(toolbox: GroupToolbox) -> bool:
+    """Enumerate an exhausted run again to the full coset budget; whether
+    that gave a new run."""
+    run = toolbox.coset_run()
+    return run.status == "exhausted" \
+        and toolbox.coset_run(toolbox.budgets.max_cosets) is not run
 
 
 def _short_words(toolbox: GroupToolbox, max_len: int):

@@ -261,14 +261,18 @@ class SummaryTable:
 
 def _records(lines: Iterable[str]) -> Iterator[dict]:
     """The records of a classify output, one JSON object per nonblank line."""
+    name = getattr(lines, "name", "records")
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
         except ValueError as exc:
-            name = getattr(lines, "name", "records")
             raise InputError(f"{name} line {number}: not a JSON record ({exc})") from None
+        if not (isinstance(doc, dict) and "dims" in doc and "matrix" in doc
+                and isinstance(doc.get("verdict"), dict) and "kind" in doc["verdict"]):
+            raise InputError(f"{name} line {number}: not a classification record "
+                             "(needs dims, matrix and verdict.kind)")
         yield doc
 
 

@@ -24,6 +24,9 @@ def _shortlex_orient(a: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:
     return b, a
 
 
+_ONE_LETTER = 1 << 62  # trie priority of one-letter rules: after every other
+
+
 @dataclass
 class RewriteStats:
     rules: int
@@ -41,7 +44,8 @@ class RewriteSystem:
         self.confluent = False
         self.stats = RewriteStats(0, 0, 0)
         self._rules: dict[bytes, bytes] = {}
-        self._by_tail: dict[bytes, list[tuple[int, bytes, bytes]]] = {}
+        self._trie: dict = {}
+        self._seq = 0
         nd = 2 * pres.generator_count
         seeds = []
         for d in range(0, nd, 2):
@@ -53,49 +57,68 @@ class RewriteSystem:
         self._complete(seeds)
 
     # -- reduction ----------------------------------------------------------
-    # rules are bucketed by the final two letters of the left side (final
-    # letter alone for one-letter rules), which keeps the per-step candidate
-    # lists short even in large systems
+    # the left sides live in a trie, each inserted back to front: after a
+    # letter is pushed, one walk down the trie from the top of the stack
+    # meets every left side that ends there.  Outside interreduction no left
+    # side is a factor of another, so at most one ends at a position and the
+    # walk stops right after it; while stale rules await deletion several
+    # may, and the earliest-added rule of length >= 2 wins, a one-letter
+    # rule only after those.  A node maps a letter to the edge
+    # [child node, rule or None], a rule being (priority, length, lhs,
+    # reversed rhs).
 
     def _index(self) -> None:
-        self._by_tail = {}
+        """Rebuild the trie from `_rules`."""
+        self._trie = {}
+        self._seq = 0
         for lhs, rhs in self._rules.items():
             self._add_index(lhs, rhs)
 
     def _add_index(self, lhs: bytes, rhs: bytes) -> None:
-        key = bytes(lhs[-2:])
-        self._by_tail.setdefault(key, []).append((len(lhs), lhs, rhs))
+        node = self._trie
+        for ch in reversed(lhs):
+            edge = node.get(ch)
+            if edge is None:
+                edge = node[ch] = [{}, None]
+            node = edge[0]
+        self._seq += 1
+        edge[1] = (self._seq if len(lhs) > 1 else _ONE_LETTER, len(lhs), lhs, rhs[::-1])
+
+    def _remove_index(self, lhs: bytes) -> None:
+        path = []
+        node = self._trie
+        for ch in reversed(lhs):
+            path.append((node, ch))
+            edge = node[ch]
+            node = edge[0]
+        edge[1] = None
+        for parent, ch in reversed(path):  # prune the edges that lead nowhere
+            child, rule = parent[ch]
+            if child or rule is not None:
+                break
+            del parent[ch]
 
     def reduce(self, letters: bytes, skip: Optional[bytes] = None) -> bytes:
-        by_tail = self._by_tail
+        # the stack below its top letter is always irreducible: each push
+        # needs one walk, and a rewrite, which only pops, needs none
+        trie = self._trie
         stack = bytearray()
-        pending = deque(letters)
+        pending = bytearray(letters[::-1])  # next letter last
         while pending:
-            stack.append(pending.popleft())
-            while True:
-                n = len(stack)
-                cands = by_tail.get(bytes(stack[-2:])) if n >= 2 else None
-                hit = None
-                if cands:
-                    for L, lhs, rhs in cands:
-                        if L <= n and lhs != skip and stack[-L:] == lhs:
-                            hit = (L, rhs)
-                            break
-                if hit is None and n >= 1:
-                    cands = by_tail.get(bytes(stack[-1:]))
-                    if cands:
-                        for L, lhs, rhs in cands:
-                            if L <= n and lhs != skip and stack[-L:] == lhs:
-                                hit = (L, rhs)
-                                break
-                if hit is None:
+            stack.append(pending.pop())
+            node = trie
+            hit = None
+            for ch in reversed(stack):
+                edge = node.get(ch)
+                if edge is None:
                     break
-                L, rhs = hit
-                del stack[-L:]
-                if rhs:
-                    pending.extendleft(reversed(rhs))
-                if not stack:
-                    break
+                node, rule = edge
+                if rule is not None and (hit is None or rule[0] < hit[0]) \
+                        and rule[2] != skip:
+                    hit = rule
+            if hit is not None:
+                del stack[-hit[1]:]
+                pending += hit[3]
         return bytes(stack)
 
     def reduce_word(self, word: Word) -> Word:
@@ -136,11 +159,10 @@ class RewriteSystem:
                     stale.append((l2, nl, nr))
             for l2, nl, nr in stale:
                 del rules[l2]
+                self._remove_index(l2)
                 ab = _shortlex_orient(nl, nr)
                 if ab:
                     queue.append(ab)
-            if stale:
-                self._index()
 
         while queue and not overflow:
             a, b = queue.popleft()
@@ -174,7 +196,6 @@ class RewriteSystem:
 
         self.stats = RewriteStats(len(rules), pairs, discarded)
         self.confluent = not queue and not overflow and discarded == 0
-        self._index()
 
     # -- normal form language -----------------------------------------------
 

@@ -185,6 +185,11 @@ class GroupToolbox:
             self._simplified = simplify_presentation(self.presentation)
         return self._simplified
 
+    @property
+    def coset_limit(self) -> int:
+        """The limit the cached coset run was made at; 0 before any run."""
+        return self._tc_limit
+
     def coset_run(self, max_cosets: Optional[int] = None) -> CosetEnumeration:
         """Cached enumeration; an explicit higher budget re-runs an
         incomplete one, otherwise the cache is reused as is."""

@@ -2,16 +2,18 @@
 
 Everything here is deliberately naive: exhaustive matchings, explicit orbit
 expansion, determinant-based invariant factors, or else the implementation
-that a faster one replaced (the union-find coset enumerator, the recursive
-normal-form count, the torsion-quotient report on fresh toolboxes).  Tests
-freeze expected values computed by these oracles and compare the real code
-against them.
+that a faster one replaced (the union-find coset enumerator, the tail-bucket
+rewriting index, the recursive normal-form count, the torsion-quotient
+report on fresh toolboxes).  Tests freeze expected values computed by these
+oracles and compare the real code against them.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
 from gridgroups.grid import (GridDims, Pairing, PairingMatrix, all_symmetries,
                              apply_symmetry, consecutive_renumbering)
+from gridgroups.rewrite import RewriteSystem
 
 
 def brute_force_pairing_matrices(rows, cols):
@@ -302,6 +304,76 @@ def reference_todd_coxeter(pres, subgroup=(), max_cosets=200_000):
     renum = {c: k for k, c in enumerate(live)}
     action = [[renum[find(neigh[c][d])] for d in range(nd)] for c in live]
     return ReferenceEnumeration("complete", action, None, g.defined)
+
+
+class TailBuckets:
+    """The rule index that the trie replaced: rules bucketed by the final two
+    letters of the left side (the final letter alone for one-letter rules),
+    each bucket in the order its rules were added."""
+
+    def __init__(self, rules=()):
+        self.by_tail = {}
+        for lhs, rhs in rules:
+            self.add(lhs, rhs)
+
+    def add(self, lhs, rhs):
+        self.by_tail.setdefault(bytes(lhs[-2:]), []).append((len(lhs), lhs, rhs))
+
+    def remove(self, lhs):
+        bucket = self.by_tail[bytes(lhs[-2:])]
+        bucket[:] = [entry for entry in bucket if entry[1] != lhs]
+
+    def reduce(self, letters, skip=None):
+        by_tail = self.by_tail
+        stack = bytearray()
+        pending = deque(letters)
+        while pending:
+            stack.append(pending.popleft())
+            while True:
+                n = len(stack)
+                cands = by_tail.get(bytes(stack[-2:])) if n >= 2 else None
+                hit = None
+                if cands:
+                    for L, lhs, rhs in cands:
+                        if L <= n and lhs != skip and stack[-L:] == lhs:
+                            hit = (L, rhs)
+                            break
+                if hit is None and n >= 1:
+                    cands = by_tail.get(bytes(stack[-1:]))
+                    if cands:
+                        for L, lhs, rhs in cands:
+                            if L <= n and lhs != skip and stack[-L:] == lhs:
+                                hit = (L, rhs)
+                                break
+                if hit is None:
+                    break
+                L, rhs = hit
+                del stack[-L:]
+                if rhs:
+                    pending.extendleft(reversed(rhs))
+                if not stack:
+                    break
+        return bytes(stack)
+
+
+class BucketRewriteSystem(RewriteSystem):
+    """Completion in which every reduction goes through TailBuckets."""
+
+    def __init__(self, *args, **kwargs):
+        self._buckets = TailBuckets()
+        super().__init__(*args, **kwargs)
+
+    def _index(self):
+        self._buckets = TailBuckets(self._rules.items())
+
+    def _add_index(self, lhs, rhs):
+        self._buckets.add(lhs, rhs)
+
+    def _remove_index(self, lhs):
+        self._buckets.remove(lhs)
+
+    def reduce(self, letters, skip=None):
+        return self._buckets.reduce(letters, skip)
 
 
 def reference_language(kb):

@@ -171,6 +171,45 @@ class TestTorsionQuotient:
         assert rec.verdict.kind == "infinite" and rec.ic is not None
         assert completions and max(completions.values()) == 1
 
+    def test_no_presentation_is_enumerated_twice_to_one_limit(self, monkeypatch):
+        runs = Counter()
+        real = wordprob.todd_coxeter
+
+        def counting(pres, max_cosets):
+            runs[pres.relators, max_cosets] += 1
+            return real(pres, max_cosets=max_cosets)
+
+        monkeypatch.setattr(wordprob, "todd_coxeter", counting)
+        rec = classify_matrix(parse_matrix(RANK_3x7_INFINITE[0][0]), QUICK,
+                              assume_canonical=False)
+        assert rec.verdict.kind == "infinite" and rec.ic is not None
+        assert runs and max(runs.values()) == 1
+
+    def test_final_test_enumerates_further_when_the_first_pass_is_undecided(
+            self, monkeypatch):
+        """With a two-coset first pass and a four-rule rewriting budget, only
+        the enumeration to max_cosets proves the first 3x3 class's quotient
+        abelian, so the report's final test must go past its first pass.
+        Every report still equals the fresh-toolbox oracle, which enumerates
+        to max_cosets at once."""
+        monkeypatch.setattr("gridgroups.classify.TC_FIRST_PASS", 2)
+        family_budgets = Budgets(max_cosets=4000, kb_max_rules=2500)
+        cases = [(parse_matrix(RANK_3x3[0][0]),
+                  Budgets(max_cosets=20_000, kb_max_rules=4, hom_nodes=100)),
+                 (parse_matrix(RANK_3x3[0][0]), QUICK)]
+        cases += [(parse_matrix(text), QUICK) for text, _ in RANK_3x7_INFINITE]
+        cases.append((family_pairing(2), family_budgets))
+        reports = []
+        for mat, budgets in cases:
+            mat = orbit_canonical_form(mat)
+            rec = classify_matrix(mat, budgets)
+            assert rec.verdict.kind == "infinite", format_matrix(mat)
+            expected = reference_torsion_quotient_report(
+                presentation_from_matrix(mat), GridDims(*mat.dims), budgets)
+            assert rec.ic == expected, format_matrix(mat)
+            reports.append(rec.ic)
+        assert reports[0].quotient_abelian is True
+
 
 class TestFamily:
     def test_smallest_family_member(self):

@@ -11,6 +11,7 @@ from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import GridDims
 
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "samples")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(*args):
@@ -215,6 +216,14 @@ class TestBadInput:
         (["export-gap", "no-such-records.jsonl"], "No such file"),
         (["export-gap", os.path.join(SAMPLES, "matrix.txt")],
          "matrix.txt line 1: not a JSON record"),
+        (["table", os.path.join(DATA, "dims-only.jsonl")],
+         "dims-only.jsonl line 1: not a classification record"),
+        (["table", os.path.join(DATA, "list.jsonl")],
+         "list.jsonl line 1: not a classification record"),
+        (["export-gap", os.path.join(DATA, "dims-only.jsonl")],
+         "dims-only.jsonl line 1: not a classification record"),
+        (["export-gap", os.path.join(DATA, "list.jsonl")],
+         "list.jsonl line 1: not a classification record"),
     ])
     def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
         out_flag = "--outdir" if argv[0] == "export-gap" else "--out"

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from gridgroups.abelian import (Abelianization, AbelianInvariants,
                                 abelian_invariants, invariants_from_order_counts,
                                 smith_normal_form)
+from gridgroups.classify import family_pairing
 from gridgroups.coset import CosetTable, fingerprint, todd_coxeter
-from gridgroups.grid import parse_matrix
+from gridgroups.enumerate import enumerate_pairings
+from gridgroups.grid import GridDims, parse_matrix
 from gridgroups.present import (Presentation, PresentationError, concat,
                                 format_presentation, format_word, free_reduce,
                                 invert, parse_presentation, parse_word,
@@ -14,8 +16,8 @@ from gridgroups.rewrite import RewriteSystem
 from gridgroups.smallgroups import catalog, identify_small_group
 from gridgroups.wordprob import Budgets, GroupToolbox, _table_target, hom_targets
 
-from oracles import invariant_factors_by_minors
-from reference_tables import HAND_PROOFS, RANK_3x3, RANK_3x5
+from oracles import BucketRewriteSystem, TailBuckets, invariant_factors_by_minors
+from reference_tables import HAND_PROOFS, RANK_3x3, RANK_3x5, RANK_3x7_INFINITE
 
 
 def _hand_proof_presentation(matrix_text, labels):
@@ -372,3 +374,99 @@ class TestRewritingExtras:
         assert sys.getrecursionlimit() == before
         assert reference_language(rs) == ("finite", 2 * k + 1)
         assert sys.getrecursionlimit() == before
+
+
+def _completion_corpus():
+    """(name, presentation, max_rules): small groups, every class of ranks
+    3x3 and 3x5, the infinite 3x7 classes, the smallest square-family member,
+    and a slow 5x5 mirror-form class under a small rule budget, which it
+    exhausts, and a larger one, under which the length budget discards
+    rules."""
+    corpus = [(name, Presentation(("x", "y"), rels), 500) for name, rels in (
+        ("Sym3", ((1, 1, 1), (2, 2), (1, 2, 1, 2))),
+        ("Dih4", ((1,) * 4, (2, 2), (1, 2, 1, 2))),
+        ("Z * Z2", ((2, 2),)),
+        ("Z x Z", ((1, 2, -1, -2),)))]
+    for rows, cols in ((3, 3), (3, 5)):
+        corpus += [(f"{rows}x{cols} #{k}", presentation_from_matrix(mat), 1500)
+                   for k, mat in enumerate(enumerate_pairings(GridDims(rows, cols)))]
+    corpus += [(f"3x7 infinite #{k}", presentation_from_matrix(parse_matrix(text)), 1500)
+               for k, (text, _) in enumerate(RANK_3x7_INFINITE)]
+    corpus.append(("family n=2", presentation_from_matrix(family_pairing(2)), 1500))
+    slow = presentation_from_matrix(parse_matrix(
+        "x 1 2 3 4\n1 5 6 7 8\n2 6 9 10 11\n3 10 7 12 5\n4 11 8 9 12"))
+    corpus += [(f"5x5 mirror, {max_rules} rules", slow, max_rules) for max_rules in (200, 600)]
+    return corpus
+
+
+class TestTrieIndex:
+    """The trie of reversed left sides against the tail buckets it replaced."""
+
+    def test_every_reduction_matches_the_bucket_oracle(self):
+        class CrossChecked(RewriteSystem):
+            def __init__(self, *args, **kwargs):
+                self._buckets = TailBuckets()
+                self.calls = self.skip_calls = 0
+                super().__init__(*args, **kwargs)
+
+            def _index(self):
+                super()._index()
+                self._buckets = TailBuckets(self._rules.items())
+
+            def _add_index(self, lhs, rhs):
+                super()._add_index(lhs, rhs)
+                self._buckets.add(lhs, rhs)
+
+            def _remove_index(self, lhs):
+                super()._remove_index(lhs)
+                self._buckets.remove(lhs)
+
+            def reduce(self, letters, skip=None):
+                got = super().reduce(letters, skip)
+                assert got == self._buckets.reduce(letters, skip), (letters, skip)
+                self.calls += 1
+                self.skip_calls += skip is not None
+                return got
+
+        calls = skip_calls = 0
+        outcomes = set()
+        for name, pres, max_rules in _completion_corpus():
+            rs = CrossChecked(pres, max_rules=max_rules)
+            calls += rs.calls
+            skip_calls += rs.skip_calls
+            outcomes.add((rs.confluent, rs.stats.discarded > 0,
+                          rs.stats.rules >= max_rules))
+        assert calls > 100_000 and skip_calls > 1000
+        # confluent systems, one that discards long rules, one out of rules
+        assert outcomes == {(True, False, False), (False, True, False),
+                            (False, False, True)}
+
+    def test_completion_matches_bucket_driven_completion(self):
+        for name, pres, max_rules in _completion_corpus():
+            got = RewriteSystem(pres, max_rules=max_rules)
+            want = BucketRewriteSystem(pres, max_rules=max_rules)
+            assert got.stats == want.stats, name
+            assert got.confluent == want.confluent, name
+            assert list(got._rules.items()) == list(want._rules.items()), name
+
+    def test_overlapping_left_sides_keep_the_bucket_tie_break(self):
+        """While interreduction runs, several left sides can end at one
+        position: the earliest-added one of length >= 2 wins, and a
+        one-letter rule only after all of those."""
+        from itertools import product
+        rs = RewriteSystem(Presentation(("x", "y"), ()))
+        # the longest left side ending in "\x03\x00\x02" came first; the
+        # shortest ending in "\x02\x00\x02" did
+        rs._rules = {b"\x03\x00\x02": b"\x02", b"\x00\x02": b"\x01", b"\x02": b"",
+                     b"\x02\x00\x02": b"\x00\x01", b"\x00": b"", b"\x01\x02": b""}
+        rs._index()
+        words = [bytes(w) for n in range(6) for w in product(range(4), repeat=n)]
+        # deletions in place: inner nodes first, then one that prunes a branch
+        for removed in (None, b"\x00\x02", b"\x02", b"\x03\x00\x02"):
+            if removed is not None:
+                del rs._rules[removed]
+                rs._remove_index(removed)
+            oracle = TailBuckets(rs._rules.items())
+            for w in words:
+                for skip in (None, *rs._rules):
+                    assert rs.reduce(w, skip) == oracle.reduce(w, skip), (removed, w, skip)
