@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import AbelianInvariants
-from .coset import CosetTable, GroupFingerprint, fingerprint, todd_coxeter
+from .coset import (CosetEnumeration, CosetTable, GroupFingerprint, fingerprint,
+                    todd_coxeter)
 from .grid import (GridDims, GridError, Pairing, PairingMatrix, column_connected,
                    format_matrix, orbit_canonical_form, parse_matrix,
                    proper_invariant_subgrids, row_connected)
@@ -74,9 +75,54 @@ def _degeneracy_from_table(table: CosetTable, dims: GridDims, translate=None):
     return None
 
 
-def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims):
-    """Equality proofs from a non-closed run: coincidences, then rewriting."""
-    run = toolbox.coset_run()  # reuse whatever enumeration already ran
+def _first_unseparated(toolbox: GroupToolbox, dims: GridDims) -> Optional[tuple[Word, Word]]:
+    """The first pair, in _degeneracy_partial's order, whose images in the
+    abelianisation agree; every pair before it is provably distinct."""
+    image = toolbox.abelianization.image
+    for named in generator_families(dims):
+        for i in range(len(named)):
+            for k in range(i + 1, len(named)):
+                if image(named[i][1]) == image(named[k][1]):
+                    return named[i][1], named[k][1]
+    return None
+
+
+def _first_pass(toolbox: GroupToolbox, dims: GridDims):
+    """The class's first coset run, watching both generator families, and
+    its abelian invariants.
+
+    A pause with free rank > 0 may end the pass.  The group is infinite, so
+    the run to the limit would not close, and _degeneracy_partial would
+    report the first pair p that the abelianisation does not separate, met
+    by a coincidence: every earlier pair is provably distinct, and
+    coincidences persist.  Once p has met (watched alone if need be), the
+    paused run gives that witness.  Any other run goes on to its limit, and
+    to max_cosets when it leaves a group of free rank 0 open."""
+    budgets = toolbox.budgets
+    limit = min(TC_FIRST_PASS, budgets.max_cosets)
+    first = toolbox.coset_run(limit, watch=[[w for _, w in fam]
+                                            for fam in generator_families(dims)])
+    if first.status == "paused":
+        inv = toolbox.abelianization.invariants
+        pair = _first_unseparated(toolbox, dims) if inv.free_rank > 0 else None
+        if pair is not None and first.equal_words(*pair):
+            return first, inv
+        first = toolbox.coset_run(limit, watch=[pair] if pair else ())
+        if first.status == "paused":
+            return first, inv
+    if first.status == "complete" and first.table.coset_count == 1:
+        inv = AbelianInvariants(0, ())  # the trivial group: no Smith form needed
+    else:
+        inv = toolbox.abelianization.invariants
+        if first.status != "complete" and inv.free_rank == 0 \
+                and budgets.max_cosets > TC_FIRST_PASS:
+            first = toolbox.coset_run(budgets.max_cosets)
+    return first, inv
+
+
+def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration):
+    """Equality proofs from a run that did not close: coincidences, then
+    rewriting."""
     kb: Optional[RewriteSystem] = None
     undecided: list[tuple[str, str]] = []
     for named in generator_families(dims):
@@ -138,15 +184,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     verdict: Optional[Verdict] = None
     table: Optional[CosetTable] = None
 
-    first = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
-    if first.status == "complete" and first.table.coset_count == 1:
-        inv = AbelianInvariants(0, ())  # the trivial group: no Smith form needed
-    else:
-        inv = toolbox.abelianization.invariants
-        if first.status != "complete" and inv.free_rank == 0 \
-                and budgets.max_cosets > TC_FIRST_PASS:
-            first = toolbox.coset_run(budgets.max_cosets)
-
+    first, inv = _first_pass(toolbox, dims)
     if first.status == "complete":
         table = first.table
         witness = _degeneracy_from_table(table, dims)
@@ -158,7 +196,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
             verdict = Verdict("finite", order=table.coset_count, name=name,
                               name_candidates=tuple(candidates), fingerprint=fp)
     else:
-        witness, undecided_pairs = _degeneracy_partial(toolbox, dims)
+        witness, undecided_pairs = _degeneracy_partial(toolbox, dims, first)
         if witness is not None:
             verdict = Verdict("degenerate", witness=witness)
         elif undecided_pairs:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -153,17 +154,34 @@ def _worker_lines(mats: Iterable[PairingMatrix], budgets: Budgets, class_filter:
 
 
 def _run_campaign(out_path: Optional[str], lines: Iterable[str],
-                  checkpoint: Optional[tuple[SearchCheckpoint, str]] = None,
-                  mode: str = "w") -> int:
-    """The output loop of every campaign.  With a `(checkpoint, path)` the
-    output is flushed before the checkpoint is rewritten after each line,
-    so the checkpoint never counts a line that is not yet in the file."""
-    with _output(out_path, mode) as out:
+                  checkpoint: Optional[tuple[SearchCheckpoint, str]] = None) -> int:
+    """The output loop of every campaign.
+
+    With a `(checkpoint, path)` the output is appended to, and after each
+    line it is flushed and the checkpoint rewritten with the output's
+    length (when it is a file), so the checkpoint never counts a line that
+    is not in the file.  A resume killed between the two writes leaves a
+    line past that length, which the next resume cuts off first."""
+    if checkpoint is None:
+        with _output(out_path) as out:
+            out.writelines(lines)
+        return 0
+    cp, cp_path = checkpoint
+    with _output(out_path, "a") as out:
+        sized = out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+        if not sized:
+            cp.output_bytes = None
+        elif cp.output_bytes is None:
+            cp.output_bytes = os.fstat(out.fileno()).st_size
+            write_checkpoint(cp, cp_path)
+        else:
+            out.truncate(cp.output_bytes)
         for line in lines:
             out.write(line)
-            if checkpoint is not None:
-                out.flush()
-                write_checkpoint(*checkpoint)
+            out.flush()
+            if sized:
+                cp.output_bytes = os.fstat(out.fileno()).st_size
+            write_checkpoint(cp, cp_path)
     return 0
 
 
@@ -215,10 +233,13 @@ def cmd_classify(args) -> int:
 def cmd_resume(args) -> int:
     with _checked_input():
         cp = read_checkpoint(args.checkpoint)
+        if cp.output_bytes is not None and args.out != "-":
+            size = os.path.getsize(args.out) if os.path.isfile(args.out) else 0
+            if size < cp.output_bytes:
+                raise InputError(f"{args.out} holds {size} bytes, but the checkpoint "
+                                 f"counts {cp.output_bytes}: not the output it was resumed into")
     lines = _leaf_lines(resume(cp), args.budgets if args.classify else None)
-    # append: an earlier resume of this checkpoint wrote the lines before
-    # the ones still to come
-    return _run_campaign(args.out, lines, checkpoint=(cp, args.checkpoint), mode="a")
+    return _run_campaign(args.out, lines, checkpoint=(cp, args.checkpoint))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ class SearchCheckpoint:
     frontier: list[tuple[int, ...]]
     emitted: list[int] = field(default_factory=list)
     done: list[bool] = field(default_factory=list)
+    # the byte length of the output file holding the emitted lines, when a
+    # resume into a file has recorded it
+    output_bytes: Optional[int] = None
 
     def __post_init__(self):
         if not self.emitted:
@@ -316,14 +319,18 @@ def enumerate_pairings(dims: GridDims,
 # ---------------------------------------------------------------------------
 # Checkpoint file format
 
-_CP_HEADER = "gridgroups-checkpoint v1"
+# v2 adds an `output <bytes>` line after `items`; a checkpoint with no
+# output length is still written, and read, as v1
+_CP_HEADERS = ("gridgroups-checkpoint v1", "gridgroups-checkpoint v2")
 
 
 def format_checkpoint(cp: SearchCheckpoint) -> str:
-    lines = [_CP_HEADER,
+    lines = [_CP_HEADERS[cp.output_bytes is not None],
              f"dims {cp.dims.rows} {cp.dims.cols}",
              f"depth {cp.split_depth}",
              f"items {len(cp.frontier)}"]
+    if cp.output_bytes is not None:
+        lines.append(f"output {cp.output_bytes}")
     for idx, flat in enumerate(cp.frontier):
         lines.append(f"item {idx} emitted {cp.emitted[idx]} done {int(cp.done[idx])}")
         for r in range(cp.dims.rows):
@@ -334,16 +341,23 @@ def format_checkpoint(cp: SearchCheckpoint) -> str:
 
 def parse_checkpoint(text: str) -> SearchCheckpoint:
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    if not lines or lines[0] != _CP_HEADER:
+    if not lines or lines[0] not in _CP_HEADERS:
         raise CheckpointError("missing checkpoint header")
+    output_bytes = None
     try:
         _, r, c = lines[1].split()
         dims = GridDims(int(r), int(c))
         depth = int(lines[2].split()[1])
         count = int(lines[3].split()[1])
+        pos = 4
+        if lines[0] == _CP_HEADERS[1]:
+            key, value = lines[4].split()
+            if key != "output" or int(value) < 0:
+                raise ValueError(f"expected an output length, got {lines[4]!r}")
+            output_bytes = int(value)
+            pos = 5
     except (IndexError, ValueError) as exc:
         raise CheckpointError(f"bad checkpoint preamble: {exc}") from None
-    pos = 4
     frontier, emitted, done = [], [], []
     for k in range(count):
         try:
@@ -360,7 +374,7 @@ def parse_checkpoint(text: str) -> SearchCheckpoint:
             frontier.append(tuple(flat))
         except (IndexError, ValueError) as exc:
             raise CheckpointError(f"bad checkpoint item {k}: {exc}") from None
-    return SearchCheckpoint(dims, depth, frontier, emitted, done)
+    return SearchCheckpoint(dims, depth, frontier, emitted, done, output_bytes)
 
 
 def write_checkpoint(cp: SearchCheckpoint, path) -> None:

@@ -4,7 +4,7 @@ Everything here is deliberately naive: exhaustive matchings, explicit orbit
 expansion, determinant-based invariant factors, or else the implementation
 that a faster one replaced (the union-find coset enumerator, the tail-bucket
 rewriting index, the recursive normal-form count, the torsion-quotient
-report on fresh toolboxes).  Tests freeze expected values computed by these
+report on fresh toolboxes, the unwatched first coset pass).  Tests freeze expected values computed by these
 oracles and compare the real code against them.
 """
 
@@ -513,3 +513,23 @@ def reference_torsion_quotient_report(pres, dims, budgets, max_iterations=4):
             if collision:
                 break
     return TorsionQuotientReport(tuple(found), iterations, quotient_abelian, collision)
+
+
+def reference_first_pass(toolbox, dims):
+    """classify's first pass as it was before runs could pause: one
+    unwatched run to TC_FIRST_PASS, enumerated again to max_cosets when it
+    leaves a group with free rank 0 open.  A stand-in for
+    classify._first_pass: (run, abelian invariants)."""
+    from gridgroups.abelian import AbelianInvariants
+    from gridgroups.classify import TC_FIRST_PASS
+
+    budgets = toolbox.budgets
+    first = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
+    if first.status == "complete" and first.table.coset_count == 1:
+        inv = AbelianInvariants(0, ())
+    else:
+        inv = toolbox.abelianization.invariants
+        if first.status != "complete" and inv.free_rank == 0 \
+                and budgets.max_cosets > TC_FIRST_PASS:
+            first = toolbox.coset_run(budgets.max_cosets)
+    return first, inv

@@ -76,3 +76,49 @@ NON_AMENABLE_5x5 = [
     "x 1 2 3 4\n1 5 3 2 6\n6 4 7 8 5\n9 10 11 12 7\n10 9 12 11 8",
     "x 1 2 3 4\n1 5 3 2 6\n4 6 7 8 5\n9 10 11 12 7\n10 9 12 11 8",
 ]
+
+# a fixed slice of the rank-5x5 mirror-form classes: every 16th, in
+# enumeration order, of the 1 864 that classify in under 0.3 s at the
+# acceptance budgets; each key is one base-36 digit per cell, row-major,
+# after the corner
+MIRROR_5x5_SLICE = [
+    "1234156782658739abc4a9cb", "1234156782658939abc4b7ca", "123415678265893ab9c4cab7",
+    "1234156782659a37abc4b8c9", "1234156782659a37bac4c8b9", "1234156782659a38bac47cb9",
+    "1234156782659a38bc94bca7", "1234156782659a39bc74c8ab", "1234156782675938abc4bc9a",
+    "123415678267593ab8c4c9ba", "1234156782678939abc4cba5", "123415678267893ab5c4b9ca",
+    "123415678267893abc54b9ac", "123415678267953a8bc49bca", "1234156782679a385bc4abc9",
+    "1234156782679a38abc4bc59", "1234156782679a38bac4bc59", "1234156782679a38bc94ba5c",
+    "1234156782679a39abc4c58b", "1234156782679a39bac4c58b", "1234156782679a3a8bc49bc5",
+    "1234156782679a3ab5c4c98b", "1234156782679a3abc54c98b", "1234156782679a3b58c4cba9",
+    "1234156782679a3b5c94ca8b", "1234156782679a3b8ac4cb59", "1234156782679a3b8c94cba5",
+    "1234156782679a3b9ac4c85b", "1234156782679a3ba5c4cb89", "1234156782679a3bac94c58b",
+    "1234156782679a3bc854a9cb", "1234156782679a3bca5498cb", "123415678269873ab5c4bca9",
+    "1234156782698a37b9c4ca5b", "1234156782698a37bc94ca5b", "1234156782698a39b5c4c7ab",
+    "1234156782698a39bc74acb5", "1234156782698a3ab5c4b7c9", "1234156782698a3abc749c5b",
+    "1234156782698a3b5ac49cb7", "1234156782698a3b79c4abc5", "1234156782698a3ba9c47cb5",
+    "123415678269ab37b9c4a8c5", "123415678269ab37cb94a8c5", "123415678269ab385c749cba",
+    "123415678269ab385ca4c7b9", "123415678269ab387bc4c59a", "123415678269ab387ca4b59c",
+    "123415678269ab38bc54ca97", "123415678269ab38c5a4c7b9", "123415678269ab38cb54a7c9",
+    "123415678269ab38cba4c759", "123415678269ab397c54bc8a", "123415678269ab398c74acb5",
+    "123415678269ab39c874c5ba", "123415678269ab3a78c4bc59", "123415678269ab3a8c94c7b5",
+    "123415678269ab3b8c54c79a", "1234156782756939abc4cb8a", "1234156782758939abc4cb6a",
+    "123415678275893ab9c4ca6b", "123415678275963ab8c4cab9", "1234156782759a36bac49c8b",
+    "1234156782759a38bac49c6b", "1234156782759a398bc4cba6", "1234156782759a39bc64c8ab",
+    "1234156782759a3abc64b98c", "1234156782759a3b8ac4c96b", "1234156782759a3ba6c4c8b9",
+    "1234156782759a3bac946b8c", "1234156782759a3bc894ab6c", "1234156782785639abc4bca9",
+    "123415678278593ab9c4bc6a", "123415678278693ab5c49cab", "123415678278953ab6c49cab",
+    "123415678278963ab5c4cab9", "1234156782789a36bac4c9b5", "1234156782789a39b5c46cab",
+    "1234156782789a39bc54bca6", "1234156782789a3ab6c4c5b9", "1234156782789a3abc64c9b5",
+    "1234156782789a3b5ac4cb69", "1234156782789a3ba5c4c9b6", "1234156782789a3bac649c5b",
+    "1234156782789a3bc564cba9", "1234156782789a3bca549b6c", "1234156782789a3bca94cb56",
+    "1234156782795a38bac49c6b", "1234156782795a39bc64b8ac", "1234156782795a3abc64b89c",
+    "1234156782795a3b8ac49cb6", "1234156782795a3ba8c4cb69", "1234156782795a3bc964c8ab",
+    "1234156782796a38bc94ac5b", "1234156782796a3ab8c4c59b", "123415678279853ab6c4cab9",
+    "123415678279863abc54ba9c", "1234156782798a39b6c4c5ab", "1234156782798a3ab6c4c5b9",
+    "1234156782798a3abc94b56c", "1234156782798a3b5c946cab", "1234156782798a3bac546c9b",
+    "1234156782798a3bc694ab5c", "1234156782798a3bca64cb59", "123415678279a536bca4bc89",
+    "123415678279a539bc64ac8b", "123415678279a53b8c64ab9c", "123415678279a53b8ca4cb96",
+    "123415678279a53bc964ab8c", "123415678279a63abc549c8b", "123415678279a63b8c94ab5c",
+    "123415678279ab398bc4ac65", "123415678279ab3b89c4ac65", "123415678279ab3b8c94ca56",
+    "123415678279ab3c8b6495ca", "1234156782958a3abc64c79b", "1234156782978a3abc94c56b",
+]

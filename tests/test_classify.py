@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from gridgroups import classify as classify_module
 from gridgroups import wordprob
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.classify import (ClassificationRecord, classify,
@@ -15,11 +16,15 @@ from gridgroups.grid import (GridDims, GridError, format_matrix,
 from gridgroups.present import Presentation, parse_word, presentation_from_matrix
 from gridgroups.wordprob import Budgets, GroupToolbox
 
-from oracles import reference_torsion_quotient_report
-from reference_tables import (NON_AMENABLE_5x5, RANK_3x3, RANK_3x5,
-                              RANK_3x7_INFINITE)
+from oracles import reference_first_pass, reference_torsion_quotient_report
+from reference_tables import (MIRROR_5x5_SLICE, NON_AMENABLE_5x5, RANK_3x3,
+                              RANK_3x5, RANK_3x7_INFINITE)
 
 QUICK = Budgets(max_cosets=20_000, kb_max_rules=1500)
+
+# a degenerate class whose first pass pauses (b4 meets the identity) and is
+# continued, its free rank being 0, until it closes
+PAUSES_WITH_FREE_RANK_0 = "x 1 2 3 4\n1 2 5 6 7\n3 6 4 7 5"
 
 
 class TestClassify:
@@ -172,18 +177,32 @@ class TestTorsionQuotient:
         assert completions and max(completions.values()) == 1
 
     def test_no_presentation_is_enumerated_twice_to_one_limit(self, monkeypatch):
+        """Counted per (presentation, limit) over an infinite class, and over
+        a degenerate one whose first pass pauses and, its free rank being 0,
+        is continued: a continuation goes on with the paused run, so it is
+        not a second enumeration."""
         runs = Counter()
+        continued = []
         real = wordprob.todd_coxeter
 
-        def counting(pres, max_cosets):
-            runs[pres.relators, max_cosets] += 1
-            return real(pres, max_cosets=max_cosets)
+        def counting(pres, max_cosets, watch=(), resume=None):
+            if resume is None:
+                runs[pres.relators, max_cosets] += 1
+            else:
+                continued.append(resume.status)
+            return real(pres, max_cosets=max_cosets, watch=watch, resume=resume)
 
         monkeypatch.setattr(wordprob, "todd_coxeter", counting)
         rec = classify_matrix(parse_matrix(RANK_3x7_INFINITE[0][0]), QUICK,
                               assume_canonical=False)
         assert rec.verdict.kind == "infinite" and rec.ic is not None
         assert runs and max(runs.values()) == 1
+        runs.clear()
+        rec = classify_matrix(parse_matrix(PAUSES_WITH_FREE_RANK_0), QUICK)
+        assert rec.verdict.kind == "degenerate"
+        assert rec.abelian_invariants.free_rank == 0
+        assert continued == ["paused"]
+        assert list(runs.values()) == [1]
 
     def test_final_test_enumerates_further_when_the_first_pass_is_undecided(
             self, monkeypatch):
@@ -209,6 +228,43 @@ class TestTorsionQuotient:
             assert rec.ic == expected, format_matrix(mat)
             reports.append(rec.ic)
         assert reports[0].quotient_abelian is True
+
+
+class TestFirstPass:
+    """The first pass that ends at a pause against the unwatched first pass
+    it replaced (`oracles.reference_first_pass`): the same record bytes."""
+
+    @staticmethod
+    def assert_same_records(monkeypatch, mats):
+        real = classify_module._first_pass
+        ended = Counter()
+
+        def first_pass(toolbox, dims):
+            run, inv = real(toolbox, dims)
+            ended[run.status] += 1
+            return run, inv
+
+        monkeypatch.setattr(classify_module, "_first_pass", first_pass)
+        fast = [record_to_json(classify_matrix(m, QUICK)) for m in mats]
+        monkeypatch.setattr(classify_module, "_first_pass", reference_first_pass)
+        for mat, line in zip(mats, fast):
+            assert line == record_to_json(classify_matrix(mat, QUICK)), format_matrix(mat)
+        return ended
+
+    @pytest.mark.parametrize("cols", [3, 5, 7])
+    def test_every_class_of_rank_3xn(self, monkeypatch, cols):
+        ended = self.assert_same_records(monkeypatch,
+                                         list(enumerate_pairings(GridDims(3, cols))))
+        assert ended["paused"] > 0 or cols == 3
+
+    def test_a_slice_of_the_5x5_mirror_classes(self, monkeypatch):
+        mats = []
+        for key in MIRROR_5x5_SLICE:
+            cells = ["x"] + [str(int(c, 36)) for c in key]
+            mats.append(parse_matrix("\n".join(" ".join(cells[r:r + 5])
+                                               for r in range(0, 25, 5))))
+        ended = self.assert_same_records(monkeypatch, mats)
+        assert ended["paused"] > 0 and ended["exhausted"] > 0
 
 
 class TestFamily:

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +156,87 @@ class TestResumeCommand:
                        "--out", str(parts), "--max-cosets", "20000") == 0
         assert parts.read_bytes() == whole.read_bytes()
         assert len(whole.read_text().splitlines()) == 76
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# `resume` in a process that kills itself with SIGKILL at the given call of
+# write_checkpoint, after the output was flushed and before the checkpoint
+# is written: the window that once left a record the checkpoint did not count
+KILLED_AT_CHECKPOINT = """
+import os, signal, sys
+from gridgroups import cli
+real, calls, kill_at = cli.write_checkpoint, [0], int(sys.argv[1])
+def write_checkpoint(cp, path):
+    calls[0] += 1
+    if calls[0] == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    real(cp, path)
+cli.write_checkpoint = write_checkpoint
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def resume_process(*args, kill_at=None):
+    cmd = [sys.executable, "-m", "gridgroups.cli"] if kill_at is None \
+        else [sys.executable, "-c", KILLED_AT_CHECKPOINT, str(kill_at)]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen(cmd + ["resume", *args, "--classify", "--max-cosets", "20000"],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+
+def assert_exit(proc, code):
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == code, err
+
+
+class TestKilledResume:
+    """A resume killed with SIGKILL anywhere, and resumed, leaves exactly
+    the bytes of an uninterrupted run."""
+
+    @staticmethod
+    def checkpoints(tmp_path, cols, depth):
+        from gridgroups.enumerate import split_frontier, write_checkpoint
+        for name in ("whole.txt", "parts.txt"):
+            write_checkpoint(split_frontier(GridDims(3, cols), depth), tmp_path / name)
+        whole = tmp_path / "whole.jsonl"
+        assert run_cli("resume", str(tmp_path / "whole.txt"), "--classify",
+                       "--out", str(whole), "--max-cosets", "20000") == 0
+        return str(tmp_path / "parts.txt"), tmp_path / "parts.jsonl", whole.read_bytes()
+
+    def test_killed_between_the_flush_and_the_checkpoint(self, tmp_path):
+        cp, parts, whole = self.checkpoints(tmp_path, 5, 4)
+        # the first write precedes every line; the other kills leave one
+        # line that the checkpoint does not count
+        for kill_at in (1, 2, 30, 3):
+            assert_exit(resume_process(cp, "--out", str(parts), kill_at=kill_at),
+                        -signal.SIGKILL)
+        from gridgroups.enumerate import read_checkpoint
+        assert read_checkpoint(cp).output_bytes < len(parts.read_bytes())
+        assert_exit(resume_process(cp, "--out", str(parts)), 0)
+        assert parts.read_bytes() == whole
+
+    def test_killed_from_outside(self, tmp_path):
+        cp, parts, whole = self.checkpoints(tmp_path, 7, 4)
+        proc = resume_process(cp, "--out", str(parts))
+        deadline = time.monotonic() + 120
+        while proc.poll() is None and time.monotonic() < deadline \
+                and (not parts.exists() or parts.stat().st_size < 200_000):
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+        assert_exit(proc, -signal.SIGKILL)
+        assert 0 < len(parts.read_bytes()) < len(whole)
+        assert_exit(resume_process(cp, "--out", str(parts)), 0)
+        assert parts.read_bytes() == whole
+
+    def test_a_shorter_output_is_bad_input(self, tmp_path, capsys):
+        cp, parts, whole = self.checkpoints(tmp_path, 5, 4)
+        assert_exit(resume_process(cp, "--out", str(parts), kill_at=20), -signal.SIGKILL)
+        parts.write_bytes(parts.read_bytes()[:100])
+        with pytest.raises(SystemExit) as exc:
+            run_cli("resume", cp, "--classify", "--out", str(parts))
+        assert exc.value.code == 1
+        assert "not the output it was resumed into" in capsys.readouterr().err
 
 
 class TestBudgetFlags:

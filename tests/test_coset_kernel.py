@@ -1,7 +1,10 @@
 """The eager-coincidence coset enumerator against the union-find kernel it
 replaced (`oracles.reference_todd_coxeter`): same status, same number of
 cosets defined, the same action table, and for partial runs the same
-quotient graph and the same proved equalities."""
+quotient graph and the same proved equalities.  Watched runs, which may
+pause and be continued, against the unwatched run of the same kernel."""
+
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +13,7 @@ from gridgroups.classify import TC_FIRST_PASS
 from gridgroups.coset import UNDEF, todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import GridDims, parse_matrix
-from gridgroups.present import Presentation, presentation_from_matrix
+from gridgroups.present import Presentation, generator_families, presentation_from_matrix
 
 from oracles import reference_todd_coxeter
 from reference_tables import HAND_PROOFS, RANK_3x3, RANK_3x5
@@ -40,6 +43,44 @@ def assert_same_run(pres, max_cosets, subgroup=()):
     return new
 
 
+def assert_same_outcome(run, plain):
+    """Two runs of one presentation end alike: status, cosets defined, and
+    the table or the whole graph."""
+    assert run.status == plain.status
+    assert run.cosets_defined == plain.cosets_defined
+    if plain.status == "complete":
+        assert run.table.action == plain.table.action
+    else:
+        assert run.graph == plain.graph
+
+
+def assert_watched_run(pres, max_cosets, watch, plain=None):
+    """A watched run equals the unwatched one (`plain`) when it never pauses;
+    when it pauses, every pair that met is equal in the unwatched run too,
+    and the run continued (watching the groups that have not met yet, until
+    none is left) ends as the unwatched run does.  Returns the number of
+    pauses."""
+    if plain is None:
+        plain = todd_coxeter(pres, max_cosets=max_cosets)
+    run = todd_coxeter(pres, max_cosets=max_cosets, watch=watch)
+    pauses = 0
+    while run.status == "paused":
+        pauses += 1
+        assert run.cosets_defined <= max_cosets
+        met = [(group, w1, w2) for group in watch for w1, w2 in combinations(group, 2)
+               if run.equal_words(w1, w2)]
+        assert met
+        assert all(plain.equal_words(w1, w2) for _, w1, w2 in met)
+        watch = [group for group in watch if all(group is not g for g, _, _ in met)]
+        run = todd_coxeter(pres, max_cosets=max_cosets, watch=watch, resume=run)
+    assert_same_outcome(run, plain)
+    return pauses
+
+
+def family_watch(dims):
+    return [[w for _, w in fam] for fam in generator_families(dims)]
+
+
 def _class_presentations(cols):
     return [presentation_from_matrix(m) for m in enumerate_pairings(GridDims(3, cols))]
 
@@ -54,17 +95,27 @@ def rank_3x7():
     return _class_presentations(7)
 
 
+def assert_every_class(presentations, max_cosets, cols):
+    """Each class's run against the reference kernel, and the run watching
+    its generator families against that run."""
+    watch = family_watch(GridDims(3, cols))
+    statuses, pauses = set(), []
+    for pres in presentations:
+        run = assert_same_run(pres, max_cosets)
+        statuses.add(run.status)
+        pauses.append(assert_watched_run(pres, max_cosets, watch, plain=run))
+    assert 0 in pauses and max(pauses) > 0
+    return statuses
+
+
 @pytest.mark.parametrize("max_cosets", [TC_FIRST_PASS, 20_000])
 def test_every_3x5_class(rank_3x5, max_cosets):
-    for pres in rank_3x5:
-        assert_same_run(pres, max_cosets)
+    assert_every_class(rank_3x5, max_cosets, 5)
 
 
 @pytest.mark.parametrize("max_cosets", [TC_FIRST_PASS, 20_000])
 def test_every_3x7_class(rank_3x7, max_cosets):
-    statuses = set()
-    for pres in rank_3x7:
-        statuses.add(assert_same_run(pres, max_cosets).status)
+    statuses = assert_every_class(rank_3x7, max_cosets, 7)
     assert "complete" in statuses and "exhausted" in statuses
 
 
@@ -82,6 +133,48 @@ def test_exhaustion_at_every_budget(pres):
         assert_same_run(pres, max_cosets)
 
 
+HAND_WRITTEN = [Presentation(("x",), ((1,) * 5,)), Presentation(("x",), ((1,),)),
+                Presentation(("x", "y"), ((1, 1), (2, 2, 2))),
+                Presentation(("x", "y"), ((2, 2),)),
+                Presentation(("x", "y"), ((1,) * 8, (2, 2), (1, 2, -1, -2))),
+                Presentation(("x",), ((1,) * 11,))]
+
+
+def test_watched_runs_at_every_budget():
+    """Single letters with the identity, and words of two letters, whose
+    tracing goes past row 0."""
+    paused = []
+    hand_proofs = [_hand_proof_presentation(text, labels) for text, labels, _, _ in HAND_PROOFS]
+    for pres in SMALL + HAND_WRITTEN + hand_proofs:
+        gens = range(1, pres.generator_count + 1)
+        watch = [[()] + [(g,) for g in gens],
+                 [(g, h) for g in gens for h in gens] + [(g, -h) for g in gens for h in gens]]
+        paused.append(sum(assert_watched_run(pres, max_cosets, watch)
+                          for max_cosets in range(1, 61)) > 0)
+    assert any(paused) and not all(paused)
+
+
+def test_a_closed_run_never_pauses():
+    """x and x^-1 meet in the first scan of <x | x^2>, with coset 1 still
+    unscanned, so the run pauses.  Continued under the same watch, it scans
+    coset 1 and closes: a run with every live coset scanned reports its
+    outcome, as <x | x> does after its only scan."""
+    pres = Presentation(("x",), ((1, 1),))
+    watch = [[(1,), (-1,)]]
+    run = todd_coxeter(pres, watch=watch)
+    assert run.status == "paused" and run.cosets_defined == 2
+    run = todd_coxeter(pres, watch=watch, resume=run)
+    assert run.status == "complete" and run.table.coset_count == 2
+    run = todd_coxeter(Presentation(("x",), ((1,),)), watch=[[(), (1,)]])
+    assert run.status == "complete" and run.table.coset_count == 1
+
+
+def test_only_a_paused_run_can_be_resumed():
+    pres = Presentation(("x",), ((1, 1),))
+    with pytest.raises(ValueError):
+        todd_coxeter(pres, resume=todd_coxeter(pres))
+
+
 @pytest.mark.parametrize("subgroup", [[(2,)], [(1,)], [(1, 2)], [(1, 1), (2,)], [(1, -1)]])
 def test_subgroup_cases(subgroup):
     dih4 = Presentation(("x", "y"), ((1,) * 4, (2, 2), (1, 2, 1, 2)))
@@ -97,11 +190,7 @@ def test_hand_presentations(matrix_text, labels, word_text, power):
 
 
 def test_hand_written_presentations():
-    for pres in [Presentation(("x",), ((1,) * 5,)), Presentation(("x",), ((1,),)),
-                 Presentation(("x", "y"), ((1, 1), (2, 2, 2))),
-                 Presentation(("x", "y"), ((2, 2),)),
-                 Presentation(("x", "y"), ((1,) * 8, (2, 2), (1, 2, -1, -2))),
-                 Presentation(("x",), ((1,) * 11,))]:
+    for pres in HAND_WRITTEN:
         for max_cosets in (6, 100, 200_000):
             assert_same_run(pres, max_cosets)
 

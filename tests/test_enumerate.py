@@ -198,6 +198,19 @@ class TestCheckpointFormat:
         assert back.done == cp.done
         assert format_checkpoint(back) == format_checkpoint(cp)
 
+    def test_output_length_makes_a_v2_checkpoint(self):
+        cp = split_frontier(GridDims(3, 5), 5)
+        v1 = format_checkpoint(cp)
+        assert v1.startswith("gridgroups-checkpoint v1\n")
+        cp.output_bytes = 1234
+        v2 = format_checkpoint(cp)
+        assert v2 == v1.replace("v1", "v2", 1).replace("items 2\n", "items 2\noutput 1234\n")
+        assert parse_checkpoint(v2) == cp
+        assert parse_checkpoint(v1).output_bytes is None
+        for bad in ("output -1", "output x", "outputs 5", "item 0 emitted 0 done 0"):
+            with pytest.raises(CheckpointError):
+                parse_checkpoint(v2.replace("output 1234", bad))
+
     def test_corrupted_header_rejected(self):
         with pytest.raises(CheckpointError):
             parse_checkpoint("bogus\n")
