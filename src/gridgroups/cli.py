@@ -222,7 +222,11 @@ def cmd_classify(args) -> int:
         if args.from_file:
             mats = _read_matrices(open(args.from_file))
         else:
-            mats = enumerate_pairings(GridDims(args.rows, args.cols).require_odd())
+            # a mirror-form class's first column holds labels 1..cols-1, so
+            # the search need not go below any other first-column label
+            bound = args.cols if args.filter == "mirror" else None
+            mats = enumerate_pairings(GridDims(args.rows, args.cols).require_odd(),
+                                      EnumerationConfig(first_column_below=bound))
     if args.workers > 1:
         lines = _worker_lines(mats, args.budgets, args.filter, args.workers)
     else:
@@ -517,6 +521,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("classify needs --from FILE or both --rows and --cols")
         if args.from_file is not None and args.workers > 1:
             parser.error("--workers splits a rank's search tree; it does not apply to --from")
+        if args.from_file is not None and (args.rows, args.cols) != (None, None):
+            parser.error("--rows and --cols choose a rank to search; they do not apply to --from")
     try:
         return args.func(args)
     except InputError as exc:

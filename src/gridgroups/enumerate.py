@@ -7,6 +7,18 @@ never be paired) one fresh label.  Every complete leaf is its own orbit
 canonical form, so the stream is duplicate-free by construction; stunted
 branches simply yield nothing.
 
+Every cell is tested.  A node that completes a row r >= 1 runs the full
+test (`has_smaller_stacked_image`) and records the row stabiliser: the
+symmetries that renumber rows 0..r to themselves.  Inside row r+1 a child
+is then tested against that stabiliser alone (`smaller_in_next_row`), which
+is exact because every other symmetry already renumbers the whole rows
+larger.  A child that completes a row gets the full test again, and a leaf
+only the part of it that moves its last row up.  Row 1, and any row whose
+stabiliser exceeds STABILISER_CAP, is tested with the full test at each cell
+(this is the orderly generation of Read, "Every one a winner", 1978, with
+the prefix's stabiliser carried down the tree as in McKay, "Isomorph-free
+exhaustive generation", 1998).
+
 Work splitting cuts the tree at a fixed depth: the frontier nodes can be
 expanded independently, in any order, on any worker, and the concatenation
 of their subtree streams in frontier order reproduces the plain stream.
@@ -27,6 +39,8 @@ from .grid import (
     has_smaller_stacked_image,
     is_consecutive,
     is_stacked,
+    row_stabiliser,
+    smaller_in_next_row,
 )
 
 
@@ -49,6 +63,10 @@ class BranchValueSet:
 class EnumerationConfig:
     max_nodes: Optional[int] = None
     split_depth: Optional[int] = None
+    # when set, the first-column cells below row 0 take only labels below
+    # it; with the number of columns on a square grid this leaves exactly
+    # the mirror-form classes, whose first column holds labels 1..cols-1
+    first_column_below: Optional[int] = None
 
 
 @dataclass
@@ -88,18 +106,26 @@ class EnumerationBudgetExceeded(Exception):
         self.checkpoint = checkpoint
 
 
+# Largest row stabiliser the in-row test walks; a larger one leaves each cell
+# of the next row to the full test.  After row 0 the stabiliser is every
+# column permutation, so row 1 always uses the full test.  On a slice of
+# 3x9 a cap of 8 took 2.1 s, 64 took 1.2 s and 512 or no cap 0.7 s.
+STABILISER_CAP = 512
+
+
 class _Cursor:
     """Mutable search state over a flat row-major matrix."""
 
     __slots__ = ("rows", "cols", "flat", "filled", "counts", "row_mask",
                  "col_mask", "singles", "max_used", "cell_count", "max_label",
-                 "workspace")
+                 "workspace", "stab", "first_column_below")
 
-    def __init__(self, dims: GridDims, flat=None):
+    def __init__(self, dims: GridDims, flat=None, first_column_below: Optional[int] = None):
         self.rows, self.cols = dims
         self.cell_count = dims.cell_count
         self.max_label = dims.max_label
         self.workspace = _CanonWorkspace(self.rows, self.cols)
+        self.first_column_below = first_column_below
         self.flat = [0] * (self.rows * self.cols)
         self.flat[0] = SENTINEL
         self.counts = [0] * (self.max_label + 2)
@@ -108,11 +134,17 @@ class _Cursor:
         self.singles = 0
         self.max_used = 0
         self.filled = 0
+        # stab[r]: the stabiliser of the whole rows 0..r on the current path,
+        # or None where the in-row test does not apply
+        self.stab: list[Optional[list]] = [None] * self.rows
         if flat is not None:
             for v in flat[1:]:
                 if v == 0:
                     break
                 self.place(v)
+            whole = (self.filled + 1) // self.cols - 1
+            if 1 <= whole < self.rows - 1:
+                self.stab[whole] = self.full_test(whole * self.cols + self.cols - 1, True)[1]
 
     def place(self, label: int) -> None:
         idx = self.filled + 1
@@ -148,11 +180,37 @@ class _Cursor:
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self.flat)
 
+    def full_test(self, filled: int, record: bool = False,
+                  moved: bool = False) -> tuple[bool, Optional[list]]:
+        """has_smaller_stacked_image on the first `filled` cells, and with
+        `record`, when it is False, the stabiliser of those whole rows (None
+        over the cap)."""
+        ties: Optional[list] = [] if record else None
+        if has_smaller_stacked_image(self.flat, self.rows, self.cols, filled,
+                                     workspace=self.workspace, ties=ties,
+                                     moved_last_row=moved):
+            return True, None
+        if not record:
+            return False, None
+        stab = row_stabiliser(ties, self.cols, max(self.flat[:filled + 1]))
+        return False, (stab if len(stab) <= STABILISER_CAP else None)
 
-def _branch_values(cur: _Cursor, defer_last_row: bool = False) -> BranchValueSet:
+
+def _children(cur: _Cursor) -> list[tuple[int, Optional[list]]]:
+    """The children of the node at the cursor in branch order, each with the
+    stabiliser to carry down when it completes a row (None otherwise).
+
+    The branch values are the usable half-pair labels that survive the
+    canonicity test, then (except in the last row, where it could never be
+    paired) one fresh label, which is kept untested; one that completes a
+    row is searched only for its stabiliser.  Inside a row after row 1
+    a half-pair is tested against the stabiliser of the rows above
+    (`smaller_in_next_row`); a child that completes a row, and every cell
+    without a stabiliser, gets the full test.
+    """
     idx = cur.filled + 1
-    i, j = divmod(idx, cur.cols)
     rows, cols = cur.rows, cur.cols
+    i, j = divmod(idx, cols)
     remaining_after = cur.cell_count - cur.filled - 1
 
     if i == rows - 1:
@@ -160,38 +218,50 @@ def _branch_values(cur: _Cursor, defer_last_row: bool = False) -> BranchValueSet
         mask = cur.row_mask[i]
         for s in range(1, cur.max_used + 1):
             if cur.counts[s] == 1 and mask >> s & 1:
-                return BranchValueSet((), None)
+                return []
 
     def count_feasible(singles_after: int, used_after: int) -> bool:
         spare = remaining_after - singles_after
         return spare >= 0 and spare % 2 == 0 and spare <= 2 * (cur.max_label - used_after)
 
-    # Dominated branches in the last row die at the complete-leaf test anyway,
-    # and branching there is nearly forced, so the per-cell test may be
-    # deferred to the leaf without changing the emitted set.
-    test_here = not (defer_last_row and i == rows - 1 and remaining_after > 0)
-
-    half: list[int] = []
+    completes = j == cols - 1
+    record = completes and 1 <= i < rows - 1  # the next row reads this row's stabiliser
+    stab = cur.stab[i - 1] if i >= 2 else None
+    # the mirror-form bound on labels in the first column
+    below = cur.first_column_below if j == 0 else None
+    top = cur.max_used if below is None else min(cur.max_used, below - 1)
+    out: list[tuple[int, Optional[list]]] = []
     if count_feasible(cur.singles - 1, cur.max_used):
         excluded = cur.row_mask[i] | cur.col_mask[j]
-        for h in range(1, cur.max_used + 1):
+        for h in range(1, top + 1):
             if cur.counts[h] != 1 or excluded >> h & 1:
                 continue
-            if test_here:
-                cur.place(h)
-                keep = not has_smaller_stacked_image(cur.flat, rows, cols, cur.filled,
-                                                     workspace=cur.workspace)
-                cur.unplace()
-                if keep:
-                    half.append(h)
+            cur.place(h)
+            child = None
+            if stab is not None and smaller_in_next_row(cur.flat, i * cols, j + 1, stab):
+                smaller = True
+            elif stab is not None and not completes:
+                smaller = False
             else:
-                half.append(h)
+                # a leaf whose row passed the stabiliser test only needs the
+                # symmetries that move its last row up
+                smaller, child = cur.full_test(cur.filled, record,
+                                               moved=stab is not None and not record)
+            cur.unplace()
+            if not smaller:
+                out.append((h, child))
 
-    fresh = None
-    if (cur.max_used < cur.max_label and i < rows - 1
-            and count_feasible(cur.singles + 1, cur.max_used + 1)):
-        fresh = cur.max_used + 1
-    return BranchValueSet(tuple(half), fresh)
+    fresh = cur.max_used + 1
+    if (fresh <= cur.max_label and i < rows - 1
+            and (below is None or fresh < below)
+            and count_feasible(cur.singles + 1, fresh)):
+        child = None
+        if record:
+            cur.place(fresh)
+            child = cur.full_test(cur.filled, True)[1]
+            cur.unplace()
+        out.append((fresh, child))
+    return out
 
 
 def branch_values(mat: PartialPairingMatrix) -> BranchValueSet:
@@ -200,7 +270,11 @@ def branch_values(mat: PartialPairingMatrix) -> BranchValueSet:
         raise GridError("matrix is complete; no branch point")
     if not is_stacked(mat) or not is_consecutive(mat):
         raise GridError("branch values require a stacked, consecutively numbered matrix")
-    return _branch_values(_Cursor(mat.dims, mat.flat))
+    cur = _Cursor(mat.dims, mat.flat)
+    values = [v for v, _ in _children(cur)]
+    fresh = cur.max_used + 1
+    return BranchValueSet(tuple(v for v in values if v != fresh),
+                          fresh if fresh in values else None)
 
 
 class _Budget:
@@ -223,42 +297,30 @@ class _BudgetHit(Exception):
     pass
 
 
-def _iter_leaves(cur: _Cursor, budget: _Budget) -> Iterator[tuple[int, ...]]:
-    if cur.filled == cur.cell_count:
-        yield cur.snapshot()
-        return
-    bv = _branch_values(cur, defer_last_row=True)
-    for v in bv.values():
-        if not budget.spend():
-            raise _BudgetHit
-        cur.place(v)
-        yield from _iter_leaves(cur, budget)
-        cur.unplace()
-
-
-def _iter_frontier(cur: _Cursor, depth: int, budget: _Budget) -> Iterator[tuple[int, ...]]:
+def _iter_nodes(cur: _Cursor, depth: int, budget: _Budget) -> Iterator[tuple[int, ...]]:
+    """The nodes `depth` cells deep below the cursor's node, in branch order."""
     if cur.filled == depth:
         yield cur.snapshot()
         return
-    if cur.filled == cur.cell_count:
-        return
-    bv = _branch_values(cur)
-    for v in bv.values():
+    row, col = divmod(cur.filled + 1, cur.cols)
+    for v, stab in _children(cur):
         if not budget.spend():
             raise _BudgetHit
         cur.place(v)
-        yield from _iter_frontier(cur, depth, budget)
+        if col == cur.cols - 1:
+            cur.stab[row] = stab
+        yield from _iter_nodes(cur, depth, budget)
         cur.unplace()
 
 
-def split_frontier(dims: GridDims, depth: int) -> SearchCheckpoint:
+def split_frontier(dims: GridDims, depth: int,
+                   first_column_below: Optional[int] = None) -> SearchCheckpoint:
     """All depth-`depth` nodes of the pruned tree, in emission order."""
     dims = GridDims(*dims).require_odd()
     if not 0 <= depth <= dims.cell_count:
         raise GridError(f"split depth {depth} out of range 0..{dims.cell_count}")
-    cur = _Cursor(dims)
-    frontier = list(_iter_frontier(cur, depth, _Budget(None)))
-    return SearchCheckpoint(dims, depth, frontier)
+    cur = _Cursor(dims, first_column_below=first_column_below)
+    return SearchCheckpoint(dims, depth, list(_iter_nodes(cur, depth, _Budget(None))))
 
 
 def resume(cp: SearchCheckpoint,
@@ -272,22 +334,24 @@ def resume(cp: SearchCheckpoint,
     past the emitted leaves, and on to the next leaf, is free, so every
     call gets further than the checkpoint whatever its budget.
     """
-    budget = _Budget(config.max_nodes if config else None)
+    if config is None:
+        config = EnumerationConfig()
+    budget = _Budget(config.max_nodes)
     budget.free = True
     dims = cp.dims
     for i in range(len(cp.frontier)):
         if cp.done[i]:
             continue
-        cur = _Cursor(dims, cp.frontier[i])
+        cur = _Cursor(dims, cp.frontier[i], config.first_column_below)
         skip = cp.emitted[i]
         try:
-            for flat in _iter_leaves(cur, budget):
+            for flat in _iter_nodes(cur, cur.cell_count, budget):
                 if skip:
                     skip -= 1
                     continue
                 budget.free = False
                 cp.emitted[i] += 1
-                yield PairingMatrix(dims, flat)
+                yield PairingMatrix._trusted(dims, flat)
         except _BudgetHit:
             raise EnumerationBudgetExceeded(cp) from None
         cp.done[i] = True
@@ -305,15 +369,10 @@ def enumerate_pairings(dims: GridDims,
     dims = GridDims(*dims).require_odd()
     if config is None:
         config = EnumerationConfig()
-    if config.max_nodes is None and config.split_depth is None:
-        cur = _Cursor(dims)
-        for flat in _iter_leaves(cur, _Budget(None)):
-            yield PairingMatrix(dims, flat)
-        return
-    depth = config.split_depth if config.split_depth is not None else min(
-        dims.cols + 1, dims.cell_count)
-    cp = split_frontier(dims, depth)
-    yield from resume(cp, config)
+    depth = config.split_depth
+    if depth is None:  # a budgeted run checkpoints at items just below row 0
+        depth = 0 if config.max_nodes is None else min(dims.cols + 1, dims.cell_count)
+    yield from resume(split_frontier(dims, depth, config.first_column_below), config)
 
 
 # ---------------------------------------------------------------------------

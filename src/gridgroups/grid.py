@@ -141,6 +141,14 @@ class PairingMatrix(_Matrix):
         super().__init__(dims, flat)
         _validate_flat(self.dims, self.flat, complete=True)
 
+    @classmethod
+    def _trusted(cls, dims: GridDims, flat: tuple[int, ...]) -> "PairingMatrix":
+        """A leaf the orderly search built, valid by construction: not re-checked."""
+        mat = cls.__new__(cls)
+        mat.dims = dims
+        mat.flat = flat
+        return mat
+
     def pairing(self) -> "Pairing":
         return Pairing.from_matrix(self)
 
@@ -294,13 +302,25 @@ _WS_CACHE: dict[tuple[int, int], _CanonWorkspace] = {}
 
 def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
                               filled: Optional[int] = None,
-                              workspace: Optional[_CanonWorkspace] = None) -> bool:
+                              workspace: Optional[_CanonWorkspace] = None,
+                              ties: Optional[list] = None,
+                              moved_last_row: bool = False) -> bool:
     """True if some symmetry image is stacked and renumbers lex-less.
 
     `flat` must be stacked and consecutively numbered.  This is the pruning
     test of the orderly search: a matrix failing it is not the orbit
     representative and its subtree is skipped.  Hot path: state changes are
     inlined rather than factored into helpers.
+
+    With a `ties` list and a prefix of whole rows, the search also appends
+    each symmetry whose image equals the prefix, as its column map (image
+    column -> source column) and its renumbering of the labels >= cols.
+    Every column is bound by then, and a search that returns False has
+    visited every tie, so the list is then the prefix's whole stabiliser.
+
+    With `moved_last_row` and a prefix of whole rows, only the symmetries
+    that move the last whole row to another row are tried: the ones that
+    keep it in place are the ones `smaller_in_next_row` tests.
     """
     if filled is None:
         filled = sum(1 for v in flat[1:] if v != 0)
@@ -316,6 +336,8 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
     n_full = beyond // cols
     part_len = beyond % cols
     part_row = 1 + n_full if part_len else 0
+    if moved_last_row and n_full < 2:
+        return False
 
     colmap = ws.colmap
     colinv = ws.colinv
@@ -409,6 +431,8 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
 
     def dfs(pos: int) -> bool:
         if pos == filled:
+            if ties is not None:
+                ties.append((tuple(colmap), dict(renum)))
             return False  # image equals the original: not smaller
         q = pos - cols + 1
         r = 1 + q // cols
@@ -417,7 +441,12 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
 
         if c == 0:
             if r <= n_full:
-                for i in range(1, n_full + 1):
+                # with moved_last_row, source row n_full must fill an image
+                # row above n_full: the last of them takes it if none has
+                lo = 1
+                if moved_last_row and r == n_full - 1 and not rows_used[n_full]:
+                    lo = n_full
+                for i in range(lo, n_full + 1):
                     if rows_used[i]:
                         continue
                     rows_used[i] = 1
@@ -460,7 +489,70 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
                 return True
         return False
 
-    return dfs(cols - 1)
+    found = dfs(cols - 1)
+    del dfs, step  # the two closures refer to each other: free them now, not in a gc pass
+    return found
+
+
+def row_stabiliser(ties: list, cols: int, used: int) -> list:
+    """The ties a whole-row prefix recorded, as `smaller_in_next_row` reads
+    them: (column map, label map, column-prefix flags), identity left out.
+
+    The label map sends each of the prefix's labels 1..used to its value in
+    the renumbered image; flags[p] says the column map sends columns 0..p-1
+    onto themselves, so the image of a next row filled up to p is stacked.
+    """
+    stab = []
+    identity = list(range(used + 1))
+    for colmap, renum in ties:
+        lab = identity[:]
+        for c in range(1, cols):
+            lab[colmap[c]] = c
+        for label, v in renum.items():
+            lab[label] = v
+        if lab == identity:
+            continue  # fixes every column and label: the next row's image is the row
+        flags = [True] * (cols + 1)
+        top = 0
+        for p in range(1, cols + 1):
+            top = max(top, colmap[p - 1])
+            flags[p] = top < p
+        stab.append((colmap, lab, flags))
+    return stab
+
+
+def smaller_in_next_row(flat: Sequence[int], base: int, part_len: int,
+                        stab: list) -> bool:
+    """has_smaller_stacked_image for a matrix of whole rows plus a next row
+    filled in its first `part_len` < cols cells starting at `base`, given
+    the whole rows' stabiliser from `row_stabiliser`.  With part_len ==
+    cols it tests only the symmetries that keep the new row in place.
+
+    The whole rows passed the full test, so a symmetry outside their
+    stabiliser already renumbers them larger, and a stacked image must keep
+    the partial row in place.  So only the stabiliser's elements that send
+    columns 0..part_len-1 onto themselves can give a smaller image, and
+    they differ from the original only in the partial row.  There, labels
+    of the whole rows take their label-map values and labels new in the
+    row take fresh values in image order, as in the original.
+    """
+    for colmap, lab, flags in stab:
+        if not flags[part_len]:
+            continue
+        fresh = used = len(lab) - 1
+        for c in range(part_len):
+            v = flat[base + colmap[c]]
+            if v > used:
+                fresh += 1
+                v = fresh
+            else:
+                v = lab[v]
+            t = flat[base + c]
+            if v != t:
+                if v < t:
+                    return True
+                break
+    return False
 
 
 def _canonical_flat(flat: Sequence[int], rows: int, cols: int) -> tuple[int, ...]:

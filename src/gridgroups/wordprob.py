@@ -109,6 +109,28 @@ def hom_targets(max_degree: int) -> list[_HomTarget]:
     return out
 
 
+def _extend_images(target: _HomTarget, images: list[int], depth: int,
+                   by_depth: list[list[Word]],
+                   predicate: Callable[[_HomTarget, list[int]], bool],
+                   budget: list[int]) -> bool:
+    """Assign generator images from `depth` on, depth first, checking each
+    relator once its support is assigned; True once the predicate holds."""
+    if budget[0] <= 0:
+        return False
+    if depth == len(images):
+        return predicate(target, images)
+    for cand in range(target.size):
+        budget[0] -= 1
+        if budget[0] <= 0:
+            return False
+        images[depth] = cand
+        if all(target.eval_word(rel, images) == target.identity
+               for rel in by_depth[depth + 1]):
+            if _extend_images(target, images, depth + 1, by_depth, predicate, budget):
+                return True
+    return False
+
+
 def search_hom(pres: Presentation, targets: Sequence[_HomTarget],
                predicate: Callable[[_HomTarget, list[int]], bool],
                node_budget: int) -> Optional[tuple[str, list[int]]]:
@@ -125,25 +147,8 @@ def search_hom(pres: Presentation, targets: Sequence[_HomTarget],
 
     for target in targets:
         images = [0] * n
-
-        def assign(depth: int) -> bool:
-            if budget[0] <= 0:
-                return False
-            if depth == n:
-                return predicate(target, images)
-            for cand in range(target.size):
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    return False
-                images[depth] = cand
-                if all(target.eval_word(rel, images) == target.identity
-                       for rel in by_depth[depth + 1]):
-                    if assign(depth + 1):
-                        return True
-            return False
-
-        if assign(0):
-            return target.name, list(images)
+        if _extend_images(target, images, 0, by_depth, predicate, budget):
+            return target.name, images
         if budget[0] <= 0:
             return None
     return None

@@ -4,7 +4,8 @@ Everything here is deliberately naive: exhaustive matchings, explicit orbit
 expansion, determinant-based invariant factors, or else the implementation
 that a faster one replaced (the union-find coset enumerator, the tail-bucket
 rewriting index, the recursive normal-form count, the torsion-quotient
-report on fresh toolboxes, the unwatched first coset pass).  Tests freeze expected values computed by these
+report on fresh toolboxes, the unwatched first coset pass, the closure
+homomorphism search).  Tests freeze expected values computed by these
 oracles and compare the real code against them.
 """
 
@@ -533,3 +534,40 @@ def reference_first_pass(toolbox, dims):
                 and budgets.max_cosets > TC_FIRST_PASS:
             first = toolbox.coset_run(budgets.max_cosets)
     return first, inv
+
+
+def closure_search_hom(pres, targets, predicate, node_budget):
+    """wordprob.search_hom as it was with a self-referencing closure (one
+    reference cycle per call): the same search order and node charges."""
+    n = pres.generator_count
+    relators = pres.relators
+    budget = [node_budget]
+    max_gen = [max((abs(x) for x in rel), default=0) for rel in relators]
+    by_depth = [[] for _ in range(n + 1)]
+    for rel, m in zip(relators, max_gen):
+        by_depth[m].append(rel)
+
+    for target in targets:
+        images = [0] * n
+
+        def assign(depth):
+            if budget[0] <= 0:
+                return False
+            if depth == n:
+                return predicate(target, images)
+            for cand in range(target.size):
+                budget[0] -= 1
+                if budget[0] <= 0:
+                    return False
+                images[depth] = cand
+                if all(target.eval_word(rel, images) == target.identity
+                       for rel in by_depth[depth + 1]):
+                    if assign(depth + 1):
+                        return True
+            return False
+
+        if assign(0):
+            return target.name, list(images)
+        if budget[0] <= 0:
+            return None
+    return None

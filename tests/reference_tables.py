@@ -39,6 +39,9 @@ RANK_3x9_CLASSES = 24
 RANK_3x9_INFINITE = 2
 # abelianisations of the two infinite 3x9 classes
 RANK_3x9_INFINITE_INVARIANTS = {(1, (4,)), (1, (2,))}
+# sha256 of the output of `gridgroups enumerate --rows 3 --cols 9`: all
+# 215 824 classes, one matrix line each, in emission order
+RANK_3x9_ENUMERATE_SHA256 = "f994119eda0d85b9cd4af517bd9f387cd6334443185ac45d75e5f7416af2a9f1"
 
 # rank 3x11 headline counts (stretch)
 RANK_3x11_CLASSES = 29

@@ -273,6 +273,10 @@ class TestBadInput:
         (["classify", "--rows", "3", "--cols", "5", "--workers", "-2"], "--workers"),
         (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--workers", "2"],
          "does not apply to --from"),
+        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"),
+          "--rows", "3", "--cols", "5"], "do not apply to --from"),
+        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--cols", "3"],
+         "do not apply to --from"),
         (["lab", "4"], "4 is not prime"),
         (["lab", "0"], "must be a positive integer, got 0"),
         (["lab", "-3"], "must be a positive integer, got -3"),

@@ -1,7 +1,12 @@
 import io
+import json
+import lzma
+import os
 
 import pytest
 
+from gridgroups import enumerate as enumerate_module
+from gridgroups.classify import _forces_syntactic
 from gridgroups.enumerate import (BranchValueSet, CheckpointError,
                                   EnumerationBudgetExceeded, EnumerationConfig,
                                   SearchCheckpoint, branch_values,
@@ -9,12 +14,16 @@ from gridgroups.enumerate import (BranchValueSet, CheckpointError,
                                   parse_checkpoint, read_checkpoint, resume,
                                   split_frontier, write_checkpoint)
 from gridgroups.grid import (GridDims, GridError, OddDimensionError,
-                             PairingMatrix, PartialPairingMatrix,
+                             PairingMatrix, PartialPairingMatrix, _validate_flat,
                              all_symmetries, apply_symmetry,
-                             consecutive_renumbering, is_consecutive,
-                             is_stacked, orbit_canonical_form, parse_matrix)
+                             consecutive_renumbering, has_smaller_stacked_image,
+                             is_consecutive, is_stacked, orbit_canonical_form,
+                             parse_matrix, smaller_in_next_row)
 
 from oracles import brute_force_pairing_matrices
+
+MIRROR_POOL = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "perfbench", "data", "mirror-5x5.json.xz")
 
 
 def leaves(rows, cols, **cfg):
@@ -109,6 +118,129 @@ class TestEnumerate:
         assert {m.flat for m in leaves(3, 5)} == expected
 
 
+def _slice(dims, depth, step):
+    """Every `step`-th node `depth` cells deep, as a checkpoint to resume."""
+    cp = split_frontier(GridDims(*dims), depth)
+    return SearchCheckpoint(cp.dims, depth, cp.frontier[::step])
+
+
+class TestStabiliserTest:
+    """Inside a row the search tests a child against the stabiliser of the
+    rows above (`smaller_in_next_row`); a child that completes a row gets it
+    together with the full test restricted to symmetries that move the new
+    row.  Both must give has_smaller_stacked_image's verdict at every node."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = {"partial": 0, "whole": 0, "smaller": 0}
+        dims = {}
+
+        def oracle(flat, base, part_len, stab):
+            got = smaller_in_next_row(flat, base, part_len, stab)
+            rows, cols = dims["rows"], dims["cols"]
+            filled = base + part_len - 1
+            want = has_smaller_stacked_image(list(flat), rows, cols, filled)
+            if part_len < cols:
+                calls["partial"] += 1
+                assert got == want, (flat, part_len)
+            else:
+                calls["whole"] += 1
+                moved = has_smaller_stacked_image(list(flat), rows, cols, filled,
+                                                  moved_last_row=True)
+                assert (got or moved) == want, flat
+            calls["smaller"] += got
+            return got
+
+        monkeypatch.setattr(enumerate_module, "smaller_in_next_row", oracle)
+
+        def run(rows, cols, depth=None, step=None):
+            dims.update(rows=rows, cols=cols)
+            if depth is None:
+                return [m.flat for m in enumerate_pairings(GridDims(rows, cols))]
+            return [m.flat for m in resume(_slice((rows, cols), depth, step))]
+        run.calls = calls
+        return run
+
+    @pytest.mark.parametrize("cols", [3, 5, 7])
+    def test_every_node_of_3xc(self, checked, cols):
+        assert checked(3, cols) == [m.flat for m in leaves(3, cols)]
+        assert checked.calls["partial"] > 0 and checked.calls["whole"] > 0
+        if cols > 3:
+            assert checked.calls["smaller"] > 0
+
+    def test_a_3x9_frontier_slice(self, checked):
+        got = checked(3, 9, 19, 64)
+        assert len(got) > 1000 and checked.calls["smaller"] > 100
+
+    def test_a_5x5_frontier_slice(self, checked):
+        got = checked(5, 5, 14, 1000)
+        assert len(got) > 1000 and checked.calls["smaller"] > 10
+
+    @pytest.mark.parametrize("dims, depth, step", [((3, 5), 9, 1), ((5, 5), 14, 40)])
+    def test_recorded_ties_are_the_stabiliser(self, dims, depth, step):
+        # the column maps of the symmetries that renumber a whole-row node to
+        # itself, found by applying every symmetry
+        rows, cols = dims
+        whole = (depth + 1) // cols - 1
+        checked = 0
+        for flat in split_frontier(GridDims(*dims), depth).frontier[::step]:
+            ties = []
+            if has_smaller_stacked_image(flat, rows, cols, depth, ties=ties):
+                continue  # a fresh label completed the row, and it is not canonical
+            node = PartialPairingMatrix(GridDims(*dims), flat)
+            want = set()
+            for g in all_symmetries(node.dims):
+                if max(g.row_perm[:whole + 1]) > whole:
+                    continue
+                if consecutive_renumbering(apply_symmetry(node, g)).flat == flat:
+                    colmap = tuple(sorted(range(cols), key=g.col_perm.__getitem__))
+                    want.add((g.row_perm[:whole + 1], colmap))
+            assert sorted(colmap for colmap, _ in ties) == sorted(c for _, c in want)
+            checked += len(ties) > 1
+        assert checked > 0
+
+
+class TestTrustedLeaves:
+    @pytest.mark.parametrize("cols", [3, 5, 7])
+    def test_every_leaf_passes_full_validation(self, cols):
+        # the search builds its leaves without re-checking them
+        dims = GridDims(3, cols)
+        count = 0
+        for stream in (enumerate_pairings(dims), resume(split_frontier(dims, cols + 2))):
+            for m in stream:
+                assert type(m) is PairingMatrix and type(m.dims) is GridDims
+                assert type(m.flat) is tuple
+                _validate_flat(m.dims, m.flat, complete=True)
+                count += 1
+        assert count == 2 * len(leaves(3, cols))
+
+
+class TestFirstColumnBound:
+    def test_3x3_bounded_stream_is_the_mirror_stream(self):
+        bounded = [m.flat for m in leaves(3, 3, first_column_below=3)]
+        assert bounded == [m.flat for m in leaves(3, 3) if _forces_syntactic(m)]
+        assert bounded
+
+    def test_only_the_bounded_leaves_are_cut(self):
+        def below(flat, cols, bound):
+            return all(flat[r * cols] < bound for r in range(1, len(flat) // cols))
+        for rows, cols, bound in ((3, 5, 5), (3, 5, 4), (3, 7, 7)):
+            want = [m.flat for m in leaves(rows, cols) if below(m.flat, cols, bound)]
+            assert [m.flat for m in leaves(rows, cols, first_column_below=bound)] == want
+            assert [m.flat for m in leaves(rows, cols, first_column_below=bound,
+                                           split_depth=cols + 3)] == want
+
+    def test_5x5_bounded_stream_is_the_mirror_pool(self):
+        # the pool holds every rank-5x5 mirror-form class in enumeration order
+        with lzma.open(MIRROR_POOL, "rt") as fh:
+            keys = [key for key, *_ in json.load(fh)["classes"]]
+        digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+        got = ["".join(digits[v] for v in m.flat[1:])
+               for m in leaves(5, 5, first_column_below=5)]
+        assert len(got) == 1889
+        assert got == keys
+
+
 class TestSplitResume:
     def test_depth_zero_single_empty_item(self):
         cp = split_frontier(GridDims(3, 3), 0)
@@ -163,8 +295,8 @@ class TestSplitResume:
         assert got + rest == [m.flat for m in leaves(3, 5)]
 
     def test_budgeted_retries_always_advance(self):
-        # the one item of this split takes 54 515 nodes, and two of its
-        # consecutive leaves lie 4 977 nodes apart: neither walking past the
+        # the one item of this split takes 24 771 nodes, and two of its
+        # consecutive leaves lie 2 405 nodes apart: neither walking past the
         # emitted leaves nor the way to the next one may eat a retry's budget
         cp = split_frontier(GridDims(3, 7), 2)
         config = EnumerationConfig(max_nodes=2000)

@@ -14,9 +14,11 @@ from gridgroups.present import (Presentation, PresentationError, concat,
                                 presentation_from_matrix, simplify_presentation)
 from gridgroups.rewrite import RewriteSystem
 from gridgroups.smallgroups import catalog, identify_small_group
-from gridgroups.wordprob import Budgets, GroupToolbox, _table_target, hom_targets
+from gridgroups.wordprob import (Budgets, GroupToolbox, _table_target, hom_targets,
+                                 search_hom)
 
-from oracles import BucketRewriteSystem, TailBuckets, invariant_factors_by_minors
+from oracles import (BucketRewriteSystem, TailBuckets, closure_search_hom,
+                     invariant_factors_by_minors)
 from reference_tables import HAND_PROOFS, RANK_3x3, RANK_3x5, RANK_3x7_INFINITE
 
 
@@ -279,6 +281,37 @@ class TestWordProblem:
             assert [[target.mult(a, b) for b in elems] for a in elems] \
                 == [[fresh.mult(a, b) for b in elems] for a in elems]
             assert [target.inv(a) for a in elems] == [fresh.inv(a) for a in elems]
+
+
+def _separates_x(target, images):
+    return images[0] != target.identity
+
+
+class TestSearchHom:
+    PRESENTATIONS = [
+        Presentation(("x", "y"), ((1, 1), (2, 2, 2), (1, 2, 1, 2))),  # Sym3
+        Presentation(("x", "y", "z"), ((1, 2, -1, -2), (3, 3), (1, 3, 1, 3, 1, 3))),
+        Presentation(("x",), ((1,),)),  # trivial: no separating image anywhere
+    ]
+
+    @pytest.mark.parametrize("pres", PRESENTATIONS)
+    def test_same_order_and_charges_as_the_closure_search(self, pres):
+        targets = hom_targets(4)
+        for budget in list(range(1, 120)) + [500, 5000, 50_000]:
+            assert search_hom(pres, targets, _separates_x, budget) \
+                == closure_search_hom(pres, targets, _separates_x, budget), budget
+
+    def test_a_call_leaves_no_reference_cycle(self):
+        import gc
+        targets = hom_targets(4)
+        gc.collect()
+        gc.disable()
+        try:
+            for pres in self.PRESENTATIONS:
+                search_hom(pres, targets, _separates_x, 5000)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestElementOrder:
