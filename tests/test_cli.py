@@ -273,15 +273,15 @@ class TestBadInput:
         (["classify", "--rows", "3", "--cols", "5", "--workers", "-2"], "--workers"),
         (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--workers", "2"],
          "does not apply to --from"),
-        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"),
-          "--rows", "3", "--cols", "5"], "do not apply to --from"),
-        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--cols", "3"],
-         "do not apply to --from"),
         (["lab", "4"], "4 is not prime"),
         (["lab", "0"], "must be a positive integer, got 0"),
         (["lab", "-3"], "must be a positive integer, got -3"),
         (["enumerate", "--rows", "3", "--cols", "3", "--max-nodes", "0"], "--max-nodes"),
         (["enumerate", "--rows", "3", "--cols", "3", "--max-nodes", "-5"], "--max-nodes"),
+        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"),
+          "--rows", "3", "--cols", "5"], "do not apply to --from"),
+        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--cols", "3"],
+         "do not apply to --from"),
     ])
     def test_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
