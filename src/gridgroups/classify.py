@@ -8,18 +8,18 @@ budget is reported undecided, with the budgets it was given.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .abelian import AbelianInvariants
+from .abelian import Abelianization, AbelianInvariants
 from .coset import (CosetEnumeration, CosetTable, GroupFingerprint, fingerprint,
                     todd_coxeter)
 from .grid import (GridDims, GridError, Pairing, PairingMatrix, column_connected,
                    format_matrix, orbit_canonical_form, parse_matrix,
                    proper_invariant_subgrids, row_connected)
 from .groupring import DirectFinitenessReport, verify_direct_finiteness
-from .present import (Presentation, Word, format_word, free_reduce,
-                      generator_families, presentation_from_matrix)
+from .present import (Presentation, Word, eliminate_generators, format_word,
+                      free_reduce, generator_families, presentation_from_matrix)
 from .rewrite import RewriteSystem
 from .smallgroups import identify_small_group
 from .wordprob import Budgets, GroupToolbox
@@ -64,11 +64,11 @@ class ClassificationRecord:
     annotations: tuple[str, ...] = ()
 
 
-def _degeneracy_from_table(table: CosetTable, dims: GridDims, translate=None):
+def _degeneracy_from_table(table: CosetTable, dims: GridDims):
     for fam in generator_families(dims):
         seen: dict[int, str] = {}
         for name, word in fam:
-            e = table.element(word if translate is None else translate(word))
+            e = table.element(word)
             if e in seen:
                 return (seen[e], name, "same element of the closed coset table")
             seen[e] = name
@@ -88,36 +88,34 @@ def _first_unseparated(toolbox: GroupToolbox, dims: GridDims) -> Optional[tuple[
 
 
 def _first_pass(toolbox: GroupToolbox, dims: GridDims):
-    """The class's first coset run, watching both generator families, and
-    its abelian invariants.
+    """The class's first coset run, and its abelian invariants, chosen by the
+    free rank of the abelianisation of a cheaply eliminated presentation.
 
-    A pause with free rank > 0 may end the pass.  The group is infinite, so
-    the run to the limit would not close, and _degeneracy_partial would
-    report the first pair p that the abelianisation does not separate, met
-    by a coincidence: every earlier pair is provably distinct, and
-    coincidences persist.  Once p has met (watched alone if need be), the
-    paused run gives that witness.  Any other run goes on to its limit, and
-    to max_cosets when it leaves a group of free rank 0 open."""
+    Free rank 0: the eliminated presentation is enumerated to the first-pass
+    limit, and a closed table over it, reading the original generators
+    through their images, is the pass.  Otherwise the pass is the raw run to
+    max_cosets, unwatched, where the pass over the raw presentation has
+    always ended for a group of free rank 0.
+
+    Free rank > 0: the group is infinite, so the raw run to the limit would
+    not close, and _degeneracy_partial would report the first pair p that
+    the abelianisation does not separate, met by a coincidence: every
+    earlier pair is provably distinct, and coincidences persist.  So the run
+    watches p alone and pauses once p has met; without p it runs to the
+    limit unwatched."""
     budgets = toolbox.budgets
     limit = min(TC_FIRST_PASS, budgets.max_cosets)
-    first = toolbox.coset_run(limit, watch=[[w for _, w in fam]
-                                            for fam in generator_families(dims)])
-    if first.status == "paused":
-        inv = toolbox.abelianization.invariants
-        pair = _first_unseparated(toolbox, dims) if inv.free_rank > 0 else None
-        if pair is not None and first.equal_words(*pair):
-            return first, inv
-        first = toolbox.coset_run(limit, watch=[pair] if pair else ())
-        if first.status == "paused":
-            return first, inv
-    if first.status == "complete" and first.table.coset_count == 1:
-        inv = AbelianInvariants(0, ())  # the trivial group: no Smith form needed
-    else:
-        inv = toolbox.abelianization.invariants
-        if first.status != "complete" and inv.free_rank == 0 \
-                and budgets.max_cosets > TC_FIRST_PASS:
-            first = toolbox.coset_run(budgets.max_cosets)
-    return first, inv
+    eliminated = eliminate_generators(toolbox.presentation)
+    inv = Abelianization(eliminated.presentation).invariants
+    if inv.free_rank == 0:
+        run = todd_coxeter(eliminated.presentation, max_cosets=limit)
+        if run.status == "complete":
+            t = run.table
+            return replace(run, table=CosetTable(t.ngens, t.action, t.presentation,
+                                                 eliminated.images)), inv
+        return toolbox.coset_run(budgets.max_cosets), inv
+    pair = _first_unseparated(toolbox, dims)
+    return toolbox.coset_run(limit, watch=[pair] if pair else ()), inv
 
 
 def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration):
@@ -211,9 +209,9 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
                 verdict = Verdict("infinite", abelian=toolbox.is_abelian(),
                                   evidence=f"abelianisation has free rank {inv.free_rank}")
             else:
-                for kb, translate in ((toolbox.rewriting, None),
-                                      (toolbox.rewriting_simplified,
-                                       toolbox.simplify_word)):
+                for kb, images in ((toolbox.rewriting, None),
+                                   (toolbox.rewriting_simplified,
+                                    toolbox.simplified.images)):
                     if not kb.confluent:
                         continue
                     kind, count = kb.language()
@@ -221,10 +219,10 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
                         verdict = Verdict("infinite", abelian=toolbox.is_abelian(),
                                           evidence="confluent system with infinitely many normal forms")
                         break
-                    table = _table_from_rewriting(kb)
+                    table = _table_from_rewriting(kb, images)
                     if table is None:
                         continue
-                    witness = _degeneracy_from_table(table, dims, translate=translate)
+                    witness = _degeneracy_from_table(table, dims)
                     if witness is not None:
                         verdict = Verdict("degenerate", witness=witness)
                     else:
@@ -240,13 +238,11 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
 
     dfc = None
     ic = None
-    translate = None if (table is None or table.presentation is pres) \
-        else toolbox.simplify_word
     forces: Optional[bool] = False if dims.rows != dims.cols else None
     if verdict.kind == "finite":
-        dfc = verify_direct_finiteness(pairing, table, translate=translate)
+        dfc = verify_direct_finiteness(pairing, table)
         if dims.rows == dims.cols:
-            forces = _forces_from_table(table, dims, translate=translate)
+            forces = _forces_from_table(table, dims)
         ic = TorsionQuotientReport(
             torsion_words=(), iterations=0, quotient_abelian=True,
             collision=("a", "1", "a1"),
@@ -267,7 +263,8 @@ def classify(pairing: Pairing, budgets: Budgets = Budgets()) -> ClassificationRe
     return classify_matrix(pairing.canonical_matrix(), budgets)
 
 
-def _table_from_rewriting(kb: RewriteSystem) -> Optional[CosetTable]:
+def _table_from_rewriting(kb: RewriteSystem,
+                          images: Optional[tuple[Word, ...]] = None) -> Optional[CosetTable]:
     kind, count = kb.language()
     if kind != "finite" or count > 4096:
         return None
@@ -279,13 +276,12 @@ def _table_from_rewriting(kb: RewriteSystem) -> Optional[CosetTable]:
     action = []
     for w in sorted(forms, key=lambda w: (len(w), w)):
         action.append([index[kb.reduce(w + bytes((d,)))] for d in range(nd)])
-    # the rewriting presentation is the simplified one: keep it attached
-    return CosetTable(kb.presentation.generator_count, action, kb.presentation)
+    return CosetTable(kb.presentation.generator_count, action, kb.presentation, images)
 
 
-def _forces_from_table(table: CosetTable, dims: GridDims, translate=None) -> bool:
-    a_set, b_set = ({table.element(w if translate is None else translate(w))
-                     for _, w in fam} for fam in generator_families(dims))
+def _forces_from_table(table: CosetTable, dims: GridDims) -> bool:
+    a_set, b_set = ({table.element(w) for _, w in fam}
+                    for fam in generator_families(dims))
     return a_set == b_set
 
 

@@ -524,9 +524,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.from_file is not None and (args.rows, args.cols) != (None, None):
             parser.error("--rows and --cols choose a rank to search; they do not apply to --from")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except InputError as exc:
         parser.exit(1, f"gridgroups {args.command}: error: {exc}\n")
+    except BrokenPipeError:
+        # the reader closed standard output early (as `| head` does): stop
+        # quietly, and point the descriptor at devnull so that the
+        # interpreter's last flush of what is left buffered cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

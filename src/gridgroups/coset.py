@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .abelian import AbelianInvariants, invariants_from_order_counts
-from .present import (Presentation, Word, free_reduce, letters_to_word,
+from .present import (Presentation, Word, free_reduce, invert, letters_to_word,
                       word_to_letters)
 
 UNDEF = -1
@@ -257,12 +257,21 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
 
 
 class CosetTable:
-    """Completed enumeration: each generator acts as a permutation of cosets."""
+    """Completed enumeration: each generator acts as a permutation of cosets.
 
-    def __init__(self, ngens: int, action: list[list[int]], pres: Optional[Presentation] = None):
+    `trace` reads words over the table's own generators.  A table enumerated
+    over a presentation with eliminated generators takes `images`, for each
+    original generator a word over the table's generators, and `element`
+    then reads words over the original generators through them.
+    """
+
+    def __init__(self, ngens: int, action: list[list[int]], pres: Optional[Presentation] = None,
+                 images: Optional[Sequence[Word]] = None):
         self.ngens = ngens
         self.action = action
         self.presentation = pres
+        self.images = images
+        self._image_letters: dict[int, bytes] = {}  # letter -> its image's path
         self._letters: Optional[list[bytes]] = None
         self._words: Optional[list[Word]] = None
         self._inv: Optional[list[int]] = None
@@ -282,7 +291,18 @@ class CosetTable:
         return coset
 
     def element(self, word: Word) -> int:
-        return self.trace(0, word)
+        """The coset of a word, over the original generators when the table
+        has `images`."""
+        if self.images is None:
+            return self.trace(0, word)
+        coset = 0
+        for x in word:
+            letters = self._image_letters.get(x)
+            if letters is None:
+                image = self.images[x - 1] if x > 0 else invert(self.images[-x - 1])
+                letters = self._image_letters[x] = word_to_letters(image)
+            coset = self._follow(coset, letters)
+        return coset
 
     def check_closed(self) -> bool:
         """Every relator acts trivially from every coset."""

@@ -207,19 +207,18 @@ class DirectFinitenessReport:
     ba_is_one: bool
 
 
-def verify_direct_finiteness(pairing, table: CosetTable,
-                             translate=None) -> DirectFinitenessReport:
+def verify_direct_finiteness(pairing, table: CosetTable) -> DirectFinitenessReport:
     """Multiply the two support sums both ways in the mod-2 group ring.
 
     The left product equal to one is a construction sanity check; the right
     product is the verdict under test.  Requires distinct generator images
     (a degenerate pairing does not define the intended element pair).
-    `translate` maps generator words into the table's alphabet when the
-    table was built over eliminated generators.
+    The generators are read through the table's `element`, so a table over
+    eliminated generators must carry their images.
     """
     rows, cols = pairing.dims
-    a_elems, b_elems = ([table.element(w if translate is None else translate(w))
-                         for _, w in fam] for fam in generator_families(pairing.dims))
+    a_elems, b_elems = ([table.element(w) for _, w in fam]
+                        for fam in generator_families(pairing.dims))
     if len(set(a_elems)) != rows or len(set(b_elems)) != cols:
         raise GroupRingError("generator images collide: pairing is degenerate")
     a = GroupRingElement(2, table, {g: 1 for g in a_elems})

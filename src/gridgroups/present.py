@@ -185,8 +185,8 @@ def presentation_from_matrix(mat) -> Presentation:
         if len(cells[label]) != 2:
             raise PresentationError(f"label {label} does not occur twice")
         (i, j), (k, l) = cells[label]
-        relators.append(concat(a_fam[i][1], b_fam[j][1], invert(b_fam[l][1]),
-                               invert(a_fam[k][1])))
+        # Presentation reduces each relator freely
+        relators.append(a_fam[i][1] + b_fam[j][1] + invert(a_fam[k][1] + b_fam[l][1]))
     return Presentation(names, tuple(relators))
 
 
@@ -274,3 +274,80 @@ def simplify_presentation(pres: Presentation, max_length: int = 2000) -> Simplif
     new_pres = Presentation(tuple(pres.names[i] for i in keep),
                             tuple(remap_word(r) for r in relators))
     return SimplifiedPresentation(new_pres, tuple(remap_word(w) for w in images))
+
+
+def _substitute_cyclic(word: Word, gen: int, repl: Word, inv_repl: Word) -> Word:
+    """The word with gen replaced by repl, cyclically reduced."""
+    out: list[int] = []
+    for x in word:
+        if x == gen or x == -gen:
+            for y in repl if x == gen else inv_repl:
+                if out and out[-1] == -y:
+                    out.pop()
+                else:
+                    out.append(y)
+        elif out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == -out[j]:
+        i += 1
+        j -= 1
+    return tuple(out[i:j + 1])
+
+
+def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
+    """A cheap greedy Tietze pass, for coset enumeration.
+
+    It takes a shortest relator that has a generator occurring once, and of
+    those generators the highest: in a grid group's presentation the column
+    generators come last, and each occurs in fewer relators than a row
+    generator.  It substitutes it only into the relators that contain it,
+    and composes the images of the original generators once, at the end.
+    Unlike simplify_presentation it keeps no canonical order and removes no
+    duplicate relators, so it is faster, but it gives a different
+    presentation of the same group.
+    """
+    n = pres.generator_count
+    # a presentation's relators are freely reduced, so none of these is empty
+    relators = [cyclic_reduce(r) if r[0] == -r[-1] else r for r in pres.relators if r]
+    eliminated: list[tuple[int, Word]] = []  # (generator, its word), in order
+    while True:
+        for rel in sorted(relators, key=len):
+            once = [abs(x) for x in rel if rel.count(x) + rel.count(-x) == 1]
+            if once:
+                break
+        else:
+            break
+        g = max(once)
+        relators.remove(rel)
+        pos = rel.index(g) if g in rel else rel.index(-g)
+        rot = rel[pos:] + rel[:pos]
+        repl = invert(rot[1:]) if rot[0] == g else rot[1:]
+        eliminated.append((g, repl))
+        inv_repl = invert(repl)
+        kept = []
+        for r in relators:
+            if g in r or -g in r:
+                r = _substitute_cyclic(r, g, repl, inv_repl)
+                if not r:
+                    continue
+            kept.append(r)
+        relators = kept
+
+    images: list[Word] = [(i + 1,) for i in range(n)]
+    inverses: list[Word] = [(-i - 1,) for i in range(n)]
+    for g, repl in reversed(eliminated):
+        # repl names only survivors and generators eliminated after g
+        image = concat(*(images[x - 1] if x > 0 else inverses[-x - 1] for x in repl))
+        images[g - 1], inverses[g - 1] = image, invert(image)
+    done = {g for g, _ in eliminated}
+    keep = [i for i in range(n) if i + 1 not in done]
+    remap: dict[int, int] = {}
+    for new, old in enumerate(keep, 1):
+        remap[old + 1], remap[-old - 1] = new, -new
+    return SimplifiedPresentation(
+        Presentation(tuple(pres.names[i] for i in keep),
+                     tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
+        tuple(tuple(map(remap.__getitem__, w)) for w in images))

@@ -42,6 +42,27 @@ RANK_3x9_INFINITE_INVARIANTS = {(1, (4,)), (1, (2,))}
 # sha256 of the output of `gridgroups enumerate --rows 3 --cols 9`: all
 # 215 824 classes, one matrix line each, in emission order
 RANK_3x9_ENUMERATE_SHA256 = "f994119eda0d85b9cd4af517bd9f387cd6334443185ac45d75e5f7416af2a9f1"
+# sha256 of the output of `gridgroups classify --rows 3 --cols 9
+# --max-cosets 20000 --kb-max-rules 1500`, serial or with workers: all
+# 215 824 records
+RANK_3x9_CLASSIFY_SHA256 = "874b9a8db4da71aaa8fc4a27c33743605a6ddbc08227b98f8842411d9b0d6b4f"
+# sha256 of the output of `gridgroups classify --rows 3 --cols 7
+# --max-cosets 20000 --kb-max-rules 1500`: all 3 403 records
+RANK_3x7_CLASSIFY_SHA256 = "7e05cb7c33c4e8434e743a2e2ccd2e6fe7f3b7ee07566007a6faba71cf8f5d6d"
+# the 3x9 classes whose raw presentation does not close within 20 000
+# cosets, while the presentation left by eliminate_generators closes within
+# 1 500; all are degenerate with witness a1 = a2
+RANK_3x9_CLOSED_ONLY_ELIMINATED = [
+    "x 1 2 3 4 5 6 7 8\n" + rows for rows in (
+        "9 2 3 4 5 10 11 12 13\n10 9 11 12 13 6 7 8 1",
+        "9 2 3 4 5 10 11 12 13\n11 10 9 12 13 6 7 8 1",
+        "9 2 3 4 5 10 11 12 13\n11 10 12 9 13 7 8 6 1",
+        "9 2 3 4 5 10 11 12 13\n11 10 12 13 9 7 1 8 6",
+        "9 2 3 10 5 11 7 12 13\n10 11 13 4 12 8 9 1 6",
+        "9 2 3 10 5 11 7 12 13\n11 9 13 4 12 8 10 1 6",
+        "9 2 3 10 5 11 7 12 13\n11 12 13 6 10 1 9 8 4",
+        "9 2 3 10 5 11 7 12 13\n13 11 9 4 12 8 10 1 6",
+    )]
 
 # rank 3x11 headline counts (stretch)
 RANK_3x11_CLASSES = 29

@@ -5,6 +5,7 @@ Each criterion prints one PASS line on success (visible with -s / -rA);
 stretch runs sit behind GRIDGROUPS_LONG_TESTS=1 and the `long` marker.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -28,6 +29,7 @@ from oracles import brute_force_pairing_matrices
 from reference_tables import (HAND_PROOFS, NON_AMENABLE_5x5, RANK_3x3,
                               RANK_3x5, RANK_3x7_FINITE_ORDERS,
                               RANK_3x7_INFINITE, RANK_3x9_CLASSES,
+                              RANK_3x9_CLASSIFY_SHA256,
                               RANK_3x9_INFINITE, RANK_3x9_INFINITE_INVARIANTS,
                               RANK_3x11_CLASSES, RANK_3x11_INFINITE,
                               RANK_3x11_INFINITE_INVARIANTS,
@@ -124,6 +126,7 @@ def test_criterion_04_and_08_rank_3x9(tmp_path):
     assert cli_main(["classify", "--rows", "3", "--cols", "9",
                      "--out", str(rec_path), "--max-cosets", "20000",
                      "--kb-max-rules", "1500", "--workers", workers]) == 0
+    assert hashlib.sha256(rec_path.read_bytes()).hexdigest() == RANK_3x9_CLASSIFY_SHA256
     docs = [json.loads(l) for l in rec_path.read_text().splitlines()]
     kinds = Counter(d["verdict"]["kind"] for d in docs)
     assert kinds["undecided"] == 0

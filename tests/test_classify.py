@@ -13,18 +13,23 @@ from gridgroups.classify import (ClassificationRecord, classify,
 from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import (GridDims, GridError, format_matrix,
                              orbit_canonical_form, parse_matrix)
-from gridgroups.present import Presentation, parse_word, presentation_from_matrix
+from gridgroups.present import (Presentation, eliminate_generators, parse_word,
+                                presentation_from_matrix)
 from gridgroups.wordprob import Budgets, GroupToolbox
 
 from oracles import reference_first_pass, reference_torsion_quotient_report
 from reference_tables import (MIRROR_5x5_SLICE, NON_AMENABLE_5x5, RANK_3x3,
-                              RANK_3x5, RANK_3x7_INFINITE)
+                              RANK_3x5, RANK_3x7_INFINITE,
+                              RANK_3x9_CLOSED_ONLY_ELIMINATED)
 
 QUICK = Budgets(max_cosets=20_000, kb_max_rules=1500)
 
-# a degenerate class whose first pass pauses (b4 meets the identity) and is
-# continued, its free rank being 0, until it closes
-PAUSES_WITH_FREE_RANK_0 = "x 1 2 3 4\n1 2 5 6 7\n3 6 4 7 5"
+# a degenerate class of free rank 0 whose group closes over the eliminated
+# presentation (over the raw one a run watching both families pauses, b4
+# meeting the identity, and must be continued until it closes)
+DEGENERATE_FREE_RANK_0 = "x 1 2 3 4\n1 2 5 6 7\n3 6 4 7 5"
+# a class whose presentation eliminates to no generators at all
+ELIMINATES_TO_NO_GENERATORS = "x 1 2 3 4\n1 2 5 6 7\n3 5 7 4 6"
 
 
 class TestClassify:
@@ -177,32 +182,33 @@ class TestTorsionQuotient:
         assert completions and max(completions.values()) == 1
 
     def test_no_presentation_is_enumerated_twice_to_one_limit(self, monkeypatch):
-        """Counted per (presentation, limit) over an infinite class, and over
-        a degenerate one whose first pass pauses and, its free rank being 0,
-        is continued: a continuation goes on with the paused run, so it is
-        not a second enumeration."""
+        """Counted per (presentation, limit) over the toolbox's runs and the
+        first pass's own, over an infinite class and over a degenerate class
+        of free rank 0, whose first pass enumerates the eliminated
+        presentation and makes no run over the raw one.  A continuation goes
+        on with a paused run, so it is not a second enumeration."""
         runs = Counter()
-        continued = []
         real = wordprob.todd_coxeter
 
         def counting(pres, max_cosets, watch=(), resume=None):
             if resume is None:
                 runs[pres.relators, max_cosets] += 1
-            else:
-                continued.append(resume.status)
             return real(pres, max_cosets=max_cosets, watch=watch, resume=resume)
 
         monkeypatch.setattr(wordprob, "todd_coxeter", counting)
+        monkeypatch.setattr(classify_module, "todd_coxeter", counting)
         rec = classify_matrix(parse_matrix(RANK_3x7_INFINITE[0][0]), QUICK,
                               assume_canonical=False)
         assert rec.verdict.kind == "infinite" and rec.ic is not None
         assert runs and max(runs.values()) == 1
         runs.clear()
-        rec = classify_matrix(parse_matrix(PAUSES_WITH_FREE_RANK_0), QUICK)
+        mat = parse_matrix(DEGENERATE_FREE_RANK_0)
+        rec = classify_matrix(mat, QUICK)
         assert rec.verdict.kind == "degenerate"
         assert rec.abelian_invariants.free_rank == 0
-        assert continued == ["paused"]
-        assert list(runs.values()) == [1]
+        raw = presentation_from_matrix(mat).relators
+        assert runs and all(relators != raw for relators, _ in runs)
+        assert max(runs.values()) == 1
 
     def test_final_test_enumerates_further_when_the_first_pass_is_undecided(
             self, monkeypatch):
@@ -231,11 +237,14 @@ class TestTorsionQuotient:
 
 
 class TestFirstPass:
-    """The first pass that ends at a pause against the unwatched first pass
+    """The first pass that enumerates an eliminated presentation, or ends at
+    a pause, against the unwatched first pass over the raw presentation that
     it replaced (`oracles.reference_first_pass`): the same record bytes."""
 
     @staticmethod
-    def assert_same_records(monkeypatch, mats):
+    def records(monkeypatch, mats):
+        """Each matrix's record from the first pass and from the oracle, and
+        the statuses the first pass ended in."""
         real = classify_module._first_pass
         ended = Counter()
 
@@ -245,10 +254,14 @@ class TestFirstPass:
             return run, inv
 
         monkeypatch.setattr(classify_module, "_first_pass", first_pass)
-        fast = [record_to_json(classify_matrix(m, QUICK)) for m in mats]
+        fast = [classify_matrix(m, QUICK) for m in mats]
         monkeypatch.setattr(classify_module, "_first_pass", reference_first_pass)
-        for mat, line in zip(mats, fast):
-            assert line == record_to_json(classify_matrix(mat, QUICK)), format_matrix(mat)
+        return fast, [classify_matrix(m, QUICK) for m in mats], ended
+
+    def assert_same_records(self, monkeypatch, mats):
+        fast, reference, ended = self.records(monkeypatch, mats)
+        for mat, rec, ref in zip(mats, fast, reference):
+            assert record_to_json(rec) == record_to_json(ref), format_matrix(mat)
         return ended
 
     @pytest.mark.parametrize("cols", [3, 5, 7])
@@ -265,6 +278,29 @@ class TestFirstPass:
                                                for r in range(0, 25, 5))))
         ended = self.assert_same_records(monkeypatch, mats)
         assert ended["paused"] > 0 and ended["exhausted"] > 0
+
+    def test_a_class_that_eliminates_to_no_generators(self, monkeypatch):
+        mat = parse_matrix(ELIMINATES_TO_NO_GENERATORS)
+        pres = presentation_from_matrix(mat)
+        assert eliminate_generators(pres).presentation.generator_count == 0
+        run, inv = classify_module._first_pass(GroupToolbox(pres, QUICK), GridDims(3, 5))
+        assert run.status == "complete" and run.table.coset_count == 1
+        assert inv == AbelianInvariants(0, ())
+        self.assert_same_records(monkeypatch, [mat])
+
+    def test_classes_that_close_only_when_eliminated(self, monkeypatch):
+        """The raw presentation does not close within max_cosets, so the
+        oracle proves a1 = a2 by rewriting; the eliminated one closes, and
+        the record changes in the witness's provenance alone."""
+        mats = [parse_matrix(text) for text in RANK_3x9_CLOSED_ONLY_ELIMINATED]
+        fast, reference, ended = self.records(monkeypatch, mats)
+        assert ended == {"complete": len(mats)}
+        for mat, rec, ref in zip(mats, fast, reference):
+            assert rec.verdict.witness == ("a1", "a2", "same element of the closed coset table")
+            assert ref.verdict.witness == ("a1", "a2", "common rewriting reduct")
+            assert record_to_json(rec) == record_to_json(ref).replace(
+                "common rewriting reduct", "same element of the closed coset table"), \
+                format_matrix(mat)
 
 
 class TestFamily:

@@ -404,3 +404,20 @@ class TestEntryPoint:
                               cwd=os.path.dirname(os.path.dirname(__file__)))
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == 3
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("command", ["enumerate", "classify"])
+    def test_reader_closing_early_gives_no_traceback(self, command):
+        """`gridgroups ... | head -1`: the command stops quietly, with a
+        nonzero status, once its reader has gone."""
+        proc = subprocess.Popen([sys.executable, "-m", "gridgroups.cli", command,
+                                 "--rows", "3", "--cols", "7"],
+                                env=dict(os.environ, PYTHONPATH=SRC),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 0
+        assert err == b""

@@ -9,8 +9,9 @@ from gridgroups.coset import CosetTable, fingerprint, todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import GridDims, parse_matrix
 from gridgroups.present import (Presentation, PresentationError, concat,
-                                format_presentation, format_word, free_reduce,
-                                invert, parse_presentation, parse_word,
+                                eliminate_generators, format_presentation,
+                                format_word, free_reduce, invert,
+                                parse_presentation, parse_word,
                                 presentation_from_matrix, simplify_presentation)
 from gridgroups.rewrite import RewriteSystem
 from gridgroups.smallgroups import catalog, identify_small_group
@@ -203,6 +204,64 @@ class TestSimplify:
         for orig_idx, image in enumerate(sp.images):
             elt_order = run.table.order_of(run.table.element((orig_idx + 1,)))
             assert t2.order_of(t2.element(image)) == elt_order
+
+
+def check_elimination(pres, limit=2000):
+    """eliminate_generators presents the same group: it keeps the abelian
+    invariants; in a closed table of the eliminated presentation every
+    original relator, read through the images, is trivial; in a closed table
+    of the raw one every eliminated relator is trivial and every generator
+    equals its image; and the orders agree.  Whether the eliminated
+    presentation closed."""
+    sp = eliminate_generators(pres)
+    new = sp.presentation
+    back = [pres.names.index(name) + 1 for name in new.names]
+
+    def original(word):
+        return tuple(back[x - 1] if x > 0 else -back[-x - 1] for x in word)
+
+    assert Abelianization(new).invariants == Abelianization(pres).invariants
+    assert [sp.images[g - 1] for g in back] == [(k,) for k in range(1, len(back) + 1)]
+    run = todd_coxeter(new, max_cosets=limit)
+    raw = todd_coxeter(pres, max_cosets=limit)
+    if run.status == "complete":
+        table = CosetTable(run.table.ngens, run.table.action, new, sp.images)
+        assert all(table.element(rel) == 0 for rel in pres.relators)
+    if raw.status == "complete":
+        t = raw.table
+        assert all(t.element(original(rel)) == 0 for rel in new.relators)
+        assert all(t.element((g,)) == t.element(original(sp.images[g - 1]))
+                   for g in range(1, pres.generator_count + 1))
+        if run.status == "complete":
+            assert run.table.coset_count == t.coset_count
+    return run.status == "complete"
+
+
+class TestEliminate:
+    @pytest.mark.parametrize("cols", [3, 5, 7])
+    def test_every_class_of_rank_3xn(self, cols):
+        mats = list(enumerate_pairings(GridDims(3, cols)))
+        closed = sum(check_elimination(presentation_from_matrix(m)) for m in mats)
+        assert closed > len(mats) // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=8),
+                 min_size=1, max_size=4))))
+    def test_random_presentations(self, gens_and_relators):
+        n, relators = gens_and_relators
+        pres = Presentation(tuple(f"x{k}" for k in range(1, n + 1)),
+                            tuple(tuple(r) for r in relators))
+        check_elimination(pres, limit=500)
+
+    def test_no_generator_left(self):
+        # y = 1 and x = y: the trivial group, presented with no generator
+        pres = parse_presentation("gens x y\nx*y^-1\ny^2*x\ny")
+        sp = eliminate_generators(pres)
+        assert sp.presentation.generator_count == 0
+        assert sp.images == ((), ())
+        assert check_elimination(pres)
 
 
 class TestWordProblem:
