@@ -199,18 +199,23 @@ class SimplifiedPresentation:
     images: tuple[Word, ...]  # old generator index -> word over new generators
 
 
-def _substitute(word: Word, gen: int, repl: Word) -> Word:
-    if not any(abs(x) == gen for x in word):
+def _substitute(word: Word, gen: int, repl: Word, inv_repl: Word) -> Word:
+    """The word with gen replaced by repl (inv_repl is its inverse), freely
+    reduced."""
+    if gen not in word and -gen not in word:
         return word
-    inv_repl = invert(repl)
     out: list[int] = []
     for x in word:
-        chunk = repl if x == gen else inv_repl if x == -gen else (x,)
-        for y in chunk:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
+        if x == gen or x == -gen:
+            for y in repl if x == gen else inv_repl:
+                if out and out[-1] == -y:
+                    out.pop()
+                else:
+                    out.append(y)
+        elif out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
     return tuple(out)
 
 
@@ -260,8 +265,9 @@ def simplify_presentation(pres: Presentation, max_length: int = 2000) -> Simplif
         else:
             repl = rot[1:]          # g^-1 * w = 1  =>  g = w
         del relators[ri]
-        relators = [_substitute(r, g, repl) for r in relators]
-        images = [_substitute(w, g, repl) for w in images]
+        inv_repl = invert(repl)
+        relators = [_substitute(r, g, repl, inv_repl) for r in relators]
+        images = [_substitute(w, g, repl, inv_repl) for w in images]
         alive[g - 1] = False
         normalize()
 
@@ -274,27 +280,6 @@ def simplify_presentation(pres: Presentation, max_length: int = 2000) -> Simplif
     new_pres = Presentation(tuple(pres.names[i] for i in keep),
                             tuple(remap_word(r) for r in relators))
     return SimplifiedPresentation(new_pres, tuple(remap_word(w) for w in images))
-
-
-def _substitute_cyclic(word: Word, gen: int, repl: Word, inv_repl: Word) -> Word:
-    """The word with gen replaced by repl, cyclically reduced."""
-    out: list[int] = []
-    for x in word:
-        if x == gen or x == -gen:
-            for y in repl if x == gen else inv_repl:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        elif out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    i, j = 0, len(out) - 1
-    while i < j and out[i] == -out[j]:
-        i += 1
-        j -= 1
-    return tuple(out[i:j + 1])
 
 
 def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
@@ -329,11 +314,11 @@ def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
         inv_repl = invert(repl)
         kept = []
         for r in relators:
-            if g in r or -g in r:
-                r = _substitute_cyclic(r, g, repl, inv_repl)
-                if not r:
-                    continue
-            kept.append(r)
+            r = _substitute(r, g, repl, inv_repl)
+            while len(r) > 1 and r[0] == -r[-1]:
+                r = r[1:-1]
+            if r:
+                kept.append(r)
         relators = kept
 
     images: list[Word] = [(i + 1,) for i in range(n)]
