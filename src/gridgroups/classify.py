@@ -101,8 +101,8 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims):
     not close, and _degeneracy_partial would report the first pair p that
     the abelianisation does not separate, met by a coincidence: every
     earlier pair is provably distinct, and coincidences persist.  So the run
-    watches p alone and pauses once p has met; without p it runs to the
-    limit unwatched."""
+    watches p alone and stops for good once p has met, which already proves
+    the class degenerate; without p it runs to the limit unwatched."""
     budgets = toolbox.budgets
     limit = min(TC_FIRST_PASS, budgets.max_cosets)
     eliminated = eliminate_generators(toolbox.presentation)
@@ -115,7 +115,7 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims):
                                                  eliminated.images)), inv
         return toolbox.coset_run(budgets.max_cosets), inv
     pair = _first_unseparated(toolbox, dims)
-    return toolbox.coset_run(limit, watch=[pair] if pair else ()), inv
+    return toolbox.coset_run(limit, watch=pair), inv
 
 
 def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration):
@@ -128,7 +128,7 @@ def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumera
             for k in range(i + 1, len(named)):
                 n1, w1 = named[i]
                 n2, w2 = named[k]
-                if run.graph is not None and run.equal_words(w1, w2):
+                if run.equal_words(w1, w2):
                     return (n1, n2, "coincidence in partial coset enumeration"), []
                 img1 = toolbox.abelianization.image(w1)
                 img2 = toolbox.abelianization.image(w2)

@@ -12,12 +12,11 @@ status, not an error, and the partial graph still certifies word
 equalities: two words tracing to the same vertex are provably equal in the
 group.
 
-A run may also watch groups of words.  After each coset's relator scan no
-coincidence is pending, and if two words of one group then trace to the
-same coset while some live coset is still unscanned, the run pauses: it
-returns with status "paused", keeping its graph, and a later call
-continues it from that coset.  The continued run equals one that never
-paused, so a pause only lets the caller act on a proved equality early.
+A run may also watch a pair of words.  After each coset's relator scan no
+coincidence is pending, and if the two words then trace to the same coset
+while some live coset is still unscanned, the run stops for good: it
+returns with status "stopped", keeping its graph, which proves the pair
+equal.  Nothing continues a stopped run.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class _Graph:
 
     neigh: list[list[int]]
     label: list[int]
-    alpha: int = 0  # the coset whose relator scan comes next
 
     def live(self) -> list[int]:
         return [c for c, rep in enumerate(self.label) if rep == c]
@@ -54,8 +52,7 @@ class EnumerationExhausted(Exception):
 class CosetEnumeration:
     """Outcome of a run: complete table, or a partial graph worth keeping."""
 
-    # "complete" | "exhausted" | "open" | "paused": a watched pair met
-    # (the graph is kept, and todd_coxeter(..., resume=run) continues it)
+    # "complete" | "exhausted" | "open" | "stopped": the watched pair met
     status: str
     table: Optional["CosetTable"]
     graph: Optional[_Graph]
@@ -65,61 +62,44 @@ class CosetEnumeration:
         """Sound equality from the run: True is a proof, None no conclusion."""
         if self.table is not None:
             return self.table.element(w1) == self.table.element(w2)
-        a = _trace_partial(self.graph, w1)
-        b = _trace_partial(self.graph, w2)
-        if a is not None and a == b:
-            return True
-        return None
+        return _paths_meet(self.graph.neigh, word_to_letters(w1), word_to_letters(w2)) or None
 
 
-def _trace_partial(g: _Graph, word: Word) -> Optional[int]:
+def _trace_partial(neigh: list[list[int]], path) -> Optional[int]:
+    """The coset a path of edge directions reaches from coset 0, or None
+    where it meets an undefined edge."""
     c = 0
-    for d in word_to_letters(word):
-        c = g.neigh[c][d]
+    for d in path:
+        c = neigh[c][d]
         if c == UNDEF:
             return None
     return c
 
 
-def _watch_met(neigh: list[list[int]], groups) -> bool:
-    """Whether two watched paths of one group trace from coset 0 to the
-    same coset."""
-    for group in groups:
-        seen = set()
-        for path in group:
-            c = 0
-            for d in path:
-                c = neigh[c][d]
-                if c == UNDEF:
-                    break
-            else:
-                if c in seen:
-                    return True
-                seen.add(c)
-    return False
+def _paths_meet(neigh: list[list[int]], p1, p2) -> bool:
+    """Whether both paths trace from coset 0 to the same coset."""
+    end = _trace_partial(neigh, p1)
+    return end is not None and end == _trace_partial(neigh, p2)
 
 
 def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
                  max_cosets: int = 200_000,
-                 watch: Sequence[Sequence[Word]] = (),
-                 resume: Optional[CosetEnumeration] = None) -> CosetEnumeration:
+                 watch: Optional[tuple[Word, Word]] = None) -> CosetEnumeration:
     """Enumerate cosets of the subgroup generated by the given words.
 
     A complete run yields the permutation action on the cosets: for the
     trivial subgroup that is the regular action and the coset count is the
     group order.  `max_cosets` bounds the total number of cosets defined.
 
-    With `watch`, groups of words, the run pauses once two words of one
-    group trace to the same coset (see the module docstring); a run whose
-    live cosets are all scanned reports its outcome instead.  `resume`
-    continues a paused run of the same presentation and subgroup, with this
-    call's limit and watch, and takes over its graph.
+    With `watch`, a pair of words, the run stops once the two trace to the
+    same coset (see the module docstring); a run whose live cosets are all
+    scanned reports its outcome instead.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     ngens = pres.generator_count
     nd = 2 * ngens
-    for w in chain(subgroup, *watch):
+    for w in chain(subgroup, watch or ()):
         for x in w:
             if not 1 <= abs(x) <= ngens:
                 raise ValueError(f"letter {x} out of range for {ngens} generators")
@@ -127,20 +107,13 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
     # which is faster on a tuple than on bytes
     rel_paths = [tuple(word_to_letters(w)) for w in pres.relators]
     sub_paths = [tuple(word_to_letters(free_reduce(w))) for w in subgroup]
-    watch_paths = [[tuple(word_to_letters(free_reduce(w))) for w in group]
-                   for group in watch]
-    if resume is None:
-        neigh: list[list[int]] = [[UNDEF] * nd]
-        label = [0]
-        alpha = 0
-        # subgroup words from coset 0 first, then every relator from each
-        # live coset in turn, until that coset dies
-        paths = sub_paths + rel_paths
-    elif resume.status == "paused":
-        neigh, label, alpha = resume.graph.neigh, resume.graph.label, resume.graph.alpha
-        paths = rel_paths
-    else:
-        raise ValueError(f"only a paused run can be resumed, not a {resume.status} one")
+    watch_paths = [tuple(word_to_letters(free_reduce(w))) for w in watch] if watch else None
+    neigh: list[list[int]] = [[UNDEF] * nd]
+    label = [0]
+    alpha = 0
+    # subgroup words from coset 0 first, then every relator from each live
+    # coset in turn, until that coset dies
+    paths = sub_paths + rel_paths
 
     def find(c: int) -> int:
         root = c
@@ -232,17 +205,16 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
                         i += 1
                     if label[alpha] != alpha:
                         break
-                if watch_paths and _watch_met(neigh, watch_paths) and any(
+                if watch_paths and _paths_meet(neigh, *watch_paths) and any(
                         label[c] == c for c in range(alpha + 1, len(neigh))):
-                    status = "paused"
-                    alpha += 1
+                    status = "stopped"
                     break
             paths = rel_paths
             alpha += 1
     except EnumerationExhausted:
         status = "exhausted"
 
-    graph = _Graph(neigh, label, alpha)
+    graph = _Graph(neigh, label)
     if status == "complete":
         live = graph.live()
         if any(UNDEF in neigh[c] for c in live):

@@ -196,31 +196,25 @@ class GroupToolbox:
         return self._tc_limit
 
     def coset_run(self, max_cosets: Optional[int] = None,
-                  watch: Sequence[Sequence[Word]] = ()) -> CosetEnumeration:
+                  watch: Optional[tuple[Word, Word]] = None) -> CosetEnumeration:
         """The cached enumeration.  The first call runs it, to `max_cosets`
         or else the budgets' limit; a later call with a higher limit runs an
         incomplete one again to that limit, and any other call returns the
-        cache.  A run made with `watch` may come back paused (see
-        `todd_coxeter`); the next call continues it, to its own limit or a
-        higher one asked for, watching that call's `watch`.  So a call
-        without `watch` never returns a paused run, and no run is repeated
-        to the limit it was made at."""
+        cache.  A run made with `watch` may come back stopped (see
+        `todd_coxeter`): it goes to the caller and is never cached, so a
+        later call enumerates afresh."""
         run = self._tc
         if run is None:
             limit = max_cosets if max_cosets is not None else self.budgets.max_cosets
         elif max_cosets is not None and max_cosets > self._tc_limit \
                 and run.status != "complete":
             limit = max_cosets
-        elif run.status == "paused":
-            limit = self._tc_limit
         else:
             return run
-        if run is not None and run.status != "paused":
-            run = None
-        self._tc_limit = limit
-        self._tc = todd_coxeter(self.presentation, max_cosets=limit,
-                                watch=watch, resume=run)
-        return self._tc
+        run = todd_coxeter(self.presentation, max_cosets=limit, watch=watch)
+        if run.status != "stopped":
+            self._tc, self._tc_limit = run, limit
+        return run
 
     @property
     def rewriting(self) -> RewriteSystem:

@@ -517,7 +517,7 @@ def reference_torsion_quotient_report(pres, dims, budgets, max_iterations=4):
 
 
 def reference_first_pass(toolbox, dims):
-    """classify's first pass as it was before runs could pause: one
+    """classify's first pass as it was before runs were watched: one
     unwatched run to TC_FIRST_PASS, enumerated again to max_cosets when it
     leaves a group with free rank 0 open.  A stand-in for
     classify._first_pass: (run, abelian invariants)."""

@@ -49,6 +49,11 @@ RANK_3x9_CLASSIFY_SHA256 = "874b9a8db4da71aaa8fc4a27c33743605a6ddbc08227b98f8842
 # sha256 of the output of `gridgroups classify --rows 3 --cols 7
 # --max-cosets 20000 --kb-max-rules 1500`: all 3 403 records
 RANK_3x7_CLASSIFY_SHA256 = "7e05cb7c33c4e8434e743a2e2ccd2e6fe7f3b7ee07566007a6faba71cf8f5d6d"
+# sha256 of the output of `gridgroups classify --rows 5 --cols 5 --filter
+# mirror --max-cosets 20000 --kb-max-rules 1500`: all 1 889 mirror-form
+# records as the code gives them today (1 792 degenerate, 97 infinite;
+# RANK_5x5_MIRROR_NOT_DEGENERATE, the published count, is 100)
+RANK_5x5_MIRROR_CLASSIFY_SHA256 = "588ebccbdff0e6bf7461b744c30ce9b8cdd655a6517faaa01bd07f3234a5f6ed"
 # the 3x9 classes whose raw presentation does not close within 20 000
 # cosets, while the presentation left by eliminate_generators closes within
 # 1 500; all are degenerate with witness a1 = a2

@@ -4,16 +4,18 @@ from collections import Counter
 import pytest
 
 from gridgroups import classify as classify_module
-from gridgroups import wordprob
+from gridgroups import groupring, smallgroups, wordprob
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.classify import (ClassificationRecord, classify,
                                  classify_matrix, family_pairing, family_record,
                                  forces_a_eq_b, record_to_json,
                                  torsion_quotient_report)
+from gridgroups.coset import todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import (GridDims, GridError, format_matrix,
                              orbit_canonical_form, parse_matrix)
-from gridgroups.present import (Presentation, eliminate_generators, parse_word,
+from gridgroups.present import (Presentation, eliminate_generators,
+                                generator_families, parse_word,
                                 presentation_from_matrix)
 from gridgroups.wordprob import Budgets, GroupToolbox
 
@@ -25,8 +27,7 @@ from reference_tables import (MIRROR_5x5_SLICE, NON_AMENABLE_5x5, RANK_3x3,
 QUICK = Budgets(max_cosets=20_000, kb_max_rules=1500)
 
 # a degenerate class of free rank 0 whose group closes over the eliminated
-# presentation (over the raw one a run watching both families pauses, b4
-# meeting the identity, and must be continued until it closes)
+# presentation, so that its first pass makes no run over the raw one
 DEGENERATE_FREE_RANK_0 = "x 1 2 3 4\n1 2 5 6 7\n3 6 4 7 5"
 # a class whose presentation eliminates to no generators at all
 ELIMINATES_TO_NO_GENERATORS = "x 1 2 3 4\n1 2 5 6 7\n3 5 7 4 6"
@@ -185,15 +186,13 @@ class TestTorsionQuotient:
         """Counted per (presentation, limit) over the toolbox's runs and the
         first pass's own, over an infinite class and over a degenerate class
         of free rank 0, whose first pass enumerates the eliminated
-        presentation and makes no run over the raw one.  A continuation goes
-        on with a paused run, so it is not a second enumeration."""
+        presentation and makes no run over the raw one."""
         runs = Counter()
         real = wordprob.todd_coxeter
 
-        def counting(pres, max_cosets, watch=(), resume=None):
-            if resume is None:
-                runs[pres.relators, max_cosets] += 1
-            return real(pres, max_cosets=max_cosets, watch=watch, resume=resume)
+        def counting(pres, max_cosets, watch=None):
+            runs[pres.relators, max_cosets] += 1
+            return real(pres, max_cosets=max_cosets, watch=watch)
 
         monkeypatch.setattr(wordprob, "todd_coxeter", counting)
         monkeypatch.setattr(classify_module, "todd_coxeter", counting)
@@ -237,24 +236,51 @@ class TestTorsionQuotient:
 
 
 class TestFirstPass:
-    """The first pass that enumerates an eliminated presentation, or ends at
-    a pause, against the unwatched first pass over the raw presentation that
-    it replaced (`oracles.reference_first_pass`): the same record bytes."""
+    """The first pass that enumerates an eliminated presentation, or stops
+    once its watched pair has met, against the unwatched first pass over the
+    raw presentation that it replaced (`oracles.reference_first_pass`): the
+    same record bytes."""
 
     @staticmethod
     def records(monkeypatch, mats):
         """Each matrix's record from the first pass and from the oracle, and
-        the statuses the first pass ended in."""
+        the statuses the first pass ended in.  A stopped first pass must
+        decide its class at once: degenerate, with the watched pair as the
+        witness, and no further coset run."""
         real = classify_module._first_pass
         ended = Counter()
+        runs = []
+        stop = []  # the witness a stopped first pass must give, and the runs made by then
 
         def first_pass(toolbox, dims):
             run, inv = real(toolbox, dims)
             ended[run.status] += 1
+            if run.status == "stopped":
+                w1, w2 = classify_module._first_unseparated(toolbox, dims)
+                for fam in generator_families(dims):  # the first that holds both
+                    name = {w: n for n, w in fam}
+                    if w1 in name and w2 in name:
+                        break
+                stop.append(((name[w1], name[w2], "coincidence in partial coset enumeration"),
+                             len(runs)))
             return run, inv
 
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return todd_coxeter(*args, **kwargs)
+
         monkeypatch.setattr(classify_module, "_first_pass", first_pass)
-        fast = [classify_matrix(m, QUICK) for m in mats]
+        for module in (classify_module, wordprob, smallgroups, groupring):
+            monkeypatch.setattr(module, "todd_coxeter", counting)
+        fast = []
+        for mat in mats:
+            stop.clear()
+            fast.append(classify_matrix(mat, QUICK))
+            if stop:
+                witness, made = stop[0]
+                assert fast[-1].verdict.kind == "degenerate", format_matrix(mat)
+                assert fast[-1].verdict.witness == witness, format_matrix(mat)
+                assert len(runs) == made, format_matrix(mat)
         monkeypatch.setattr(classify_module, "_first_pass", reference_first_pass)
         return fast, [classify_matrix(m, QUICK) for m in mats], ended
 
@@ -268,7 +294,7 @@ class TestFirstPass:
     def test_every_class_of_rank_3xn(self, monkeypatch, cols):
         ended = self.assert_same_records(monkeypatch,
                                          list(enumerate_pairings(GridDims(3, cols))))
-        assert ended["paused"] > 0 or cols == 3
+        assert ended["stopped"] > 0 or cols == 3
 
     def test_a_slice_of_the_5x5_mirror_classes(self, monkeypatch):
         mats = []
@@ -277,7 +303,7 @@ class TestFirstPass:
             mats.append(parse_matrix("\n".join(" ".join(cells[r:r + 5])
                                                for r in range(0, 25, 5))))
         ended = self.assert_same_records(monkeypatch, mats)
-        assert ended["paused"] > 0 and ended["exhausted"] > 0
+        assert ended["stopped"] > 0 and ended["exhausted"] > 0
 
     def test_a_class_that_eliminates_to_no_generators(self, monkeypatch):
         mat = parse_matrix(ELIMINATES_TO_NO_GENERATORS)

@@ -2,7 +2,7 @@
 replaced (`oracles.reference_todd_coxeter`): same status, same number of
 cosets defined, the same action table, and for partial runs the same
 quotient graph and the same proved equalities.  Watched runs, which may
-pause and be continued, against the unwatched run of the same kernel."""
+stop once their pair meets, against the unwatched run of the same kernel."""
 
 from itertools import combinations
 
@@ -13,7 +13,8 @@ from gridgroups.classify import TC_FIRST_PASS
 from gridgroups.coset import UNDEF, todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import GridDims, parse_matrix
-from gridgroups.present import Presentation, generator_families, presentation_from_matrix
+from gridgroups.present import (Presentation, free_reduce, generator_families,
+                                presentation_from_matrix)
 
 from oracles import reference_todd_coxeter
 from reference_tables import HAND_PROOFS, RANK_3x3, RANK_3x5
@@ -54,31 +55,31 @@ def assert_same_outcome(run, plain):
         assert run.graph == plain.graph
 
 
-def assert_watched_run(pres, max_cosets, watch, plain=None):
-    """A watched run equals the unwatched one (`plain`) when it never pauses;
-    when it pauses, every pair that met is equal in the unwatched run too,
-    and the run continued (watching the groups that have not met yet, until
-    none is left) ends as the unwatched run does.  Returns the number of
-    pauses."""
+def assert_watched_run(pres, max_cosets, pair, plain=None):
+    """A watched run equals the unwatched one (`plain`) when it does not
+    stop; when it stops, its pair has met, the pair is equal in the
+    unwatched run at the same limit too, and the stopped run defined no
+    more cosets than that run.  Returns whether the run stopped."""
     if plain is None:
         plain = todd_coxeter(pres, max_cosets=max_cosets)
-    run = todd_coxeter(pres, max_cosets=max_cosets, watch=watch)
-    pauses = 0
-    while run.status == "paused":
-        pauses += 1
-        assert run.cosets_defined <= max_cosets
-        met = [(group, w1, w2) for group in watch for w1, w2 in combinations(group, 2)
-               if run.equal_words(w1, w2)]
-        assert met
-        assert all(plain.equal_words(w1, w2) for _, w1, w2 in met)
-        watch = [group for group in watch if all(group is not g for g, _, _ in met)]
-        run = todd_coxeter(pres, max_cosets=max_cosets, watch=watch, resume=run)
-    assert_same_outcome(run, plain)
-    return pauses
+    run = todd_coxeter(pres, max_cosets=max_cosets, watch=pair)
+    if run.status != "stopped":
+        assert_same_outcome(run, plain)
+        return False
+    pair = [free_reduce(w) for w in pair]  # as the run traces them
+    assert run.equal_words(*pair)
+    assert plain.equal_words(*pair)
+    assert run.cosets_defined <= plain.cosets_defined
+    return True
+
+
+def pairs_of(groups):
+    """Every pair of two words drawn from one group."""
+    return [pair for group in groups for pair in combinations(group, 2)]
 
 
 def family_watch(dims):
-    return [[w for _, w in fam] for fam in generator_families(dims)]
+    return pairs_of([w for _, w in fam] for fam in generator_families(dims))
 
 
 def _class_presentations(cols):
@@ -96,15 +97,16 @@ def rank_3x7():
 
 
 def assert_every_class(presentations, max_cosets, cols):
-    """Each class's run against the reference kernel, and the run watching
-    its generator families against that run."""
-    watch = family_watch(GridDims(3, cols))
-    statuses, pauses = set(), []
-    for pres in presentations:
+    """Each class's run against the reference kernel, and a run watching a
+    pair of its generator family words against that run.  The classes take
+    the pairs in turn, so that every pair is watched."""
+    pairs = family_watch(GridDims(3, cols))
+    statuses, stopped = set(), []
+    for k, pres in enumerate(presentations):
         run = assert_same_run(pres, max_cosets)
         statuses.add(run.status)
-        pauses.append(assert_watched_run(pres, max_cosets, watch, plain=run))
-    assert 0 in pauses and max(pauses) > 0
+        stopped.append(assert_watched_run(pres, max_cosets, pairs[k % len(pairs)], plain=run))
+    assert any(stopped) and not all(stopped)
     return statuses
 
 
@@ -141,38 +143,31 @@ HAND_WRITTEN = [Presentation(("x",), ((1,) * 5,)), Presentation(("x",), ((1,),))
 
 
 def test_watched_runs_at_every_budget():
-    """Single letters with the identity, and words of two letters, whose
-    tracing goes past row 0."""
-    paused = []
+    """Each pair of single letters with the identity, and each pair of
+    words of two letters over the first two generators, whose tracing goes
+    past row 0."""
+    stopped = []
     hand_proofs = [_hand_proof_presentation(text, labels) for text, labels, _, _ in HAND_PROOFS]
     for pres in SMALL + HAND_WRITTEN + hand_proofs:
         gens = range(1, pres.generator_count + 1)
-        watch = [[()] + [(g,) for g in gens],
-                 [(g, h) for g in gens for h in gens] + [(g, -h) for g in gens for h in gens]]
-        paused.append(sum(assert_watched_run(pres, max_cosets, watch)
-                          for max_cosets in range(1, 61)) > 0)
-    assert any(paused) and not all(paused)
+        pairs = pairs_of([[()] + [(g,) for g in gens],
+                          [(g, h) for g in gens[:2] for h in gens[:2]]
+                          + [(g, -h) for g in gens[:2] for h in gens[:2]]])
+        plains = [todd_coxeter(pres, max_cosets=m) for m in range(1, 61)]
+        stopped.append(any([assert_watched_run(pres, max_cosets, pair, plain)
+                            for pair in pairs
+                            for max_cosets, plain in enumerate(plains, 1)]))
+    assert any(stopped) and not all(stopped)
 
 
-def test_a_closed_run_never_pauses():
+def test_a_closed_run_never_stops():
     """x and x^-1 meet in the first scan of <x | x^2>, with coset 1 still
-    unscanned, so the run pauses.  Continued under the same watch, it scans
-    coset 1 and closes: a run with every live coset scanned reports its
-    outcome, as <x | x> does after its only scan."""
-    pres = Presentation(("x",), ((1, 1),))
-    watch = [[(1,), (-1,)]]
-    run = todd_coxeter(pres, watch=watch)
-    assert run.status == "paused" and run.cosets_defined == 2
-    run = todd_coxeter(pres, watch=watch, resume=run)
-    assert run.status == "complete" and run.table.coset_count == 2
-    run = todd_coxeter(Presentation(("x",), ((1,),)), watch=[[(), (1,)]])
+    unscanned, so the run stops there.  A run with every live coset
+    scanned reports its outcome, as <x | x> does after its only scan."""
+    run = todd_coxeter(Presentation(("x",), ((1, 1),)), watch=((1,), (-1,)))
+    assert run.status == "stopped" and run.cosets_defined == 2
+    run = todd_coxeter(Presentation(("x",), ((1,),)), watch=((), (1,)))
     assert run.status == "complete" and run.table.coset_count == 1
-
-
-def test_only_a_paused_run_can_be_resumed():
-    pres = Presentation(("x",), ((1, 1),))
-    with pytest.raises(ValueError):
-        todd_coxeter(pres, resume=todd_coxeter(pres))
 
 
 @pytest.mark.parametrize("subgroup", [[(2,)], [(1,)], [(1, 2)], [(1, 1), (2,)], [(1, -1)]])

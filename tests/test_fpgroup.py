@@ -308,24 +308,25 @@ class TestWordProblem:
         assert fork.coset_run(50).cosets_defined <= 50  # a run of its own
         assert tb.coset_run() is run
 
-    def test_a_paused_run_is_continued_not_repeated(self):
-        """Only a caller that watches sees a paused run: every other call
-        continues it, to the limit it was started at or a higher one asked
-        for, and the continued run equals the unwatched run."""
+    def test_a_stopped_run_is_not_cached(self):
+        """Only a caller that watches sees a stopped run: the toolbox does
+        not keep it, so the next call enumerates afresh, and its run equals
+        the unwatched run to that limit."""
         pres = Presentation(("x", "y"), ((1, 1), (2, 2, 2), (1, 2, 1, 2)))  # Sym3
-        for limit, ask, status in ((100, None, "complete"), (100, 100, "complete"),
-                                   (5, 100, "complete"), (5, None, "exhausted")):
+        for limit in (5, 100):
             tb = GroupToolbox(pres, Budgets(max_cosets=1000))
-            paused = tb.coset_run(limit, watch=[[(-2,), (1, 2, 1)]])  # y^-1 = xyx
-            assert paused.status == "paused" and paused.cosets_defined == 5
-            run = tb.coset_run(ask)
-            plain = todd_coxeter(pres, max_cosets=ask or limit)
-            assert (run.status, run.cosets_defined) == (status, plain.cosets_defined)
-            if status == "complete":
+            stopped = tb.coset_run(limit, watch=((-2,), (1, 2, 1)))  # y^-1 = xyx
+            assert stopped.status == "stopped" and stopped.cosets_defined == 5
+            assert tb.coset_limit == 0
+            run = tb.coset_run(limit)
+            plain = todd_coxeter(pres, max_cosets=limit)
+            assert run.status == plain.status == ("complete" if limit == 100 else "exhausted")
+            assert run.cosets_defined == plain.cosets_defined
+            if run.status == "complete":
                 assert run.table.action == plain.table.action
             else:
                 assert run.graph == plain.graph
-            assert tb.coset_limit == (ask or limit) and tb.coset_run() is run
+            assert tb.coset_limit == limit and tb.coset_run() is run
 
     def test_hom_targets_are_built_once(self):
         first, second = hom_targets(6), hom_targets(6)
