@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .present import Presentation, Word
 
@@ -121,9 +121,14 @@ class AbelianInvariants:
 
 
 class Abelianization:
-    """Abelianised presentation with coordinates for word images."""
+    """Abelianised presentation with coordinates for word images.
 
-    def __init__(self, pres: Presentation):
+    The abelianisation of a presentation with eliminated generators takes
+    `images`, for each original generator a word over the presentation's
+    generators, and `image` then reads words over the original generators
+    through them."""
+
+    def __init__(self, pres: Presentation, images: Optional[Sequence[Word]] = None):
         n = pres.generator_count
         rows = []
         for rel in pres.relators:
@@ -136,6 +141,7 @@ class Abelianization:
         diag, V = smith_normal_form(rows)
         self._n = n
         self._V = V
+        self._images = images
         self._diag = [abs(d) for d in diag] + [0] * (n - len(diag))
         self.invariants = AbelianInvariants(
             free_rank=sum(1 for d in self._diag if d == 0),
@@ -150,6 +156,8 @@ class Abelianization:
         """
         n = self._n
         vec = [0] * n
+        if self._images is not None:  # the images' letters, in any order
+            word = [y if x > 0 else -y for x in word for y in self._images[abs(x) - 1]]
         for x in word:
             vec[abs(x) - 1] += 1 if x > 0 else -1
         V = self._V

@@ -75,10 +75,10 @@ def _degeneracy_from_table(table: CosetTable, dims: GridDims):
     return None
 
 
-def _first_unseparated(toolbox: GroupToolbox, dims: GridDims) -> Optional[tuple[Word, Word]]:
+def _first_unseparated(ab: Abelianization, dims: GridDims) -> Optional[tuple[Word, Word]]:
     """The first pair, in _degeneracy_partial's order, whose images in the
     abelianisation agree; every pair before it is provably distinct."""
-    image = toolbox.abelianization.image
+    image = ab.image
     for named in generator_families(dims):
         for i in range(len(named)):
             for k in range(i + 1, len(named)):
@@ -88,8 +88,10 @@ def _first_unseparated(toolbox: GroupToolbox, dims: GridDims) -> Optional[tuple[
 
 
 def _first_pass(toolbox: GroupToolbox, dims: GridDims):
-    """The class's first coset run, and its abelian invariants, chosen by the
+    """The class's first coset run, and its abelianisation, chosen by the
     free rank of the abelianisation of a cheaply eliminated presentation.
+    That abelianisation reads words over the original generators through
+    their images, and so separates the same pairs as the raw one.
 
     Free rank 0: the eliminated presentation is enumerated to the first-pass
     limit, and a closed table over it, reading the original generators
@@ -106,21 +108,22 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims):
     budgets = toolbox.budgets
     limit = min(TC_FIRST_PASS, budgets.max_cosets)
     eliminated = eliminate_generators(toolbox.presentation)
-    inv = Abelianization(eliminated.presentation).invariants
-    if inv.free_rank == 0:
+    ab = Abelianization(eliminated.presentation, eliminated.images)
+    if ab.invariants.free_rank == 0:
         run = todd_coxeter(eliminated.presentation, max_cosets=limit)
         if run.status == "complete":
             t = run.table
             return replace(run, table=CosetTable(t.ngens, t.action, t.presentation,
-                                                 eliminated.images)), inv
-        return toolbox.coset_run(budgets.max_cosets), inv
-    pair = _first_unseparated(toolbox, dims)
-    return toolbox.coset_run(limit, watch=pair), inv
+                                                 eliminated.images)), ab
+        return toolbox.coset_run(budgets.max_cosets), ab
+    pair = _first_unseparated(ab, dims)
+    return toolbox.coset_run(limit, watch=pair), ab
 
 
-def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration):
+def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration,
+                        ab: Abelianization):
     """Equality proofs from a run that did not close: coincidences, then
-    rewriting."""
+    rewriting.  `ab` is the first pass's abelianisation."""
     kb: Optional[RewriteSystem] = None
     undecided: list[tuple[str, str]] = []
     for named in generator_families(dims):
@@ -130,9 +133,7 @@ def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumera
                 n2, w2 = named[k]
                 if run.equal_words(w1, w2):
                     return (n1, n2, "coincidence in partial coset enumeration"), []
-                img1 = toolbox.abelianization.image(w1)
-                img2 = toolbox.abelianization.image(w2)
-                if img1 != img2:
+                if ab.image(w1) != ab.image(w2):
                     continue  # provably distinct
                 if toolbox.simplify_word(w1) == toolbox.simplify_word(w2):
                     return (n1, n2, "identical after generator elimination"), []
@@ -182,7 +183,8 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     verdict: Optional[Verdict] = None
     table: Optional[CosetTable] = None
 
-    first, inv = _first_pass(toolbox, dims)
+    first, ab = _first_pass(toolbox, dims)
+    inv = ab.invariants
     if first.status == "complete":
         table = first.table
         witness = _degeneracy_from_table(table, dims)
@@ -194,7 +196,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
             verdict = Verdict("finite", order=table.coset_count, name=name,
                               name_candidates=tuple(candidates), fingerprint=fp)
     else:
-        witness, undecided_pairs = _degeneracy_partial(toolbox, dims, first)
+        witness, undecided_pairs = _degeneracy_partial(toolbox, dims, first, ab)
         if witness is not None:
             verdict = Verdict("degenerate", witness=witness)
         elif undecided_pairs:

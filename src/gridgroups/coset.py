@@ -62,7 +62,10 @@ class CosetEnumeration:
         """Sound equality from the run: True is a proof, None no conclusion."""
         if self.table is not None:
             return self.table.element(w1) == self.table.element(w2)
-        return _paths_meet(self.graph.neigh, word_to_letters(w1), word_to_letters(w2)) or None
+        # free-reduced, as a watched run traces its pair: a partial graph
+        # may lack the edges that a cancelling pair of letters walks
+        return _paths_meet(self.graph.neigh, word_to_letters(free_reduce(w1)),
+                           word_to_letters(free_reduce(w2))) or None
 
 
 def _trace_partial(neigh: list[list[int]], path) -> Optional[int]:

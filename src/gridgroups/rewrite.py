@@ -5,6 +5,12 @@ inverse) ordered shortlex.  Completion is budgeted by rule count and rule
 length; a finished run with nothing discarded is confluent, in which case
 irreducible words are exactly the group elements.  Partial systems remain
 sound for proving equalities: words with a common reduct are equal.
+
+The critical pairs of a new rule come from an index of its left side, from
+each letter to the overlap lengths at which it sits there, so a rule costs
+two lookups instead of a compare for every overlap length.  The pairs are
+queued in the order of the plain scan over every length, and that order
+decides what completion finds under its budgets.
 """
 
 from __future__ import annotations
@@ -177,25 +183,45 @@ class RewriteSystem:
             add_rule(*ab)
             if overflow:
                 break
-            # critical pairs of the new rule against everything (both roles)
-            lhs_new = ab[0]
-            for lhs in list(rules):
-                if lhs_new not in rules:
-                    break
-                for x, y in ((lhs_new, lhs), (lhs, lhs_new)):
-                    if x not in rules or y not in rules:
-                        continue
-                    for k in range(1, min(len(x), len(y))):
-                        if x[-k:] == y[:k]:
-                            # overlap word: x + y[k:]  reduces two ways
-                            left = rules[x] + y[k:]
-                            right = x[:-k] + rules[y]
-                            c1, c2 = self.reduce(left), self.reduce(right)
-                            if c1 != c2:
-                                queue.append(_shortlex_orient(c1, c2))
+            for left, right in self._overlaps(ab[0]):
+                c1, c2 = self.reduce(left), self.reduce(right)
+                if c1 != c2:
+                    queue.append(_shortlex_orient(c1, c2))
 
         self.stats = RewriteStats(len(rules), pairs, discarded)
         self.confluent = not queue and not overflow and discarded == 0
+
+    def _overlaps(self, new: bytes):
+        """The two one-step reducts of each overlap word of the rule with
+        left side `new` against every rule: rules in order, `new` first as
+        x and then as y (itself included, so twice), the overlap length k
+        ascending, where x[-k:] == y[:k] and the overlap word is x + y[k:].
+
+        Such a k has y[0] == x[-k] and x[-1] == y[k-1].  So `new` is indexed
+        once, letter to the ascending k where the letter sits in it, and a
+        rule costs two lookups instead of a slice compare for every k.  The
+        order, and so the queue, is that of the plain scan over every k."""
+        rules = self._rules
+        if new not in rules:  # discarded as too long
+            return
+        rhs_new = rules[new]
+        as_x: dict[int, list[int]] = {}  # y[0] -> the k with new[-k] == y[0]
+        as_y: dict[int, list[int]] = {}  # x[-1] -> the k with new[k-1] == x[-1]
+        for k in range(1, len(new)):
+            as_x.setdefault(new[-k], []).append(k)
+            as_y.setdefault(new[k - 1], []).append(k)
+        # between yields the caller only reduces and queues: no rule changes
+        for lhs, rhs in rules.items():
+            for k in as_x.get(lhs[0], ()):
+                if k >= len(lhs):
+                    break
+                if new[-k:] == lhs[:k]:
+                    yield rhs_new + lhs[k:], new[:-k] + rhs
+            for k in as_y.get(lhs[-1], ()):
+                if k >= len(lhs):
+                    break
+                if lhs[-k:] == new[:k]:
+                    yield rhs + new[k:], lhs[:-k] + rhs_new
 
     # -- normal form language -----------------------------------------------
 

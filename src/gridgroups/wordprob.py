@@ -51,17 +51,32 @@ class ElementOrder:
 
 
 class _HomTarget:
-    """Finite multiplication structure used for separating homomorphisms."""
+    """Finite multiplication structure used for separating homomorphisms.
 
-    def __init__(self, name: str, size: int, mult, inv, identity: int):
+    A catalog group also has its multiplication table, `rows[a][b]`, and
+    its inverses, `invs`, and evaluates words through them.  A symmetric
+    group composes permutations instead: Sym6 alone would need a table of
+    720 x 720 entries."""
+
+    def __init__(self, name: str, size: int, mult, inv, identity: int,
+                 rows: Optional[list[list[int]]] = None,
+                 invs: Optional[list[int]] = None):
         self.name = name
         self.size = size
         self.mult = mult
         self.inv = inv
         self.identity = identity
+        self.rows = rows
+        self.invs = invs
 
     def eval_word(self, word: Word, images: Sequence[int]) -> int:
         acc = self.identity
+        rows = self.rows
+        if rows is not None:
+            invs = self.invs
+            for x in word:
+                acc = rows[acc][images[x - 1] if x > 0 else invs[images[-x - 1]]]
+            return acc
         mult, inv = self.mult, self.inv
         for x in word:
             g = images[x - 1] if x > 0 else inv(images[-x - 1])
@@ -73,7 +88,8 @@ def _table_target(name: str, table: CosetTable) -> _HomTarget:
     n = table.coset_count
     rows = [[table.mult(i, j) for j in range(n)] for i in range(n)]
     invs = [table.inverse(i) for i in range(n)]
-    return _HomTarget(name, n, lambda a, b: rows[a][b], lambda a: invs[a], 0)
+    return _HomTarget(name, n, lambda a, b: rows[a][b], lambda a: invs[a], 0,
+                      rows, invs)
 
 
 def _symmetric_target(k: int) -> _HomTarget:

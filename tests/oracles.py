@@ -3,9 +3,10 @@
 Everything here is deliberately naive: exhaustive matchings, explicit orbit
 expansion, determinant-based invariant factors, or else the implementation
 that a faster one replaced (the union-find coset enumerator, the tail-bucket
-rewriting index, the recursive normal-form count, the torsion-quotient
-report on fresh toolboxes, the unwatched first coset pass, the closure
-homomorphism search).  Tests freeze expected values computed by these
+rewriting index, the all-pairs critical-pair scan, the recursive normal-form
+count, the torsion-quotient report on fresh toolboxes, the unwatched first
+coset pass, the closure homomorphism search, word evaluation by composing
+`mult` and `inv`).  Tests freeze expected values computed by these
 oracles and compare the real code against them.
 """
 
@@ -377,6 +378,24 @@ class BucketRewriteSystem(RewriteSystem):
         return self._buckets.reduce(letters, skip)
 
 
+class AllPairsRewriteSystem(RewriteSystem):
+    """Completion with the critical-pair scan that the overlap index
+    replaced: every overlap length k of every pair of left sides, sliced and
+    compared, with the membership checks of the original loop."""
+
+    def _overlaps(self, new):
+        rules = self._rules
+        for lhs in list(rules):
+            if new not in rules:
+                break
+            for x, y in ((new, lhs), (lhs, new)):
+                if x not in rules or y not in rules:
+                    continue
+                for k in range(1, min(len(x), len(y))):
+                    if x[-k:] == y[:k]:
+                        yield rules[x] + y[k:], x[:-k] + rules[y]
+
+
 def reference_language(kb):
     """Recursive normal-form language analysis of a confluent system:
     ("finite", order) or ("infinite", None).  Recurses once per automaton
@@ -520,20 +539,16 @@ def reference_first_pass(toolbox, dims):
     """classify's first pass as it was before runs were watched: one
     unwatched run to TC_FIRST_PASS, enumerated again to max_cosets when it
     leaves a group with free rank 0 open.  A stand-in for
-    classify._first_pass: (run, abelian invariants)."""
-    from gridgroups.abelian import AbelianInvariants
+    classify._first_pass: (run, abelianisation of the raw presentation)."""
     from gridgroups.classify import TC_FIRST_PASS
 
     budgets = toolbox.budgets
+    ab = toolbox.abelianization
     first = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
-    if first.status == "complete" and first.table.coset_count == 1:
-        inv = AbelianInvariants(0, ())
-    else:
-        inv = toolbox.abelianization.invariants
-        if first.status != "complete" and inv.free_rank == 0 \
-                and budgets.max_cosets > TC_FIRST_PASS:
-            first = toolbox.coset_run(budgets.max_cosets)
-    return first, inv
+    if first.status != "complete" and ab.invariants.free_rank == 0 \
+            and budgets.max_cosets > TC_FIRST_PASS:
+        first = toolbox.coset_run(budgets.max_cosets)
+    return first, ab
 
 
 def closure_search_hom(pres, targets, predicate, node_budget):
@@ -571,3 +586,14 @@ def closure_search_hom(pres, targets, predicate, node_budget):
         if budget[0] <= 0:
             return None
     return None
+
+
+def composed_eval(target, word, images):
+    """A word's value under generator images, one `mult` and, for an inverse
+    letter, one `inv` call per letter: hom-target evaluation before table
+    targets read their tables."""
+    acc = target.identity
+    for x in word:
+        g = images[x - 1] if x > 0 else target.inv(images[-x - 1])
+        acc = target.mult(acc, g)
+    return acc

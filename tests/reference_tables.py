@@ -151,3 +151,9 @@ MIRROR_5x5_SLICE = [
     "123415678279ab398bc4ac65", "123415678279ab3b89c4ac65", "123415678279ab3b8c94ca56",
     "123415678279ab3c8b6495ca", "1234156782958a3abc64c79b", "1234156782978a3abc94c56b",
 ]
+
+
+def mirror_5x5_text(key):
+    """The matrix text of a MIRROR_5x5_SLICE key."""
+    cells = ["x"] + [str(int(c, 36)) for c in key]
+    return "\n".join(" ".join(cells[r:r + 5]) for r in range(0, 25, 5))

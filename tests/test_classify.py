@@ -22,7 +22,7 @@ from gridgroups.wordprob import Budgets, GroupToolbox
 from oracles import reference_first_pass, reference_torsion_quotient_report
 from reference_tables import (MIRROR_5x5_SLICE, NON_AMENABLE_5x5, RANK_3x3,
                               RANK_3x5, RANK_3x7_INFINITE,
-                              RANK_3x9_CLOSED_ONLY_ELIMINATED)
+                              RANK_3x9_CLOSED_ONLY_ELIMINATED, mirror_5x5_text)
 
 QUICK = Budgets(max_cosets=20_000, kb_max_rules=1500)
 
@@ -253,17 +253,17 @@ class TestFirstPass:
         stop = []  # the witness a stopped first pass must give, and the runs made by then
 
         def first_pass(toolbox, dims):
-            run, inv = real(toolbox, dims)
+            run, ab = real(toolbox, dims)
             ended[run.status] += 1
             if run.status == "stopped":
-                w1, w2 = classify_module._first_unseparated(toolbox, dims)
+                w1, w2 = classify_module._first_unseparated(toolbox.abelianization, dims)
                 for fam in generator_families(dims):  # the first that holds both
                     name = {w: n for n, w in fam}
                     if w1 in name and w2 in name:
                         break
                 stop.append(((name[w1], name[w2], "coincidence in partial coset enumeration"),
                              len(runs)))
-            return run, inv
+            return run, ab
 
         def counting(*args, **kwargs):
             runs.append(args)
@@ -297,11 +297,7 @@ class TestFirstPass:
         assert ended["stopped"] > 0 or cols == 3
 
     def test_a_slice_of_the_5x5_mirror_classes(self, monkeypatch):
-        mats = []
-        for key in MIRROR_5x5_SLICE:
-            cells = ["x"] + [str(int(c, 36)) for c in key]
-            mats.append(parse_matrix("\n".join(" ".join(cells[r:r + 5])
-                                               for r in range(0, 25, 5))))
+        mats = [parse_matrix(mirror_5x5_text(key)) for key in MIRROR_5x5_SLICE]
         ended = self.assert_same_records(monkeypatch, mats)
         assert ended["stopped"] > 0 and ended["exhausted"] > 0
 
@@ -309,9 +305,9 @@ class TestFirstPass:
         mat = parse_matrix(ELIMINATES_TO_NO_GENERATORS)
         pres = presentation_from_matrix(mat)
         assert eliminate_generators(pres).presentation.generator_count == 0
-        run, inv = classify_module._first_pass(GroupToolbox(pres, QUICK), GridDims(3, 5))
+        run, ab = classify_module._first_pass(GroupToolbox(pres, QUICK), GridDims(3, 5))
         assert run.status == "complete" and run.table.coset_count == 1
-        assert inv == AbelianInvariants(0, ())
+        assert ab.invariants == AbelianInvariants(0, ())
         self.assert_same_records(monkeypatch, [mat])
 
     def test_classes_that_close_only_when_eliminated(self, monkeypatch):

@@ -66,9 +66,10 @@ def assert_watched_run(pres, max_cosets, pair, plain=None):
     if run.status != "stopped":
         assert_same_outcome(run, plain)
         return False
-    pair = [free_reduce(w) for w in pair]  # as the run traces them
-    assert run.equal_words(*pair)
-    assert plain.equal_words(*pair)
+    # as given, and free-reduced, as the run traces them
+    for words in (pair, [free_reduce(w) for w in pair]):
+        assert run.equal_words(*words)
+        assert plain.equal_words(*words)
     assert run.cosets_defined <= plain.cosets_defined
     return True
 
@@ -168,6 +169,17 @@ def test_a_closed_run_never_stops():
     assert run.status == "stopped" and run.cosets_defined == 2
     run = todd_coxeter(Presentation(("x",), ((1,),)), watch=((), (1,)))
     assert run.status == "complete" and run.table.coset_count == 1
+
+
+def test_a_stopped_run_proves_its_pair_as_given():
+    """<x, y | y^2> watching (y y, x x^-1) stops once y^2 meets the
+    identity, with no edge for x defined at coset 0: equal_words must
+    free-reduce the pair as the run did to trace it."""
+    pair = ((2, 2), (1, -1))
+    run = todd_coxeter(Presentation(("x", "y"), ((2, 2),)), max_cosets=50, watch=pair)
+    assert run.status == "stopped"
+    assert run.graph.neigh[0][0] == UNDEF
+    assert run.equal_words(*pair) is True
 
 
 @pytest.mark.parametrize("subgroup", [[(2,)], [(1,)], [(1, 2)], [(1, 1), (2,)], [(1, -1)]])

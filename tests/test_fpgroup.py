@@ -1,3 +1,6 @@
+from collections import deque
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,20 +10,22 @@ from gridgroups.abelian import (Abelianization, AbelianInvariants,
 from gridgroups.classify import family_pairing
 from gridgroups.coset import CosetTable, fingerprint, todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
-from gridgroups.grid import GridDims, parse_matrix
+from gridgroups.grid import GridDims, format_matrix, parse_matrix
 from gridgroups.present import (Presentation, PresentationError, concat,
                                 eliminate_generators, format_presentation,
                                 format_word, free_reduce, invert,
                                 parse_presentation, parse_word,
                                 presentation_from_matrix, simplify_presentation)
+from gridgroups import rewrite as rewrite_module
 from gridgroups.rewrite import RewriteSystem
 from gridgroups.smallgroups import catalog, identify_small_group
 from gridgroups.wordprob import (Budgets, GroupToolbox, _table_target, hom_targets,
                                  search_hom)
 
-from oracles import (BucketRewriteSystem, TailBuckets, closure_search_hom,
-                     invariant_factors_by_minors)
-from reference_tables import HAND_PROOFS, RANK_3x3, RANK_3x5, RANK_3x7_INFINITE
+from oracles import (AllPairsRewriteSystem, BucketRewriteSystem, TailBuckets,
+                     closure_search_hom, composed_eval, invariant_factors_by_minors)
+from reference_tables import (HAND_PROOFS, MIRROR_5x5_SLICE, RANK_3x3, RANK_3x5,
+                              RANK_3x7_INFINITE, mirror_5x5_text)
 
 
 def _hand_proof_presentation(matrix_text, labels):
@@ -183,6 +188,27 @@ class TestAbelianInvariants:
         if oa is not None and ob is not None:
             assert oa % ob == 0 or b.free_rank < a.free_rank or ob <= oa
 
+    @pytest.mark.parametrize("cols", [3, 5])
+    def test_images_through_eliminated_generators(self, cols):
+        """The abelianisation of an eliminated presentation, reading words
+        over the original generators through their images, has the raw
+        invariants and separates the same words, on every class of rank
+        3 x cols."""
+        for mat in enumerate_pairings(GridDims(3, cols)):
+            text = format_matrix(mat)
+            pres = presentation_from_matrix(mat)
+            raw = Abelianization(pres)
+            eliminated = eliminate_generators(pres)
+            through = Abelianization(eliminated.presentation, eliminated.images)
+            assert through.invariants == raw.invariants, text
+            n = pres.generator_count
+            words = [()] + [(g,) for g in range(-n, n + 1) if g] \
+                + [(g, h) for g in range(1, n + 1) for h in (1, -2, n)]
+            for i, w1 in enumerate(words):
+                for w2 in words[i + 1:]:
+                    assert (through.image(w1) == through.image(w2)) \
+                        == (raw.image(w1) == raw.image(w2)), (text, w1, w2)
+
     def test_order_counts_round_trip(self):
         # Z4 x Z2 from its element orders
         inv = invariants_from_order_counts({1: 1, 2: 3, 4: 4})
@@ -341,6 +367,26 @@ class TestWordProblem:
             assert [[target.mult(a, b) for b in elems] for a in elems] \
                 == [[fresh.mult(a, b) for b in elems] for a in elems]
             assert [target.inv(a) for a in elems] == [fresh.inv(a) for a in elems]
+
+    def test_table_evaluation_matches_composition(self):
+        """A catalog target evaluates through its table, a symmetric group
+        by composition; both give the value of one mult, and one inv per
+        inverse letter, per letter."""
+        import random
+        rng = random.Random(11)
+        letters = (1, -1, 2, -2, 3, -3)
+        words = [w for n in range(5) for w in product(letters, repeat=n)]
+        targets = hom_targets(6)
+        assert [t.name for t in targets if t.rows is None] == ["Sym3", "Sym4", "Sym5", "Sym6"]
+        for target in targets:
+            if target.rows is None:
+                continue
+            tuples = [(target.identity,) * 3, (0, 1, 2)] \
+                + [tuple(rng.randrange(target.size) for _ in range(3)) for _ in range(4)]
+            for images in tuples:
+                for w in words:
+                    assert target.eval_word(w, images) == composed_eval(target, w, images), \
+                        (target.name, images, w)
 
 
 def _separates_x(target, images):
@@ -565,7 +611,6 @@ class TestTrieIndex:
         """While interreduction runs, several left sides can end at one
         position: the earliest-added one of length >= 2 wins, and a
         one-letter rule only after all of those."""
-        from itertools import product
         rs = RewriteSystem(Presentation(("x", "y"), ()))
         # the longest left side ending in "\x03\x00\x02" came first; the
         # shortest ending in "\x02\x00\x02" did
@@ -582,3 +627,59 @@ class TestTrieIndex:
             for w in words:
                 for skip in (None, *rs._rules):
                     assert rs.reduce(w, skip) == oracle.reduce(w, skip), (removed, w, skip)
+
+
+def _traced_completion(cls, pres, max_rules, monkeypatch):
+    """A completion with every pair put on its queue, and every reduction
+    with its result, in order."""
+    queued, reduced = [], []
+
+    class LoggedQueue(deque):
+        def append(self, item):
+            queued.append(item)
+            super().append(item)
+
+    class Traced(cls):
+        def reduce(self, letters, skip=None):
+            out = super().reduce(letters, skip)
+            reduced.append((letters, skip, out))
+            return out
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite_module, "deque", LoggedQueue)
+        rs = Traced(pres, max_rules=max_rules)
+    return rs, queued, reduced
+
+
+class TestOverlapIndex:
+    """Critical pairs from the new left side's letter index against the
+    all-pairs scan it replaced (`oracles.AllPairsRewriteSystem`): the same
+    pairs queued in the same order, the same reductions, the same rules in
+    order, the same stats and the same verdict."""
+
+    @staticmethod
+    def assert_same_completion(name, pres, max_rules, monkeypatch):
+        got, got_queued, got_reduced = _traced_completion(
+            RewriteSystem, pres, max_rules, monkeypatch)
+        want, want_queued, want_reduced = _traced_completion(
+            AllPairsRewriteSystem, pres, max_rules, monkeypatch)
+        assert got_queued == want_queued, name
+        assert got_reduced == want_reduced, name
+        assert list(got._rules.items()) == list(want._rules.items()), name
+        assert got.stats == want.stats, name
+        assert got.confluent == want.confluent, name
+        return got
+
+    def test_the_completion_corpus(self, monkeypatch):
+        outcomes = set()
+        for name, pres, max_rules in _completion_corpus():
+            rs = self.assert_same_completion(name, pres, max_rules, monkeypatch)
+            outcomes.add((rs.confluent, rs.stats.discarded > 0,
+                          rs.stats.rules >= max_rules))
+        assert outcomes == {(True, False, False), (False, True, False),
+                            (False, False, True)}
+
+    def test_the_5x5_mirror_slice(self, monkeypatch):
+        for key in MIRROR_5x5_SLICE:
+            pres = presentation_from_matrix(parse_matrix(mirror_5x5_text(key)))
+            self.assert_same_completion(key, pres, 1500, monkeypatch)
