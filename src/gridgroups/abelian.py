@@ -1,4 +1,9 @@
-"""Integer Smith normal form and abelianized presentation invariants."""
+"""Integer Smith normal form and abelianized presentation invariants.
+
+The Smith form of a presentation's relation matrix is the program's only
+abelianisation: the records' invariants, the fingerprints' and the word
+problem's abelian images all come from it.
+"""
 
 from __future__ import annotations
 
@@ -177,77 +182,3 @@ class Abelianization:
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
     return Abelianization(pres).invariants
 
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _ppart(o: int, p: int) -> int:
-    r = 1
-    while o % p == 0:
-        o //= p
-        r *= p
-    return r
-
-
-def invariants_from_order_counts(order_counts: dict[int, int]) -> AbelianInvariants:
-    """Invariant factors of a finite abelian group from its element orders.
-
-    For each prime p, counting elements whose order's p-part divides p^k
-    recovers the partition of the Sylow p-subgroup; matching the prime
-    powers largest-with-largest yields the divisibility chain.
-    """
-    total = sum(order_counts.values())
-    if total == 1:
-        return AbelianInvariants(0, ())
-    per_prime: list[list[int]] = []
-    for p in _prime_factors(total):
-        def count_div(k: int) -> int:
-            cap = p ** k
-            return sum(c for o, c in order_counts.items() if _ppart(o, p) <= cap)
-
-        coprime = count_div(0)
-        sigma = [0]
-        k = 1
-        while True:
-            q, r = divmod(count_div(k), coprime)
-            if r:
-                raise ValueError("order counts are not those of an abelian group")
-            e = 0
-            while p ** e < q:
-                e += 1
-            if p ** e != q:
-                raise ValueError("order counts are not those of an abelian group")
-            if e == sigma[-1]:
-                break
-            sigma.append(e)
-            k += 1
-        parts_ge = [sigma[k] - sigma[k - 1] for k in range(1, len(sigma))]
-        height = parts_ge[0] if parts_ge else 0
-        exponents = [sum(1 for g in parts_ge if g >= i) for i in range(1, height + 1)]
-        per_prime.append(sorted((p ** e for e in exponents), reverse=True))
-    width = max((len(ps) for ps in per_prime), default=0)
-    factors = []
-    for col in range(width):
-        f = 1
-        for ps in per_prime:
-            if col < len(ps):
-                f *= ps[col]
-        factors.append(f)
-    factors.sort()
-    check = 1
-    for f in factors:
-        check *= f
-    if check != total:
-        raise ValueError("factor product does not match the group order")
-    return AbelianInvariants(0, tuple(f for f in factors if f > 1))

@@ -14,12 +14,12 @@ from typing import Optional
 from .abelian import Abelianization, AbelianInvariants
 from .coset import (CosetEnumeration, CosetTable, GroupFingerprint, fingerprint,
                     todd_coxeter)
-from .grid import (GridDims, GridError, Pairing, PairingMatrix, column_connected,
-                   format_matrix, orbit_canonical_form, parse_matrix,
-                   proper_invariant_subgrids, row_connected)
+from .grid import (GridDims, GridError, Pairing, PairingMatrix, cell_partners,
+                   column_connected, format_matrix, orbit_canonical_form,
+                   parse_matrix, proper_invariant_subgrids, row_connected)
 from .groupring import DirectFinitenessReport, verify_direct_finiteness
-from .present import (Presentation, Word, eliminate_generators, format_word,
-                      free_reduce, generator_families, presentation_from_matrix)
+from .present import (Presentation, Word, format_word, free_reduce,
+                      generator_families, presentation_from_matrix)
 from .rewrite import RewriteSystem
 from .smallgroups import identify_small_group
 from .wordprob import Budgets, GroupToolbox
@@ -75,6 +75,18 @@ def _degeneracy_from_table(table: CosetTable, dims: GridDims):
     return None
 
 
+def _closed_table_verdict(table: CosetTable, dims: GridDims) -> Verdict:
+    """The verdict of a closed table of the class's group: degenerate when
+    two generators of a family are one element, else finite."""
+    witness = _degeneracy_from_table(table, dims)
+    if witness is not None:
+        return Verdict("degenerate", witness=witness)
+    fp = fingerprint(table)
+    name, candidates = identify_small_group(fp)
+    return Verdict("finite", order=table.coset_count, name=name,
+                   name_candidates=tuple(candidates), fingerprint=fp)
+
+
 def _first_unseparated(ab: Abelianization, dims: GridDims) -> Optional[tuple[Word, Word]]:
     """The first pair, in _degeneracy_partial's order, whose images in the
     abelianisation agree; every pair before it is provably distinct."""
@@ -87,11 +99,9 @@ def _first_unseparated(ab: Abelianization, dims: GridDims) -> Optional[tuple[Wor
     return None
 
 
-def _first_pass(toolbox: GroupToolbox, dims: GridDims):
-    """The class's first coset run, and its abelianisation, chosen by the
-    free rank of the abelianisation of a cheaply eliminated presentation.
-    That abelianisation reads words over the original generators through
-    their images, and so separates the same pairs as the raw one.
+def _first_pass(toolbox: GroupToolbox, dims: GridDims) -> CosetEnumeration:
+    """The class's first coset run, chosen by the free rank of the toolbox's
+    abelianisation, which is that of its eliminated presentation.
 
     Free rank 0: the eliminated presentation is enumerated to the first-pass
     limit, and a closed table over it, reading the original generators
@@ -107,23 +117,22 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims):
     the class degenerate; without p it runs to the limit unwatched."""
     budgets = toolbox.budgets
     limit = min(TC_FIRST_PASS, budgets.max_cosets)
-    eliminated = eliminate_generators(toolbox.presentation)
-    ab = Abelianization(eliminated.presentation, eliminated.images)
+    ab = toolbox.abelianization
     if ab.invariants.free_rank == 0:
+        eliminated = toolbox.eliminated
         run = todd_coxeter(eliminated.presentation, max_cosets=limit)
         if run.status == "complete":
             t = run.table
             return replace(run, table=CosetTable(t.ngens, t.action, t.presentation,
-                                                 eliminated.images)), ab
-        return toolbox.coset_run(budgets.max_cosets), ab
-    pair = _first_unseparated(ab, dims)
-    return toolbox.coset_run(limit, watch=pair), ab
+                                                 eliminated.images))
+        return toolbox.coset_run(budgets.max_cosets)
+    return toolbox.coset_run(limit, watch=_first_unseparated(ab, dims))
 
 
-def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration,
-                        ab: Abelianization):
+def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration):
     """Equality proofs from a run that did not close: coincidences, then
-    rewriting.  `ab` is the first pass's abelianisation."""
+    rewriting."""
+    image = toolbox.abelianization.image
     kb: Optional[RewriteSystem] = None
     undecided: list[tuple[str, str]] = []
     for named in generator_families(dims):
@@ -133,7 +142,7 @@ def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumera
                 n2, w2 = named[k]
                 if run.equal_words(w1, w2):
                     return (n1, n2, "coincidence in partial coset enumeration"), []
-                if ab.image(w1) != ab.image(w2):
+                if image(w1) != image(w2):
                     continue  # provably distinct
                 if toolbox.simplify_word(w1) == toolbox.simplify_word(w2):
                     return (n1, n2, "identical after generator elimination"), []
@@ -156,12 +165,12 @@ def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumera
     return None, still
 
 
-def structural_flags(pairing: Pairing) -> dict[str, bool]:
+def structural_flags(mat: PairingMatrix) -> dict[str, bool]:
     """The grid-only flags of a class record, keyed by their field names."""
     return dict(
-        row_connected=row_connected(pairing),
-        column_connected=column_connected(pairing),
-        no_proper_invariant_subgrid=not proper_invariant_subgrids(pairing),
+        row_connected=row_connected(mat),
+        column_connected=column_connected(mat),
+        no_proper_invariant_subgrid=not proper_invariant_subgrids(mat),
     )
 
 
@@ -173,30 +182,22 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     if not assume_canonical:
         mat = orbit_canonical_form(mat)
     dims = GridDims(*mat.dims).require_odd()
-    pairing = mat.pairing()
     pres = presentation_from_matrix(mat)
     toolbox = GroupToolbox(pres, budgets)
 
     if flags is None:
-        flags = structural_flags(pairing)
+        flags = structural_flags(mat)
 
     verdict: Optional[Verdict] = None
     table: Optional[CosetTable] = None
 
-    first, ab = _first_pass(toolbox, dims)
-    inv = ab.invariants
+    first = _first_pass(toolbox, dims)
+    inv = toolbox.abelianization.invariants
     if first.status == "complete":
         table = first.table
-        witness = _degeneracy_from_table(table, dims)
-        if witness is not None:
-            verdict = Verdict("degenerate", witness=witness)
-        else:
-            fp = fingerprint(table)
-            name, candidates = identify_small_group(fp)
-            verdict = Verdict("finite", order=table.coset_count, name=name,
-                              name_candidates=tuple(candidates), fingerprint=fp)
+        verdict = _closed_table_verdict(table, dims)
     else:
-        witness, undecided_pairs = _degeneracy_partial(toolbox, dims, first, ab)
+        witness, undecided_pairs = _degeneracy_partial(toolbox, dims, first)
         if witness is not None:
             verdict = Verdict("degenerate", witness=witness)
         elif undecided_pairs:
@@ -224,15 +225,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
                     table = _table_from_rewriting(kb, images)
                     if table is None:
                         continue
-                    witness = _degeneracy_from_table(table, dims)
-                    if witness is not None:
-                        verdict = Verdict("degenerate", witness=witness)
-                    else:
-                        fp = fingerprint(table)
-                        name, candidates = identify_small_group(fp)
-                        verdict = Verdict("finite", order=table.coset_count,
-                                          name=name, name_candidates=tuple(candidates),
-                                          fingerprint=fp)
+                    verdict = _closed_table_verdict(table, dims)
                     break
                 if verdict is None:
                     verdict = Verdict("undecided",
@@ -242,7 +235,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     ic = None
     forces: Optional[bool] = False if dims.rows != dims.cols else None
     if verdict.kind == "finite":
-        dfc = verify_direct_finiteness(pairing, table)
+        dfc = verify_direct_finiteness(dims, table)
         if dims.rows == dims.cols:
             forces = _forces_from_table(table, dims)
         ic = TorsionQuotientReport(
@@ -297,10 +290,7 @@ def _forces_syntactic(mat: PairingMatrix) -> bool:
     rows, cols = mat.dims
     if rows != cols:
         return False
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for cells in mat.cells_by_label().values():
-        partner[cells[0]] = cells[1]
-        partner[cells[1]] = cells[0]
+    partner = cell_partners(mat)
     return all(partner[(0, k)][1] == 0 for k in range(1, cols))
 
 
@@ -314,7 +304,7 @@ def filter_flags(record: ClassificationRecord) -> ClassificationRecord:
     if _forces_syntactic(record.matrix):
         forces = True
     return ClassificationRecord(**{**record.__dict__,
-                                   **structural_flags(record.matrix.pairing()),
+                                   **structural_flags(record.matrix),
                                    "forces_a_eq_b": forces})
 
 

@@ -113,7 +113,7 @@ def _leaf_lines(mats: Iterable[PairingMatrix], budgets: Optional[Budgets],
     for mat in mats:
         flags = None
         if class_filter in ("connected", "subgrid-free"):
-            flags = structural_flags(mat.pairing())
+            flags = structural_flags(mat)
             if class_filter == "connected":
                 passes = flags["row_connected"] and flags["column_connected"]
             else:
@@ -415,8 +415,7 @@ def export_cas_script(doc: dict) -> str:
     lines = [f"# class {doc['matrix'].replace(chr(10), ' / ')}",
              f"f := FreeGroup({gens});;",
              "AssignGeneratorVariables(f);;"]
-    rels = ", ".join(format_word(r, pres.names).replace("*", "*") or "One(f)"
-                     for r in pres.relators)
+    rels = ", ".join(format_word(r, pres.names) for r in pres.relators)
     lines.append(f"rels := [{rels}];;")
     lines.append("g := f / rels;;")
     kind = doc["verdict"]["kind"]

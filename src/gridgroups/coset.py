@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .abelian import AbelianInvariants, invariants_from_order_counts
+from .abelian import AbelianInvariants, Abelianization
 from .present import (Presentation, Word, free_reduce, invert, letters_to_word,
                       word_to_letters)
 
@@ -240,7 +240,7 @@ class CosetTable:
     then reads words over the original generators through them.
     """
 
-    def __init__(self, ngens: int, action: list[list[int]], pres: Optional[Presentation] = None,
+    def __init__(self, ngens: int, action: list[list[int]], pres: Presentation,
                  images: Optional[Sequence[Word]] = None):
         self.ngens = ngens
         self.action = action
@@ -281,8 +281,6 @@ class CosetTable:
 
     def check_closed(self) -> bool:
         """Every relator acts trivially from every coset."""
-        if self.presentation is None:
-            return True
         return all(self.trace(c, rel) == c
                    for rel in self.presentation.relators
                    for c in range(self.coset_count))
@@ -370,49 +368,6 @@ class CosetTable:
             frontier = nxt
         return seen
 
-    def derived_subgroup(self) -> set[int]:
-        gens = self.generator_elements()
-        comms = set()
-        for x in gens:
-            for y in gens:
-                c = self.mult(self.mult(self.mult(self.inverse(x), self.inverse(y)), x), y)
-                comms.add(c)
-        sub = self.subgroup_closure(sorted(comms))
-        while True:
-            extra = set()
-            for h in gens:
-                hinv = self.inverse(h)
-                for s in sub:
-                    t = self.mult(self.mult(hinv, s), h)
-                    if t not in sub:
-                        extra.add(t)
-            if not extra:
-                return sub
-            sub = self.subgroup_closure(sorted(sub | extra))
-
-    def abelianization(self) -> AbelianInvariants:
-        derived = self.derived_subgroup()
-        n = self.coset_count
-        rep: dict[int, int] = {}
-        coset_of = [UNDEF] * n
-        for e in range(n):
-            if coset_of[e] != UNDEF:
-                continue
-            members = sorted(self.mult(e, s) for s in derived)
-            lead = members[0]
-            for m in members:
-                coset_of[m] = lead
-        counts: dict[int, int] = {}
-        for e in range(n):
-            if coset_of[e] != e:
-                continue
-            k, c = 1, e
-            while coset_of[c] != 0:
-                c = coset_of[self.mult(c, e)]
-                k += 1
-            counts[k] = counts.get(k, 0) + 1
-        return invariants_from_order_counts(counts)
-
 
 @dataclass(frozen=True)
 class GroupFingerprint:
@@ -430,11 +385,15 @@ class GroupFingerprint:
 
 
 def fingerprint(table: CosetTable) -> GroupFingerprint:
+    """The table's fingerprint.  Its abelianisation is the Smith form's of
+    the table's presentation, and the derived subgroup's order is
+    |G| / |G^ab|, which holds for a finite group G."""
+    abelianization = Abelianization(table.presentation).invariants
     counts = table.order_counts()
     return GroupFingerprint(
         order=table.coset_count,
-        abelianization=table.abelianization(),
+        abelianization=abelianization,
         element_orders=tuple(sorted(counts.items())),
         center_order=table.center_order(),
-        derived_order=len(table.derived_subgroup()),
+        derived_order=table.coset_count // abelianization.group_order(),
     )

@@ -754,7 +754,16 @@ class Pairing:
         return f"Pairing({self.dims.rows}x{self.dims.cols}, {len(self.pairs)} pairs)"
 
 
-def _projected_components(pairing: Pairing, axis: int, size: int) -> int:
+def cell_partners(mat: PairingMatrix) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each cell's partner: the other cell holding its label."""
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in mat.cells_by_label().values():
+        partner[a] = b
+        partner[b] = a
+    return partner
+
+
+def _projected_components(mat: PairingMatrix, axis: int, size: int) -> int:
     parent = list(range(size))
 
     def find(x: int) -> int:
@@ -763,22 +772,22 @@ def _projected_components(pairing: Pairing, axis: int, size: int) -> int:
             x = parent[x]
         return x
 
-    for a, b in pairing.pairs:
+    for a, b in mat.cells_by_label().values():
         ra, rb = find(a[axis]), find(b[axis])
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     return len({find(x) for x in range(size)})
 
 
-def row_connected(pairing: Pairing) -> bool:
-    return _projected_components(pairing, 0, pairing.dims.rows) == 1
+def row_connected(mat: PairingMatrix) -> bool:
+    return _projected_components(mat, 0, mat.dims.rows) == 1
 
 
-def column_connected(pairing: Pairing) -> bool:
-    return _projected_components(pairing, 1, pairing.dims.cols) == 1
+def column_connected(mat: PairingMatrix) -> bool:
+    return _projected_components(mat, 1, mat.dims.cols) == 1
 
 
-def proper_invariant_subgrids(pairing: Pairing) -> list[tuple[frozenset, frozenset]]:
+def proper_invariant_subgrids(mat: PairingMatrix) -> list[tuple[frozenset, frozenset]]:
     """Proper sub-rectangles through (0,0) that the pairing never leaves.
 
     Every such subgrid contains a seed {0,i} x {0,j}, and invariant subgrids
@@ -791,11 +800,8 @@ def proper_invariant_subgrids(pairing: Pairing) -> list[tuple[frozenset, frozens
     structural filter: such pairings are in particular row and column
     connected.
     """
-    rows, cols = pairing.dims
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b in pairing.pairs:
-        partner[a] = b
-        partner[b] = a
+    rows, cols = mat.dims
+    partner = cell_partners(mat)
     # full_cols[i] holds j when the closure of seed (i, j) is the whole grid;
     # a closure that reaches such a seed is the whole grid too
     full_cols: list[set[int]] = [set() for _ in range(rows)]

@@ -207,8 +207,9 @@ class DirectFinitenessReport:
     ba_is_one: bool
 
 
-def verify_direct_finiteness(pairing, table: CosetTable) -> DirectFinitenessReport:
-    """Multiply the two support sums both ways in the mod-2 group ring.
+def verify_direct_finiteness(dims, table: CosetTable) -> DirectFinitenessReport:
+    """Multiply the two support sums of a `dims` grid both ways in the mod-2
+    group ring.
 
     The left product equal to one is a construction sanity check; the right
     product is the verdict under test.  Requires distinct generator images
@@ -216,9 +217,9 @@ def verify_direct_finiteness(pairing, table: CosetTable) -> DirectFinitenessRepo
     The generators are read through the table's `element`, so a table over
     eliminated generators must carry their images.
     """
-    rows, cols = pairing.dims
+    rows, cols = dims
     a_elems, b_elems = ([table.element(w) for _, w in fam]
-                        for fam in generator_families(pairing.dims))
+                        for fam in generator_families(dims))
     if len(set(a_elems)) != rows or len(set(b_elems)) != cols:
         raise GroupRingError("generator images collide: pairing is degenerate")
     a = GroupRingElement(2, table, {g: 1 for g in a_elems})
@@ -410,16 +411,12 @@ def matrix_units(p: int, branch: str = "S3") -> tuple[CosetTable, list[GroupRing
         inv2 = pow(2, p - 2, p)
         q = GroupRingElement(p, table, {0: inv2, table.element((1, 1)): -inv2})
     corner = [gr_mul(gr_mul(q, gr_basis(p, table, g)), q) for g in range(n)]
-    cols = [[x.coeffs.get(e, 0) for e in range(n)] for x in corner]
     mats = [_rep_matrix(table, rep, pres, g, p) for g in range(n)]
     units = []
     for target in (((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))):
-        rhs_rows = []
-        rhs = []
         # solve sum_g x_g * pi(QgQ) = target entrywise
         pis = []
         for g in range(n):
-            m = ((0, 0), (0, 0))
             acc = [[0, 0], [0, 0]]
             for e, c in corner[g].coeffs.items():
                 mg = mats[e]

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 from .abelian import Abelianization
 from .coset import CosetEnumeration, CosetTable, todd_coxeter
 from .present import (Presentation, SimplifiedPresentation, Word, concat,
-                      free_reduce, invert, simplify_presentation)
+                      eliminate_generators, free_reduce, invert,
+                      simplify_presentation)
 from .rewrite import RewriteSystem
 from .smallgroups import catalog
 
@@ -176,6 +177,7 @@ class GroupToolbox:
     def __init__(self, pres: Presentation, budgets: Budgets = Budgets()):
         self.presentation = pres
         self.budgets = budgets
+        self._eliminated: Optional[SimplifiedPresentation] = None
         self._ab: Optional[Abelianization] = None
         self._simplified: Optional[SimplifiedPresentation] = None
         self._tc: Optional[CosetEnumeration] = None
@@ -188,16 +190,31 @@ class GroupToolbox:
         artifacts built so far, except the coset run: callers enumerate at
         different limits, and a partial table's proofs depend on its limit."""
         other = GroupToolbox(self.presentation, self.budgets)
-        other._ab, other._simplified = self._ab, self._simplified
+        other._eliminated, other._ab = self._eliminated, self._ab
+        other._simplified = self._simplified
         other._kb, other._kb_simplified = self._kb, self._kb_simplified
         return other
 
     # -- cached artifacts ----------------------------------------------------
 
     @property
+    def eliminated(self) -> SimplifiedPresentation:
+        """The cheap greedy elimination (`eliminate_generators`), which the
+        first coset pass enumerates."""
+        if self._eliminated is None:
+            self._eliminated = eliminate_generators(self.presentation)
+        return self._eliminated
+
+    @property
     def abelianization(self) -> Abelianization:
+        """The Smith form of the eliminated presentation, reading words over
+        the original generators through their images.  Its callers ask only
+        whether two images, or their free coordinates, are equal; an
+        isomorphism of abelianisations keeps both, so it answers as the raw
+        presentation's would, from a smaller matrix."""
         if self._ab is None:
-            self._ab = Abelianization(self.presentation)
+            eliminated = self.eliminated
+            self._ab = Abelianization(eliminated.presentation, eliminated.images)
         return self._ab
 
     @property

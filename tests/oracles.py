@@ -6,13 +6,16 @@ that a faster one replaced (the union-find coset enumerator, the tail-bucket
 rewriting index, the all-pairs critical-pair scan, the recursive normal-form
 count, the torsion-quotient report on fresh toolboxes, the unwatched first
 coset pass, the closure homomorphism search, word evaluation by composing
-`mult` and `inv`).  Tests freeze expected values computed by these
+`mult` and `inv`, the fingerprint read from the derived subgroup and the
+element orders of the quotient by it).  Tests freeze expected values computed by these
 oracles and compare the real code against them.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 
+from gridgroups.abelian import AbelianInvariants
+from gridgroups.coset import GroupFingerprint
 from gridgroups.grid import (GridDims, Pairing, PairingMatrix, all_symmetries,
                              apply_symmetry, consecutive_renumbering)
 from gridgroups.rewrite import RewriteSystem
@@ -127,6 +130,141 @@ def naive_group_from_table(table):
     """Multiplication dict from a coset table, for cross-checks."""
     n = table.coset_count
     return {(i, j): table.mult(i, j) for i in range(n) for j in range(n)}
+
+
+def derived_subgroup(table):
+    """The elements of the derived subgroup of a closed regular table: the
+    closure of the generators' commutators under conjugation."""
+    gens = table.generator_elements()
+    comms = set()
+    for x in gens:
+        for y in gens:
+            comms.add(table.mult(table.mult(table.mult(table.inverse(x), table.inverse(y)), x), y))
+    sub = table.subgroup_closure(sorted(comms))
+    while True:
+        extra = set()
+        for h in gens:
+            hinv = table.inverse(h)
+            for s in sub:
+                t = table.mult(table.mult(hinv, s), h)
+                if t not in sub:
+                    extra.add(t)
+        if not extra:
+            return sub
+        sub = table.subgroup_closure(sorted(sub | extra))
+
+
+def _prime_factors(n):
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _ppart(o, p):
+    r = 1
+    while o % p == 0:
+        o //= p
+        r *= p
+    return r
+
+
+def invariants_from_order_counts(order_counts):
+    """Invariant factors of a finite abelian group from its element orders.
+
+    For each prime p, counting elements whose order's p-part divides p^k
+    recovers the partition of the Sylow p-subgroup; matching the prime
+    powers largest-with-largest yields the divisibility chain.
+    """
+    total = sum(order_counts.values())
+    if total == 1:
+        return AbelianInvariants(0, ())
+    per_prime = []
+    for p in _prime_factors(total):
+        def count_div(k):
+            cap = p ** k
+            return sum(c for o, c in order_counts.items() if _ppart(o, p) <= cap)
+
+        coprime = count_div(0)
+        sigma = [0]
+        k = 1
+        while True:
+            q, r = divmod(count_div(k), coprime)
+            if r:
+                raise ValueError("order counts are not those of an abelian group")
+            e = 0
+            while p ** e < q:
+                e += 1
+            if p ** e != q:
+                raise ValueError("order counts are not those of an abelian group")
+            if e == sigma[-1]:
+                break
+            sigma.append(e)
+            k += 1
+        parts_ge = [sigma[k] - sigma[k - 1] for k in range(1, len(sigma))]
+        height = parts_ge[0] if parts_ge else 0
+        exponents = [sum(1 for g in parts_ge if g >= i) for i in range(1, height + 1)]
+        per_prime.append(sorted((p ** e for e in exponents), reverse=True))
+    width = max((len(ps) for ps in per_prime), default=0)
+    factors = []
+    for col in range(width):
+        f = 1
+        for ps in per_prime:
+            if col < len(ps):
+                f *= ps[col]
+        factors.append(f)
+    factors.sort()
+    check = 1
+    for f in factors:
+        check *= f
+    if check != total:
+        raise ValueError("factor product does not match the group order")
+    return AbelianInvariants(0, tuple(f for f in factors if f > 1))
+
+
+def table_abelianization(table, derived):
+    """The abelian invariants of a closed regular table, from the element
+    orders of its quotient by the derived subgroup `derived`."""
+    n = table.coset_count
+    coset_of = [-1] * n
+    for e in range(n):
+        if coset_of[e] != -1:
+            continue
+        members = sorted(table.mult(e, s) for s in derived)
+        lead = members[0]
+        for m in members:
+            coset_of[m] = lead
+    counts = {}
+    for e in range(n):
+        if coset_of[e] != e:
+            continue
+        k, c = 1, e
+        while coset_of[c] != 0:
+            c = coset_of[table.mult(c, e)]
+            k += 1
+        counts[k] = counts.get(k, 0) + 1
+    return invariants_from_order_counts(counts)
+
+
+def reference_fingerprint(table):
+    """coset.fingerprint as it was before it read the Smith form: the
+    abelianisation and the derived order from the derived subgroup."""
+    derived = derived_subgroup(table)
+    counts = table.order_counts()
+    return GroupFingerprint(
+        order=table.coset_count,
+        abelianization=table_abelianization(table, derived),
+        element_orders=tuple(sorted(counts.items())),
+        center_order=table.center_order(),
+        derived_order=len(derived),
+    )
 
 
 class _ReferenceGraph:
@@ -537,18 +675,17 @@ def reference_torsion_quotient_report(pres, dims, budgets, max_iterations=4):
 
 def reference_first_pass(toolbox, dims):
     """classify's first pass as it was before runs were watched: one
-    unwatched run to TC_FIRST_PASS, enumerated again to max_cosets when it
-    leaves a group with free rank 0 open.  A stand-in for
-    classify._first_pass: (run, abelianisation of the raw presentation)."""
+    unwatched run to TC_FIRST_PASS over the raw presentation, enumerated
+    again to max_cosets when it leaves a group with free rank 0 open.  A
+    stand-in for classify._first_pass."""
     from gridgroups.classify import TC_FIRST_PASS
 
     budgets = toolbox.budgets
-    ab = toolbox.abelianization
     first = toolbox.coset_run(min(TC_FIRST_PASS, budgets.max_cosets))
-    if first.status != "complete" and ab.invariants.free_rank == 0 \
+    if first.status != "complete" and toolbox.abelianization.invariants.free_rank == 0 \
             and budgets.max_cosets > TC_FIRST_PASS:
         first = toolbox.coset_run(budgets.max_cosets)
-    return first, ab
+    return first
 
 
 def closure_search_hom(pres, targets, predicate, node_budget):

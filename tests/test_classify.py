@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from gridgroups import classify as classify_module
-from gridgroups import groupring, smallgroups, wordprob
+from gridgroups import abelian, groupring, smallgroups, wordprob
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.classify import (ClassificationRecord, classify,
                                  classify_matrix, family_pairing, family_record,
@@ -182,6 +182,34 @@ class TestTorsionQuotient:
         assert rec.verdict.kind == "infinite" and rec.ic is not None
         assert completions and max(completions.values()) == 1
 
+    def test_one_smith_form_per_presentation(self, monkeypatch):
+        """An infinite class takes at most one Smith form for each distinct
+        presentation that its path builds a toolbox on: the first pass reads
+        the toolbox's abelianisation, and the torsion-quotient report's forks
+        share it."""
+        smallgroups.catalog()  # its fingerprints take Smith forms of their own
+        forms = []
+        presentations = set()
+        real_snf = abelian.smith_normal_form
+        real_toolbox = classify_module.GroupToolbox
+
+        def counting(*args, **kwargs):
+            forms.append(args[0])
+            return real_snf(*args, **kwargs)
+
+        def recording(pres, budgets):
+            presentations.add(pres)
+            return real_toolbox(pres, budgets)
+
+        monkeypatch.setattr(abelian, "smith_normal_form", counting)
+        monkeypatch.setattr(classify_module, "GroupToolbox", recording)
+        for text in (RANK_3x7_INFINITE[0][0], mirror_5x5_text(MIRROR_5x5_SLICE[0])):
+            forms.clear()
+            presentations.clear()
+            rec = classify_matrix(parse_matrix(text), QUICK, assume_canonical=False)
+            assert rec.verdict.kind == "infinite" and rec.ic is not None, text
+            assert 0 < len(forms) <= len(presentations), text
+
     def test_no_presentation_is_enumerated_twice_to_one_limit(self, monkeypatch):
         """Counted per (presentation, limit) over the toolbox's runs and the
         first pass's own, over an infinite class and over a degenerate class
@@ -253,7 +281,7 @@ class TestFirstPass:
         stop = []  # the witness a stopped first pass must give, and the runs made by then
 
         def first_pass(toolbox, dims):
-            run, ab = real(toolbox, dims)
+            run = real(toolbox, dims)
             ended[run.status] += 1
             if run.status == "stopped":
                 w1, w2 = classify_module._first_unseparated(toolbox.abelianization, dims)
@@ -263,7 +291,7 @@ class TestFirstPass:
                         break
                 stop.append(((name[w1], name[w2], "coincidence in partial coset enumeration"),
                              len(runs)))
-            return run, ab
+            return run
 
         def counting(*args, **kwargs):
             runs.append(args)
@@ -305,9 +333,10 @@ class TestFirstPass:
         mat = parse_matrix(ELIMINATES_TO_NO_GENERATORS)
         pres = presentation_from_matrix(mat)
         assert eliminate_generators(pres).presentation.generator_count == 0
-        run, ab = classify_module._first_pass(GroupToolbox(pres, QUICK), GridDims(3, 5))
+        toolbox = GroupToolbox(pres, QUICK)
+        run = classify_module._first_pass(toolbox, GridDims(3, 5))
         assert run.status == "complete" and run.table.coset_count == 1
-        assert ab.invariants == AbelianInvariants(0, ())
+        assert toolbox.abelianization.invariants == AbelianInvariants(0, ())
         self.assert_same_records(monkeypatch, [mat])
 
     def test_classes_that_close_only_when_eliminated(self, monkeypatch):

@@ -90,9 +90,9 @@ class TestClassifyCommand:
         real = classify.proper_invariant_subgrids
         calls = []
 
-        def counted(pairing):
-            calls.append(pairing)
-            return real(pairing)
+        def counted(mat):
+            calls.append(mat)
+            return real(mat)
 
         monkeypatch.setattr(classify, "proper_invariant_subgrids", counted)
         mats = tmp_path / "mats.txt"

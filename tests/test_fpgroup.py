@@ -1,12 +1,13 @@
+import random
 from collections import deque
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridgroups import classify as classify_module
 from gridgroups.abelian import (Abelianization, AbelianInvariants,
-                                abelian_invariants, invariants_from_order_counts,
-                                smith_normal_form)
+                                abelian_invariants, smith_normal_form)
 from gridgroups.classify import family_pairing
 from gridgroups.coset import CosetTable, fingerprint, todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
@@ -23,7 +24,8 @@ from gridgroups.wordprob import (Budgets, GroupToolbox, _table_target, hom_targe
                                  search_hom)
 
 from oracles import (AllPairsRewriteSystem, BucketRewriteSystem, TailBuckets,
-                     closure_search_hom, composed_eval, invariant_factors_by_minors)
+                     closure_search_hom, composed_eval, invariant_factors_by_minors,
+                     invariants_from_order_counts, reference_fingerprint)
 from reference_tables import (HAND_PROOFS, MIRROR_5x5_SLICE, RANK_3x3, RANK_3x5,
                               RANK_3x7_INFINITE, mirror_5x5_text)
 
@@ -192,8 +194,8 @@ class TestAbelianInvariants:
     def test_images_through_eliminated_generators(self, cols):
         """The abelianisation of an eliminated presentation, reading words
         over the original generators through their images, has the raw
-        invariants and separates the same words, on every class of rank
-        3 x cols."""
+        invariants, separates the same words and gives the same words free
+        coordinates all zero, on every class of rank 3 x cols."""
         for mat in enumerate_pairings(GridDims(3, cols)):
             text = format_matrix(mat)
             pres = presentation_from_matrix(mat)
@@ -204,13 +206,17 @@ class TestAbelianInvariants:
             n = pres.generator_count
             words = [()] + [(g,) for g in range(-n, n + 1) if g] \
                 + [(g, h) for g in range(1, n + 1) for h in (1, -2, n)]
+            tor = len(raw.invariants.torsion)
+            for w in words:
+                assert (not any(through.image(w)[tor:])) \
+                    == (not any(raw.image(w)[tor:])), (text, w)
             for i, w1 in enumerate(words):
                 for w2 in words[i + 1:]:
                     assert (through.image(w1) == through.image(w2)) \
                         == (raw.image(w1) == raw.image(w2)), (text, w1, w2)
 
     def test_order_counts_round_trip(self):
-        # Z4 x Z2 from its element orders
+        # the oracle behind reference_fingerprint: Z4 x Z2 from its element orders
         inv = invariants_from_order_counts({1: 1, 2: 3, 4: 4})
         assert inv == AbelianInvariants(0, (2, 4))
         inv = invariants_from_order_counts({1: 1, 2: 1, 3: 2, 6: 2})
@@ -324,7 +330,8 @@ class TestWordProblem:
 
     def test_fork_shares_all_but_the_coset_run(self):
         tb = GroupToolbox(Presentation(("x", "y"), ((1, 1), (2, 2, 2))), Budgets(max_cosets=100))
-        shared = ("abelianization", "simplified", "rewriting", "rewriting_simplified")
+        shared = ("eliminated", "abelianization", "simplified", "rewriting",
+                  "rewriting_simplified")
         before = [getattr(tb, name) for name in shared]
         run = tb.coset_run()
         fork = tb.fork()
@@ -471,6 +478,37 @@ class TestIdentify:
         a = entries["(Z4xZ2):Z2a"]
         b = entries["(Z4xZ2):Z2b"]
         assert a.abelianization != b.abelianization
+
+    def test_fingerprint_matches_the_derived_subgroup_oracle(self):
+        """The fingerprint's abelianisation from the Smith form, and its
+        derived order |G| / |G^ab|, against the fingerprint read from the
+        derived subgroup (`oracles.reference_fingerprint`), on every catalog
+        group, every closed first-pass table of ranks 3x3 to 3x7 and the
+        random two-generator presentations of one seed that close."""
+        budgets = Budgets(max_cosets=20_000, kb_max_rules=1500)
+        checked = 0
+        for entry in catalog():
+            assert entry.fp == fingerprint(entry.table) == reference_fingerprint(entry.table)
+            checked += 1
+        for cols in (3, 5, 7):
+            dims = GridDims(3, cols)
+            for mat in enumerate_pairings(dims):
+                run = classify_module._first_pass(
+                    GroupToolbox(presentation_from_matrix(mat), budgets), dims)
+                if run.status == "complete":
+                    assert fingerprint(run.table) == reference_fingerprint(run.table), \
+                        format_matrix(mat)
+                    checked += 1
+        rng = random.Random(1)
+        closed = 0
+        for _ in range(1000):
+            relators = tuple(tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 8)))
+                             for _ in range(rng.randint(2, 3)))
+            run = todd_coxeter(Presentation(("x", "y"), relators), max_cosets=300)
+            if run.status == "complete":
+                assert fingerprint(run.table) == reference_fingerprint(run.table), relators
+                closed += 1
+        assert checked > 3000 and closed > 500
 
     def test_abelian_names_from_invariants(self):
         fp = fingerprint(todd_coxeter(Presentation(

@@ -222,22 +222,19 @@ class TestPairing:
 
 class TestConnectivity:
     def test_first_class_fully_connected(self):
-        p = M1.pairing()
-        assert row_connected(p) and column_connected(p)
+        assert row_connected(M1) and column_connected(M1)
 
     def test_block_diagonal_disconnected(self):
         # rows 3 and 4 pair only with each other: the row projection splits
         mat = parse_matrix(
             "x 1 2 3 4\n1 2 5 6 7\n6 4 7 5 3\n8 9 10 11 12\n12 8 9 10 11")
-        p = mat.pairing()
-        assert not row_connected(p)
-        assert column_connected(p)
+        assert not row_connected(mat)
+        assert column_connected(mat)
 
     def test_subgrid_free_implies_connected(self):
         for mat in brute_force_pairing_matrices(3, 3):
-            p = mat.pairing()
-            if not proper_invariant_subgrids(p):
-                assert row_connected(p) and column_connected(p)
+            if not proper_invariant_subgrids(mat):
+                assert row_connected(mat) and column_connected(mat)
 
 
 class TestInvariantSubgrids:
@@ -245,15 +242,14 @@ class TestInvariantSubgrids:
         # the top-left 3x3 corner pairs only within itself
         mat = parse_matrix(
             "x 1 2 5 6\n1 3 4 7 8\n2 4 3 9 10\n5 7 9 11 12\n6 8 10 12 11")
-        p = mat.pairing()
-        subs = proper_invariant_subgrids(p)
+        subs = proper_invariant_subgrids(mat)
         assert (frozenset({0, 1, 2}), frozenset({0, 1, 2})) in subs
         # connected despite the invariant subgrid: the implication is one-way
-        assert row_connected(p) and column_connected(p)
+        assert row_connected(mat) and column_connected(mat)
 
     def test_all_3x3_classes_subgrid_free(self):
         for text, _, _ in RANK_3x3:
-            assert proper_invariant_subgrids(parse_matrix(text).pairing()) == []
+            assert proper_invariant_subgrids(parse_matrix(text)) == []
 
     def test_closures_agree_with_subset_scan(self):
         mats = brute_force_pairing_matrices(3, 3)
@@ -268,9 +264,8 @@ class TestInvariantSubgrids:
             mats.extend(apply_symmetry(mat, g) for g in all_symmetries(mat.dims))
         with_subgrid = 0
         for mat in mats:
-            p = mat.pairing()
-            closures = proper_invariant_subgrids(p)
-            scanned = scan_proper_invariant_subgrids(p)
+            closures = proper_invariant_subgrids(mat)
+            scanned = scan_proper_invariant_subgrids(mat.pairing())
             assert bool(closures) == bool(scanned), mat
             assert all(sub in scanned for sub in closures), mat
             assert all(any(r <= rs and c <= cs for r, c in closures)

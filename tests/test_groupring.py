@@ -157,14 +157,14 @@ class TestDirectFiniteness:
     def test_small_square_classes(self, text):
         mat = parse_matrix(text)
         table = todd_coxeter(presentation_from_matrix(mat)).table
-        rep = verify_direct_finiteness(mat.pairing(), table)
+        rep = verify_direct_finiteness(mat.dims, table)
         assert rep.ab_is_one and rep.ba_is_one
 
     @pytest.mark.parametrize("text", [t for t, _, _ in RANK_3x5])
     def test_all_3x5_classes(self, text):
         mat = parse_matrix(text)
         table = todd_coxeter(presentation_from_matrix(mat)).table
-        rep = verify_direct_finiteness(mat.pairing(), table)
+        rep = verify_direct_finiteness(mat.dims, table)
         assert rep.ab_is_one and rep.ba_is_one
 
     def test_corrupted_relations_flagged(self):
@@ -174,7 +174,7 @@ class TestDirectFiniteness:
         broken = Presentation(pres.names, pres.relators[:-1])
         run = todd_coxeter(broken, max_cosets=50_000)
         if run.status == "complete":
-            rep = verify_direct_finiteness(mat.pairing(), run.table)
+            rep = verify_direct_finiteness(mat.dims, run.table)
             assert not rep.ab_is_one
 
 
