@@ -75,13 +75,15 @@ def _degeneracy_from_table(table: CosetTable, dims: GridDims):
     return None
 
 
-def _closed_table_verdict(table: CosetTable, dims: GridDims) -> Verdict:
-    """The verdict of a closed table of the class's group: degenerate when
-    two generators of a family are one element, else finite."""
+def _closed_table_verdict(table: CosetTable, dims: GridDims,
+                          invariants: AbelianInvariants) -> Verdict:
+    """The verdict of a closed table of the class's group, whose abelian
+    invariants are `invariants`: degenerate when two generators of a family
+    are one element, else finite."""
     witness = _degeneracy_from_table(table, dims)
     if witness is not None:
         return Verdict("degenerate", witness=witness)
-    fp = fingerprint(table)
+    fp = fingerprint(table, invariants)
     name, candidates = identify_small_group(fp)
     return Verdict("finite", order=table.coset_count, name=name,
                    name_candidates=tuple(candidates), fingerprint=fp)
@@ -195,7 +197,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     inv = toolbox.abelianization.invariants
     if first.status == "complete":
         table = first.table
-        verdict = _closed_table_verdict(table, dims)
+        verdict = _closed_table_verdict(table, dims, inv)
     else:
         witness, undecided_pairs = _degeneracy_partial(toolbox, dims, first)
         if witness is not None:
@@ -225,7 +227,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
                     table = _table_from_rewriting(kb, images)
                     if table is None:
                         continue
-                    verdict = _closed_table_verdict(table, dims)
+                    verdict = _closed_table_verdict(table, dims, inv)
                     break
                 if verdict is None:
                     verdict = Verdict("undecided",

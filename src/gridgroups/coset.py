@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .abelian import AbelianInvariants, Abelianization
+from .abelian import AbelianInvariants
 from .present import (Presentation, Word, free_reduce, invert, letters_to_word,
                       word_to_letters)
 
@@ -384,16 +384,16 @@ class GroupFingerprint:
                 self.center_order, self.derived_order)
 
 
-def fingerprint(table: CosetTable) -> GroupFingerprint:
-    """The table's fingerprint.  Its abelianisation is the Smith form's of
-    the table's presentation, and the derived subgroup's order is
-    |G| / |G^ab|, which holds for a finite group G."""
-    abelianization = Abelianization(table.presentation).invariants
+def fingerprint(table: CosetTable, invariants: AbelianInvariants) -> GroupFingerprint:
+    """The table's fingerprint.  `invariants` are the group's abelian
+    invariants, from the Smith form of any presentation of it, and the
+    derived subgroup's order is |G| / |G^ab|, which holds for a finite
+    group G."""
     counts = table.order_counts()
     return GroupFingerprint(
         order=table.coset_count,
-        abelianization=abelianization,
+        abelianization=invariants,
         element_orders=tuple(sorted(counts.items())),
         center_order=table.center_order(),
-        derived_order=table.coset_count // abelianization.group_order(),
+        derived_order=table.coset_count // invariants.group_order(),
     )

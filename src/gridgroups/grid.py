@@ -275,9 +275,10 @@ def is_stacked(mat: _Matrix) -> bool:
 # ---------------------------------------------------------------------------
 # Canonicity machinery.
 #
-# Both the orderly-search pruning test and the canonical form rest on the
-# same search: assign row images and column images lazily while walking the
-# image's traversal sequence, tracking the renumbering as it is forced.
+# One search answers both questions: assign row images and column images
+# lazily while walking the image's traversal sequence, tracking the
+# renumbering as it is forced.  It is the orderly search's pruning test,
+# and the canonical form descends through the symmetries it finds.
 # Facts used throughout (stacked + consecutively numbered input, with the
 # first row fully filled): row 0 reads 1..C-1, label L < C sits in row 0 at
 # column L, and every image's renumbered first row is again 1..C-1.
@@ -304,7 +305,8 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
                               filled: Optional[int] = None,
                               workspace: Optional[_CanonWorkspace] = None,
                               ties: Optional[list] = None,
-                              moved_last_row: bool = False) -> bool:
+                              moved_last_row: bool = False,
+                              witness: Optional[list] = None) -> bool:
     """True if some symmetry image is stacked and renumbers lex-less.
 
     `flat` must be stacked and consecutively numbered.  This is the pruning
@@ -321,6 +323,12 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
     With `moved_last_row` and a prefix of whole rows, only the symmetries
     that move the last whole row to another row are tried: the ones that
     keep it in place are the ones `smaller_in_next_row` tests.
+
+    With a `witness` list, a True return appends the partial symmetry bound
+    at the strict drop: the image row -> source row map of the rows reached
+    and the image column -> source column map, -1 where a column is unbound.
+    Every position before the drop already matches, so on a complete matrix
+    any completion of the two maps renumbers strictly smaller.
     """
     if filled is None:
         filled = sum(1 for v in flat[1:] if v != 0)
@@ -367,67 +375,69 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
         if label == 0:
             return False
         if label < cols:
-            bcol = colinv[label]
-            if bcol >= 0:
-                if bcol < target:
-                    return part_len == 0 or (st[2] == 0 and st[1] >= st[0])
-                if bcol == target:
-                    return dfs(pos + 1)
-                return False
-            # The label's renumber value is the image column its first-row
-            # cell lands in, which is still free: any free column below the
-            # target realises a strictly smaller image if one is feasible.
-            lim = target if target < cols else cols
-            acol_lt = 1 if 1 <= label < part_len else 0
-            for c in range(1, lim):
-                if colmap[c] >= 0:
-                    continue
-                if part_len:
-                    b0 = st[0] - (1 if c < part_len else 0)
-                    b1 = st[1] - acol_lt
-                    b2 = st[2] + (1 if (c < part_len and label >= part_len) else 0)
-                    if b2 == 0 and b1 >= b0:
-                        return True
-                else:
+            v = colinv[label]
+            if v < 0:
+                # The label's renumber value is the image column its first-row
+                # cell lands in, which is still free: any free column below
+                # the target realises a strictly smaller image if one is
+                # feasible.
+                lim = target if target < cols else cols
+                acol_lt = 1 if 1 <= label < part_len else 0
+                for c in range(1, lim):
+                    if colmap[c] >= 0:
+                        continue
+                    if part_len:
+                        b0 = st[0] - (1 if c < part_len else 0)
+                        b1 = st[1] - acol_lt
+                        b2 = st[2] + (1 if (c < part_len and label >= part_len) else 0)
+                        if b2 or b1 < b0:
+                            continue
+                    if witness is not None:  # the drop binds image column c to the label
+                        bound = colmap[:]
+                        bound[c] = label
+                        witness.append((rowmap[:(pos + 1) // cols + 1], bound))
                     return True
-            if target < cols and colmap[target] < 0:
-                colmap[target] = label
-                colinv[label] = target
-                if part_len:
-                    if target < part_len:
-                        st[0] -= 1
-                        if label >= part_len:
-                            st[2] += 1
-                    if 1 <= label < part_len:
-                        st[1] -= 1
-                    found = st[2] == 0 and st[1] >= st[0] and dfs(pos + 1)
-                    if target < part_len:
-                        st[0] += 1
-                        if label >= part_len:
-                            st[2] -= 1
-                    if 1 <= label < part_len:
-                        st[1] += 1
-                else:
-                    found = dfs(pos + 1)
-                colmap[target] = -1
-                colinv[label] = -1
+                if target < cols and colmap[target] < 0:
+                    colmap[target] = label
+                    colinv[label] = target
+                    if part_len:
+                        if target < part_len:
+                            st[0] -= 1
+                            if label >= part_len:
+                                st[2] += 1
+                        if 1 <= label < part_len:
+                            st[1] -= 1
+                        found = st[2] == 0 and st[1] >= st[0] and dfs(pos + 1)
+                        if target < part_len:
+                            st[0] += 1
+                            if label >= part_len:
+                                st[2] -= 1
+                        if 1 <= label < part_len:
+                            st[1] += 1
+                    else:
+                        found = dfs(pos + 1)
+                    colmap[target] = -1
+                    colinv[label] = -1
+                    return found
+                return False
+        else:
+            v = renum.get(label, -1)
+            if v < 0:
+                if st[3] != target:
+                    return False  # fresh values can only ever match exactly
+                renum[label] = target
+                st[3] += 1
+                found = dfs(pos + 1)
+                st[3] -= 1
+                del renum[label]
                 return found
-            return False
-        v = renum.get(label, -1)
-        if v < 0:
-            if st[3] != target:
-                return False  # fresh values can only ever match exactly
-            renum[label] = target
-            st[3] += 1
-            found = dfs(pos + 1)
-            st[3] -= 1
-            del renum[label]
-            return found
-        if v < target:
-            return part_len == 0 or (st[2] == 0 and st[1] >= st[0])
         if v == target:
             return dfs(pos + 1)
-        return False
+        if v > target or (part_len and (st[2] or st[1] < st[0])):
+            return False
+        if witness is not None:
+            witness.append((rowmap[:(pos + 1) // cols + 1], colmap[:]))
+        return True
 
     def dfs(pos: int) -> bool:
         if pos == filled:
@@ -555,125 +565,29 @@ def smaller_in_next_row(flat: Sequence[int], base: int, part_len: int,
     return False
 
 
-def _canonical_flat(flat: Sequence[int], rows: int, cols: int) -> tuple[int, ...]:
-    """Lex-least renumbered symmetry image of a complete matrix."""
-    from itertools import permutations
-
-    flat = tuple(_renumber_flat(flat))
-    total = rows * cols - 1
-    best: Optional[list[int]] = None
-
-    for perm in permutations(range(1, rows)):
-        rowmap = (0,) + perm
-        colmap: list = [None] * cols
-        colmap[0] = 0
-        colinv: list = [None] * cols
-        colinv[0] = 0
-        renum: dict[int, int] = {}
-        next_new = [cols]
-        out: list[int] = []
-
-        def options(srccol: int, i: int):
-            """Candidate (value, action) pairs for the image cell reading
-            source column `srccol` of source row `i`."""
-            label = flat[i * cols + srccol]
-            if label < cols:
-                bcol = colinv[label]
-                if bcol is not None:
-                    yield bcol, None
-                else:
-                    # Free first-row label: the smallest free image column is
-                    # the only lex-competitive placement.
-                    for cc in range(1, cols):
-                        if colmap[cc] is None:
-                            yield cc, ("col", cc, label)
-                            break
-            else:
-                v = renum.get(label)
-                if v is not None:
-                    yield v, None
-                else:
-                    yield next_new[0], ("new", label)
-
-        def dfs(pos: int, tight: bool) -> None:
-            nonlocal best
-            if pos == total:
-                cand = list(range(1, cols)) + out
-                if best is None or cand < best:
-                    best = cand
-                return
-            q = pos - (cols - 1)
-            r, c = 1 + q // cols, q % cols
-            i = rowmap[r]
-
-            def run(v: int, action) -> None:
-                now_tight = tight
-                if best is not None and now_tight:
-                    bv = best[cols - 1 + len(out)]
-                    if v > bv:
-                        return
-                    if v < bv:
-                        now_tight = False
-                out.append(v)
-                if action is None:
-                    dfs(pos + 1, now_tight)
-                elif action[0] == "new":
-                    renum[action[1]] = v
-                    next_new[0] += 1
-                    dfs(pos + 1, now_tight)
-                    next_new[0] -= 1
-                    del renum[action[1]]
-                else:
-                    _, cc, label = action
-                    colmap[cc] = label
-                    colinv[label] = cc
-                    dfs(pos + 1, now_tight)
-                    colinv[label] = None
-                    colmap[cc] = None
-                out.pop()
-
-            srccol = 0 if c == 0 else colmap[c]
-            if srccol is not None:
-                for v, action in options(srccol, i):
-                    run(v, action)
-                return
-            # Column still unassigned: collect candidates under each trial
-            # binding so the recorded actions stay consistent with the state
-            # they will run in.
-            choices = []
-            for j in range(1, cols):
-                if colinv[j] is not None:
-                    continue
-                colmap[c] = j
-                colinv[j] = c
-                for v, action in options(j, i):
-                    choices.append((v, j, action))
-                colinv[j] = None
-                colmap[c] = None
-            choices.sort(key=lambda t: (t[0], t[1]))
-            for v, j, action in choices:
-                colmap[c] = j
-                colinv[j] = c
-                run(v, action)
-                colinv[j] = None
-                colmap[c] = None
-
-        # The first row of every image renumbers to 1..C-1, so a previous
-        # best means the comparison starts tied.
-        dfs(cols - 1, best is not None)
-
-    assert best is not None
-    return (SENTINEL,) + tuple(best)
-
-
 def orbit_canonical_form(mat: PairingMatrix) -> PairingMatrix:
     """Lexicographically least consecutively renumbered matrix in the orbit.
 
     Two complete matrices encode equivalent pairings exactly when their
-    canonical forms are identical.
+    canonical forms are identical.  The form is found by descent through
+    the pruning test: while it finds a smaller image, its witness, with the
+    unused rows and columns assigned in ascending order, gives one, and the
+    descent moves there.  A matrix the test passes is the form.
     """
     rows, cols = mat.dims
-    return PairingMatrix(mat.dims, _canonical_flat(mat.flat, rows, cols))
+    current = consecutive_renumbering(mat)
+    witness: list = []
+    while has_smaller_stacked_image(current.flat, rows, cols, witness=witness):
+        rowmap, colmap = witness.pop()
+        rowmap += [r for r in range(rows) if r not in rowmap]
+        free = iter([j for j in range(cols) if j not in colmap])
+        colmap = [next(free) if j < 0 else j for j in colmap]
+        to_image = GridSymmetry(tuple(rowmap), tuple(colmap)).inverse()
+        image = consecutive_renumbering(apply_symmetry(current, to_image))
+        if image.flat >= current.flat:
+            raise RuntimeError(f"canonicity witness gives no smaller image of {current!r}")
+        current = image
+    return current
 
 
 # ---------------------------------------------------------------------------

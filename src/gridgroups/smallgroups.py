@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .abelian import abelian_invariants
 from .coset import CosetTable, GroupFingerprint, fingerprint, todd_coxeter
 from .present import Presentation
 
@@ -82,7 +83,8 @@ def catalog() -> list[CatalogEntry]:
             run = todd_coxeter(pres, max_cosets=5000)
             if run.status != "complete":
                 raise RuntimeError(f"catalog group {name} did not close")
-            entries.append(CatalogEntry(name, run.table, fingerprint(run.table)))
+            fp = fingerprint(run.table, abelian_invariants(pres))
+            entries.append(CatalogEntry(name, run.table, fp))
         _CATALOG = entries
     return _CATALOG
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exhaustive matchings, explicit orbit
 expansion, determinant-based invariant factors, or else the implementation
-that a faster one replaced (the union-find coset enumerator, the tail-bucket
+that a faster one replaced (the separate canonical-form search, the
+union-find coset enumerator, the tail-bucket
 rewriting index, the all-pairs critical-pair scan, the recursive normal-form
 count, the torsion-quotient report on fresh toolboxes, the unwatched first
 coset pass, the closure homomorphism search, word evaluation by composing
@@ -16,8 +17,8 @@ from itertools import combinations, permutations
 
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.coset import GroupFingerprint
-from gridgroups.grid import (GridDims, Pairing, PairingMatrix, all_symmetries,
-                             apply_symmetry, consecutive_renumbering)
+from gridgroups.grid import (SENTINEL, GridDims, Pairing, PairingMatrix,
+                             all_symmetries, apply_symmetry, consecutive_renumbering)
 from gridgroups.rewrite import RewriteSystem
 
 
@@ -49,6 +50,119 @@ def explicit_orbit(mat: PairingMatrix):
 
 def brute_canonical(mat: PairingMatrix):
     return min(explicit_orbit(mat))
+
+
+def reference_canonical_flat(mat: PairingMatrix):
+    """orbit_canonical_form's flat before it descended through the pruning
+    test's witnesses: a separate lex-least search over every row
+    permutation, which binds columns and fresh labels greedily along the
+    traversal and prunes against the best image so far."""
+    rows, cols = mat.dims
+    flat = consecutive_renumbering(mat).flat
+    total = rows * cols - 1
+    best = None
+
+    for perm in permutations(range(1, rows)):
+        rowmap = (0,) + perm
+        colmap: list = [None] * cols
+        colmap[0] = 0
+        colinv: list = [None] * cols
+        colinv[0] = 0
+        renum: dict[int, int] = {}
+        next_new = [cols]
+        out: list[int] = []
+
+        def options(srccol: int, i: int):
+            """Candidate (value, action) pairs for the image cell reading
+            source column `srccol` of source row `i`."""
+            label = flat[i * cols + srccol]
+            if label < cols:
+                bcol = colinv[label]
+                if bcol is not None:
+                    yield bcol, None
+                else:
+                    # Free first-row label: the smallest free image column is
+                    # the only lex-competitive placement.
+                    for cc in range(1, cols):
+                        if colmap[cc] is None:
+                            yield cc, ("col", cc, label)
+                            break
+            else:
+                v = renum.get(label)
+                if v is not None:
+                    yield v, None
+                else:
+                    yield next_new[0], ("new", label)
+
+        def dfs(pos: int, tight: bool) -> None:
+            nonlocal best
+            if pos == total:
+                cand = list(range(1, cols)) + out
+                if best is None or cand < best:
+                    best = cand
+                return
+            q = pos - (cols - 1)
+            r, c = 1 + q // cols, q % cols
+            i = rowmap[r]
+
+            def run(v: int, action) -> None:
+                now_tight = tight
+                if best is not None and now_tight:
+                    bv = best[cols - 1 + len(out)]
+                    if v > bv:
+                        return
+                    if v < bv:
+                        now_tight = False
+                out.append(v)
+                if action is None:
+                    dfs(pos + 1, now_tight)
+                elif action[0] == "new":
+                    renum[action[1]] = v
+                    next_new[0] += 1
+                    dfs(pos + 1, now_tight)
+                    next_new[0] -= 1
+                    del renum[action[1]]
+                else:
+                    _, cc, label = action
+                    colmap[cc] = label
+                    colinv[label] = cc
+                    dfs(pos + 1, now_tight)
+                    colinv[label] = None
+                    colmap[cc] = None
+                out.pop()
+
+            srccol = 0 if c == 0 else colmap[c]
+            if srccol is not None:
+                for v, action in options(srccol, i):
+                    run(v, action)
+                return
+            # Column still unassigned: collect candidates under each trial
+            # binding so the recorded actions stay consistent with the state
+            # they will run in.
+            choices = []
+            for j in range(1, cols):
+                if colinv[j] is not None:
+                    continue
+                colmap[c] = j
+                colinv[j] = c
+                for v, action in options(j, i):
+                    choices.append((v, j, action))
+                colinv[j] = None
+                colmap[c] = None
+            choices.sort(key=lambda t: (t[0], t[1]))
+            for v, j, action in choices:
+                colmap[c] = j
+                colinv[j] = c
+                run(v, action)
+                colinv[j] = None
+                colmap[c] = None
+
+        # The first row of every image renumbers to 1..C-1, so a previous
+        # best means the comparison starts tied.
+        dfs(cols - 1, best is not None)
+
+    assert best is not None
+    return (SENTINEL,) + tuple(best)
 
 
 def gcd_all(values):

@@ -31,6 +31,8 @@ QUICK = Budgets(max_cosets=20_000, kb_max_rules=1500)
 DEGENERATE_FREE_RANK_0 = "x 1 2 3 4\n1 2 5 6 7\n3 6 4 7 5"
 # a class whose presentation eliminates to no generators at all
 ELIMINATES_TO_NO_GENERATORS = "x 1 2 3 4\n1 2 5 6 7\n3 5 7 4 6"
+# the 3x7 class of the alternating group A4, finite on its first pass
+FINITE_A4 = "x 1 2 3 4 5 6\n1 2 7 4 8 9 10\n5 10 8 6 9 7 3"
 
 
 class TestClassify:
@@ -183,10 +185,11 @@ class TestTorsionQuotient:
         assert completions and max(completions.values()) == 1
 
     def test_one_smith_form_per_presentation(self, monkeypatch):
-        """An infinite class takes at most one Smith form for each distinct
-        presentation that its path builds a toolbox on: the first pass reads
-        the toolbox's abelianisation, and the torsion-quotient report's forks
-        share it."""
+        """A class takes at most one Smith form for each distinct
+        presentation that its path builds a toolbox on.  On an infinite
+        class the first pass reads the toolbox's abelianisation, and the
+        torsion-quotient report's forks share it; on a finite class the
+        fingerprint of the closed table reads the same invariants."""
         smallgroups.catalog()  # its fingerprints take Smith forms of their own
         forms = []
         presentations = set()
@@ -203,11 +206,13 @@ class TestTorsionQuotient:
 
         monkeypatch.setattr(abelian, "smith_normal_form", counting)
         monkeypatch.setattr(classify_module, "GroupToolbox", recording)
-        for text in (RANK_3x7_INFINITE[0][0], mirror_5x5_text(MIRROR_5x5_SLICE[0])):
+        for text, kind in ((RANK_3x7_INFINITE[0][0], "infinite"),
+                           (mirror_5x5_text(MIRROR_5x5_SLICE[0]), "infinite"),
+                           (FINITE_A4, "finite")):
             forms.clear()
             presentations.clear()
             rec = classify_matrix(parse_matrix(text), QUICK, assume_canonical=False)
-            assert rec.verdict.kind == "infinite" and rec.ic is not None, text
+            assert rec.verdict.kind == kind and rec.ic is not None, text
             assert 0 < len(forms) <= len(presentations), text
 
     def test_no_presentation_is_enumerated_twice_to_one_limit(self, monkeypatch):

@@ -93,7 +93,7 @@ class TestPresentationFromPairing:
         pres = presentation_from_matrix(parse_matrix(RANK_3x5[4][0]))
         run = todd_coxeter(pres)
         assert run.table.coset_count == 8
-        name, _ = identify_small_group(fingerprint(run.table))
+        name, _ = identify_small_group(fingerprint(run.table, abelian_invariants(pres)))
         assert name == "Dih4"
 
 
@@ -455,18 +455,19 @@ class TestElementOrder:
 class TestIdentify:
     def test_quaternion_pattern(self):
         pres = presentation_from_matrix(parse_matrix(RANK_3x5[6][0]))
-        fp = fingerprint(todd_coxeter(pres).table)
+        fp = fingerprint(todd_coxeter(pres).table, abelian_invariants(pres))
         assert fp.element_orders == ((1, 1), (2, 1), (4, 6))
         assert identify_small_group(fp) == ("Q8", [])
 
     def test_dihedral_pattern_five_involutions(self):
         pres = presentation_from_matrix(parse_matrix(RANK_3x5[4][0]))
-        fp = fingerprint(todd_coxeter(pres).table)
+        fp = fingerprint(todd_coxeter(pres).table, abelian_invariants(pres))
         assert dict(fp.element_orders)[2] == 5
         assert identify_small_group(fp)[0] == "Dih4"
 
     def test_cyclic_eleven(self):
-        fp = fingerprint(todd_coxeter(Presentation(("x",), ((1,) * 11,))).table)
+        pres = Presentation(("x",), ((1,) * 11,))
+        fp = fingerprint(todd_coxeter(pres).table, abelian_invariants(pres))
         assert identify_small_group(fp)[0] == "Z11"
 
     def test_catalog_fingerprints_are_pairwise_distinct(self):
@@ -488,7 +489,8 @@ class TestIdentify:
         budgets = Budgets(max_cosets=20_000, kb_max_rules=1500)
         checked = 0
         for entry in catalog():
-            assert entry.fp == fingerprint(entry.table) == reference_fingerprint(entry.table)
+            own = fingerprint(entry.table, abelian_invariants(entry.table.presentation))
+            assert entry.fp == own == reference_fingerprint(entry.table)
             checked += 1
         for cols in (3, 5, 7):
             dims = GridDims(3, cols)
@@ -496,7 +498,8 @@ class TestIdentify:
                 run = classify_module._first_pass(
                     GroupToolbox(presentation_from_matrix(mat), budgets), dims)
                 if run.status == "complete":
-                    assert fingerprint(run.table) == reference_fingerprint(run.table), \
+                    inv = abelian_invariants(run.table.presentation)
+                    assert fingerprint(run.table, inv) == reference_fingerprint(run.table), \
                         format_matrix(mat)
                     checked += 1
         rng = random.Random(1)
@@ -504,15 +507,17 @@ class TestIdentify:
         for _ in range(1000):
             relators = tuple(tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 8)))
                              for _ in range(rng.randint(2, 3)))
-            run = todd_coxeter(Presentation(("x", "y"), relators), max_cosets=300)
+            pres = Presentation(("x", "y"), relators)
+            run = todd_coxeter(pres, max_cosets=300)
             if run.status == "complete":
-                assert fingerprint(run.table) == reference_fingerprint(run.table), relators
+                assert fingerprint(run.table, abelian_invariants(pres)) \
+                    == reference_fingerprint(run.table), relators
                 closed += 1
         assert checked > 3000 and closed > 500
 
     def test_abelian_names_from_invariants(self):
-        fp = fingerprint(todd_coxeter(Presentation(
-            ("x", "y"), ((1,) * 8, (2, 2), (1, 2, -1, -2)))).table)
+        pres = Presentation(("x", "y"), ((1,) * 8, (2, 2), (1, 2, -1, -2)))
+        fp = fingerprint(todd_coxeter(pres).table, abelian_invariants(pres))
         assert identify_small_group(fp)[0] == "Z8 x Z2"
 
 

@@ -1,3 +1,7 @@
+import json
+import lzma
+import os
+import random
 from itertools import islice
 
 import pytest
@@ -13,11 +17,17 @@ from gridgroups.grid import (GridDims, GridError, GridSymmetry, OddDimensionErro
                              row_connected, LESS, EQUAL, GREATER,
                              _renumber_flat)
 
-from gridgroups.enumerate import enumerate_pairings
+from gridgroups import grid as grid_module
+from gridgroups.classify import family_pairing
+from gridgroups.enumerate import (SearchCheckpoint, enumerate_pairings, resume,
+                                  split_frontier)
 
 from oracles import (brute_force_pairing_matrices, brute_canonical, explicit_orbit,
-                     scan_proper_invariant_subgrids)
-from reference_tables import RANK_3x3
+                     reference_canonical_flat, scan_proper_invariant_subgrids)
+from reference_tables import NON_AMENABLE_5x5, RANK_3x3, mirror_5x5_text
+
+MIRROR_POOL = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "perfbench", "data", "mirror-5x5.json.xz")
 
 
 M1 = parse_matrix(RANK_3x3[0][0])
@@ -171,7 +181,7 @@ class TestCanonicalForm:
         for mat in brute_force_pairing_matrices(3, 3):
             m = consecutive_renumbering(mat)
             has = has_smaller_stacked_image(m.flat, 3, 3)
-            assert has == (m.flat != orbit_canonical_form(mat).flat)
+            assert has == (m.flat != brute_canonical(mat))
 
     def test_smaller_image_on_partial_matches_explicit_search(self):
         # stacked prefixes of full 3x3 matrices, checked against brute force
@@ -196,6 +206,90 @@ def _explicit_has_smaller(flat, rows, cols, k):
         if _renumber_flat(img.flat) < list(flat):
             return True
     return False
+
+
+def _random_image(mat, rng):
+    """The renumbered image of `mat` under a seeded random grid symmetry."""
+    rows, cols = mat.dims
+    rp, cp = list(range(1, rows)), list(range(1, cols))
+    rng.shuffle(rp)
+    rng.shuffle(cp)
+    return consecutive_renumbering(apply_symmetry(mat, GridSymmetry((0, *rp), (0, *cp))))
+
+
+def _leaf_slice(dims, depth, step, count):
+    """The first `count` leaves under every `step`-th node `depth` cells deep."""
+    cp = split_frontier(GridDims(*dims), depth)
+    return list(islice(resume(SearchCheckpoint(cp.dims, depth, cp.frontier[::step])), count))
+
+
+def _mirror_pool():
+    with lzma.open(MIRROR_POOL, "rt") as fh:
+        return [parse_matrix(mirror_5x5_text(key)) for key, *_ in json.load(fh)["classes"]]
+
+
+# each corpus's builder and size
+CANONICAL_FORM_CORPORA = {
+    "leaves-3x3-3x7": (lambda: [m for cols in (3, 5, 7)
+                                for m in enumerate_pairings(GridDims(3, cols))], 3482),
+    "mirror-5x5-pool": (_mirror_pool, 1889),
+    "slice-3x9": (lambda: _leaf_slice((3, 9), 19, 64, 200), 200),
+    "slice-5x7": (lambda: _leaf_slice((5, 7), 14, 50, 30), 30),
+    "family-2-3": (lambda: [family_pairing(2), family_pairing(3)], 2),
+    "curated-5x5": (lambda: [parse_matrix(text) for text in NON_AMENABLE_5x5], 2),
+}
+
+
+class TestCanonicalDescent:
+    """orbit_canonical_form descends through the pruning test's witnesses;
+    `oracles.reference_canonical_flat` is the separate search it replaced."""
+
+    @pytest.mark.parametrize("corpus", sorted(CANONICAL_FORM_CORPORA))
+    def test_matches_the_reference_search_on_random_images(self, corpus):
+        build, size = CANONICAL_FORM_CORPORA[corpus]
+        mats = build()
+        assert len(mats) == size
+        rng = random.Random(13)
+        for mat in mats:
+            image = _random_image(mat, rng)
+            assert orbit_canonical_form(image).flat == reference_canonical_flat(image), \
+                format_matrix(image)
+
+    def test_every_completion_of_a_witness_is_smaller_on_3x5(self):
+        """Each complete 3x5 matrix the test finds not canonical leaves one
+        witness; completed with the unused rows and columns in ascending
+        order, or in a seeded random order, it renumbers strictly smaller.
+        A matrix the test passes leaves none."""
+        rng = random.Random(5)
+        smaller = 0
+        for mat in brute_force_pairing_matrices(3, 5):
+            witness = []
+            if not has_smaller_stacked_image(mat.flat, 3, 5, witness=witness):
+                assert witness == [], format_matrix(mat)
+                continue
+            (rowmap, colmap), = witness
+            for shuffled in (False, True):
+                rest_rows = [r for r in range(3) if r not in rowmap]
+                rest_cols = [c for c in range(5) if c not in colmap]
+                if shuffled:
+                    rng.shuffle(rest_rows)
+                    rng.shuffle(rest_cols)
+                free = iter(rest_cols)
+                to_image = GridSymmetry(tuple(rowmap) + tuple(rest_rows),
+                                        tuple(next(free) if c < 0 else c for c in colmap))
+                image = consecutive_renumbering(apply_symmetry(mat, to_image.inverse()))
+                assert image.flat < mat.flat, (format_matrix(mat), rowmap, colmap, shuffled)
+            smaller += 1
+        assert smaller > 3000
+
+    def test_a_witness_that_gives_no_smaller_image_raises(self, monkeypatch):
+        def identity_witness(flat, rows, cols, witness):
+            witness.append((list(range(rows)), list(range(cols))))
+            return True
+
+        monkeypatch.setattr(grid_module, "has_smaller_stacked_image", identity_witness)
+        with pytest.raises(RuntimeError):
+            orbit_canonical_form(M1)
 
 
 class TestPairing:
