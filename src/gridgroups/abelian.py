@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .present import Presentation, Word
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]], track_cols: bool = True):
+def smith_normal_form(mat: Sequence[Sequence[int]]):
     """Diagonalise an integer matrix by row/column operations.
 
     Returns (diag, V) where diag holds the invariant factors d1 | d2 | ...
@@ -25,28 +25,20 @@ def smith_normal_form(mat: Sequence[Sequence[int]], track_cols: bool = True):
     A = [list(row) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_cols else None
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    both = A + V  # column operations act on both; rows change only in place
 
     def col_add(dst: int, src: int, q: int) -> None:
-        for row in A:
+        for row in both:
             row[dst] += q * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] += q * row[src]
 
     def col_swap(i: int, j: int) -> None:
-        for row in A:
+        for row in both:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
 
     def col_neg(i: int) -> None:
-        for row in A:
+        for row in both:
             row[i] = -row[i]
-        if V is not None:
-            for row in V:
-                row[i] = -row[i]
 
     t = 0
     while t < m and t < n:

@@ -18,13 +18,14 @@ from .grid import (GridDims, GridError, Pairing, PairingMatrix, cell_partners,
                    column_connected, format_matrix, orbit_canonical_form,
                    parse_matrix, proper_invariant_subgrids, row_connected)
 from .groupring import DirectFinitenessReport, verify_direct_finiteness
-from .present import (Presentation, Word, format_word, free_reduce,
-                      generator_families, presentation_from_matrix)
+from .present import (Presentation, Word, family_pairs, format_word,
+                      free_reduce, generator_families, presentation_from_matrix)
 from .rewrite import RewriteSystem
 from .smallgroups import identify_small_group
 from .wordprob import Budgets, GroupToolbox
 
 TC_FIRST_PASS = 1500  # coset budget for the cheap first attempt
+TORSION_ITERATIONS = 4  # rounds of adjoined torsion words in the torsion report
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,12 @@ def _closed_table_verdict(table: CosetTable, dims: GridDims,
 
 
 def _first_unseparated(ab: Abelianization, dims: GridDims) -> Optional[tuple[Word, Word]]:
-    """The first pair, in _degeneracy_partial's order, whose images in the
+    """The first pair, in family_pairs order, whose images in the
     abelianisation agree; every pair before it is provably distinct."""
     image = ab.image
-    for named in generator_families(dims):
-        for i in range(len(named)):
-            for k in range(i + 1, len(named)):
-                if image(named[i][1]) == image(named[k][1]):
-                    return named[i][1], named[k][1]
+    for _, (_, w1), (_, w2) in family_pairs(dims):
+        if image(w1) == image(w2):
+            return w1, w2
     return None
 
 
@@ -132,33 +131,19 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims) -> CosetEnumeration:
 
 
 def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumeration):
-    """Equality proofs from a run that did not close: coincidences, then
-    rewriting."""
-    image = toolbox.abelianization.image
-    kb: Optional[RewriteSystem] = None
-    undecided: list[tuple[str, str]] = []
-    for named in generator_families(dims):
-        for i in range(len(named)):
-            for k in range(i + 1, len(named)):
-                n1, w1 = named[i]
-                n2, w2 = named[k]
-                if run.equal_words(w1, w2):
-                    return (n1, n2, "coincidence in partial coset enumeration"), []
-                if image(w1) != image(w2):
-                    continue  # provably distinct
-                if toolbox.simplify_word(w1) == toolbox.simplify_word(w2):
-                    return (n1, n2, "identical after generator elimination"), []
-                if kb is None:
-                    kb = toolbox.rewriting
-                r1, r2 = kb.reduce_word(w1), kb.reduce_word(w2)
-                if r1 == r2:
-                    return (n1, n2, "common rewriting reduct"), []
-                if not kb.confluent:
-                    undecided.append((n1, n2, w1, w2))
-    # the stragglers get the full word-problem pipeline (quotient search and
-    # the eliminated-generator rewriting fallback)
+    """(witness, []) for the first pair, in family_pairs order, proved equal
+    from a run that did not close, else (None, the pairs left unknown): each
+    pair goes through decide_without_search, and those it leaves open then
+    through word_equal's searches."""
+    open_pairs = []
+    for _, (n1, w1), (n2, w2) in family_pairs(dims):
+        v = toolbox.decide_without_search(run, w1, w2)
+        if v is None:
+            open_pairs.append((n1, w1, n2, w2))
+        elif v.outcome == "equal":
+            return (n1, n2, v.evidence), []
     still: list[tuple[str, str]] = []
-    for n1, n2, w1, w2 in undecided:
+    for n1, w1, n2, w2 in open_pairs:
         v = toolbox.word_equal(w1, w2)
         if v.outcome == "equal":
             return (n1, n2, v.evidence), []
@@ -352,9 +337,9 @@ def forces_a_eq_b(record_or_matrix, budgets: Budgets = Budgets()) -> Optional[bo
 # ---------------------------------------------------------------------------
 # Torsion-closure quotient approximation
 
-def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
-                            max_iterations: int = 4) -> TorsionQuotientReport:
-    """Iteratively adjoin short certified-torsion words and study the quotient.
+def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims) -> TorsionQuotientReport:
+    """Iteratively adjoin short certified-torsion words, in at most
+    TORSION_ITERATIONS rounds, and study the quotient.
 
     The final quotient maps onto the torsion-free core, so a generator
     collision found here certifies one there, and an abelian quotient makes
@@ -367,7 +352,7 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
     current = toolbox.presentation
     found: list[tuple[str, int]] = []
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(TORSION_ITERATIONS):
         toolbox = _toolbox_on(current, toolbox, first_pass)
         if toolbox.coset_run().status == "complete":
             # everything is torsion: the quotient collapses completely
@@ -398,11 +383,10 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
     if quotient_abelian is None and _escalate(toolbox):
         quotient_abelian = toolbox.is_abelian()
     collision = None
-    families = tuple(zip("ab", generator_families(dims)))
     if quotient_abelian:
         ab = toolbox.abelianization
         tor = len(ab.invariants.torsion)
-        for famname, fam in families:
+        for famname, fam in zip("ab", generator_families(dims)):
             seen: dict[tuple, str] = {}
             for name, word in fam:
                 free_part = tuple(ab.image(word)[tor:])
@@ -413,18 +397,12 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims,
             if collision:
                 break
     else:
-        for famname, named in families:
-            for i in range(len(named)):
-                for k in range(i + 1, len(named)):
-                    v = toolbox.word_equal(named[i][1], named[k][1])
-                    if v.outcome == "unknown" and _escalate(toolbox):
-                        v = toolbox.word_equal(named[i][1], named[k][1])
-                    if v.outcome == "equal":
-                        collision = (famname, named[i][0], named[k][0])
-                        break
-                if collision:
-                    break
-            if collision:
+        for famname, (n1, w1), (n2, w2) in family_pairs(dims):
+            v = toolbox.word_equal(w1, w2)
+            if v.outcome == "unknown" and _escalate(toolbox):
+                v = toolbox.word_equal(w1, w2)
+            if v.outcome == "equal":
+                collision = (famname, n1, n2)
                 break
     return TorsionQuotientReport(tuple(found), iterations, quotient_abelian, collision)
 

@@ -101,11 +101,12 @@ def _validate_flat(dims: GridDims, flat: Sequence[int], complete: bool) -> None:
 
 
 class _Matrix:
-    __slots__ = ("dims", "flat")
+    __slots__ = ("dims", "flat", "_cells")
 
     def __init__(self, dims: GridDims, flat: Sequence[int]):
         self.dims = GridDims(*dims).validate()
         self.flat = tuple(flat)
+        self._cells = None
 
     def entry(self, i: int, j: int) -> int:
         return self.flat[i * self.dims.cols + j]
@@ -115,12 +116,15 @@ class _Matrix:
         return [self.flat[r * cols:(r + 1) * cols] for r in range(self.dims.rows)]
 
     def cells_by_label(self) -> dict[int, list[tuple[int, int]]]:
-        """Each label's cells in row-major order, labels by first occurrence."""
-        cols = self.dims.cols
-        cells: dict[int, list[tuple[int, int]]] = {}
-        for idx, v in enumerate(self.flat):
-            if v > 0:
-                cells.setdefault(v, []).append(divmod(idx, cols))
+        """Each label's cells in row-major order, labels by first occurrence.
+        Computed once per matrix and shared: callers only read it."""
+        cells = self._cells
+        if cells is None:
+            cols = self.dims.cols
+            cells = self._cells = {}
+            for idx, v in enumerate(self.flat):
+                if v > 0:
+                    cells.setdefault(v, []).append(divmod(idx, cols))
         return cells
 
     def __eq__(self, other) -> bool:
@@ -147,6 +151,7 @@ class PairingMatrix(_Matrix):
         mat = cls.__new__(cls)
         mat.dims = dims
         mat.flat = flat
+        mat._cells = None
         return mat
 
     def pairing(self) -> "Pairing":

@@ -231,51 +231,43 @@ def verify_direct_finiteness(dims, table: CosetTable) -> DirectFinitenessReport:
 # ---------------------------------------------------------------------------
 # Small linear algebra over F_p
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
+def _row_reduce_mod_p(mat: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Bring the rows of `mat`, entries in 0..p-1, to reduced row echelon
+    form mod p in place, eliminating in its first `ncols` columns only; the
+    pivot columns, in order (row k holds the k-th pivot)."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col] % p, p - 2, p)
+        inv = pow(mat[rank][col], p - 2, p)
         mat[rank] = [v * inv % p for v in mat[rank]]
         for i in range(len(mat)):
-            if i != rank and mat[i][col] % p:
-                f = mat[i][col] % p
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
                 mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    mat = [[v % p for v in r] for r in rows]
+    return len(_row_reduce_mod_p(mat, len(mat[0]) if mat else 0, p))
 
 
 def _solve_mod_p(rows: list[list[int]], rhs: list[int], p: int) -> Optional[list[int]]:
-    """One solution of rows^T x = rhs ... columns are the unknowns' vectors."""
-    m = len(rows[0])
+    """One solution of rows^T x = rhs mod p, or None: the rows are the
+    unknowns' vectors."""
     n = len(rows)
-    aug = [[rows[j][i] % p for j in range(n)] + [rhs[i] % p] for i in range(m)]
-    rank = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], p - 2, p)
-        aug[rank] = [v * inv % p for v in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None
+    aug = [[row[i] % p for row in rows] + [rhs[i] % p] for i in range(len(rows[0]))]
+    pivots = _row_reduce_mod_p(aug, n, p)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     x = [0] * n
-    for k, col in enumerate(pivots):
-        x[col] = aug[k][n]
+    for row, col in zip(aug, pivots):
+        x[col] = row[n]
     return x
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -160,15 +161,26 @@ def parse_presentation(text: str) -> Presentation:
 GeneratorFamily = tuple[tuple[str, Word], ...]
 
 
+@cache
 def generator_families(dims) -> tuple[GeneratorFamily, GeneratorFamily]:
     """The (name, word) of each element of a rows x cols grid group's two
     families: row i is a_i, column j is b_j, and index 0 is the identity
     ("1", ()), which leads each family.  Generators are numbered a1..a_{R-1},
-    then b1..b_{C-1}."""
+    then b1..b_{C-1}.  Built once per dims."""
     rows, cols = dims
     a_fam = (("1", ()),) + tuple((f"a{i}", (i,)) for i in range(1, rows))
     b_fam = (("1", ()),) + tuple((f"b{j}", (rows - 1 + j,)) for j in range(1, cols))
     return a_fam, b_fam
+
+
+@cache
+def family_pairs(dims) -> tuple[tuple[str, tuple[str, Word], tuple[str, Word]], ...]:
+    """Each family's pairs (i < k, by i then k) as (family "a" or "b",
+    (name, word), (name, word)), a's first: the order that picks a class's
+    degeneracy witness."""
+    return tuple((fam, named[i], named[k])
+                 for fam, named in zip("ab", generator_families(dims))
+                 for i in range(len(named)) for k in range(i + 1, len(named)))
 
 
 def presentation_from_matrix(mat) -> Presentation:
@@ -219,7 +231,10 @@ def _substitute(word: Word, gen: int, repl: Word, inv_repl: Word) -> Word:
     return tuple(out)
 
 
-def simplify_presentation(pres: Presentation, max_length: int = 2000) -> SimplifiedPresentation:
+MAX_REPLACEMENT_LENGTH = 2000  # simplify_presentation's longest substituted word
+
+
+def simplify_presentation(pres: Presentation) -> SimplifiedPresentation:
     """Eliminate generators occurring exactly once in some relator.
 
     Deterministic greedy Tietze pass: always eliminates via the shortest
@@ -248,7 +263,7 @@ def simplify_presentation(pres: Presentation, max_length: int = 2000) -> Simplif
             for x in rel:
                 counts[abs(x)] = counts.get(abs(x), 0) + 1
             for g, cnt in counts.items():
-                if cnt == 1 and (len(rel) - 1) <= max_length:
+                if cnt == 1 and len(rel) - 1 <= MAX_REPLACEMENT_LENGTH:
                     if choice is None or len(rel) < len(relators[choice[0]]) or (
                             len(rel) == len(relators[choice[0]]) and g < choice[1]):
                         choice = (ri, g)

@@ -282,7 +282,30 @@ class GroupToolbox:
 
     # -- the word problem ------------------------------------------------------
 
+    def decide_without_search(self, run: CosetEnumeration, w1: Word,
+                              w2: Word) -> Optional[WordVerdict]:
+        """The verdict of the stages that search nothing, or None: a
+        coincidence in `run` (an open enumeration of this presentation), then
+        the abelianisation (before any completion is built), generator
+        elimination, a common rewriting reduct, confluent normal forms."""
+        if run.equal_words(w1, w2):
+            return WordVerdict("equal", "coincidence in partial coset enumeration")
+        image = self.abelianization.image
+        if image(w1) != image(w2):
+            return WordVerdict("distinct", "separated in the abelianisation")
+        if self.simplify_word(w1) == self.simplify_word(w2):
+            return WordVerdict("equal", "identical after generator elimination")
+        kb = self.rewriting
+        if kb.reduce_word(w1) == kb.reduce_word(w2):
+            return WordVerdict("equal", "common rewriting reduct")
+        if kb.confluent:
+            return WordVerdict("distinct", "distinct confluent normal forms")
+        return None
+
     def word_equal(self, w1: Word, w2: Word) -> WordVerdict:
+        """Free reduction, a closed coset table, decide_without_search over
+        an open one, then the searches: a separating homomorphism, and
+        completion of the eliminated presentation."""
         w1, w2 = free_reduce(w1), free_reduce(w2)
         if w1 == w2:
             return WordVerdict("equal", "identical after free reduction")
@@ -294,20 +317,9 @@ class GroupToolbox:
                 return WordVerdict("equal", "same coset in closed table")
             return WordVerdict("distinct",
                                f"separated in the regular action on {run.table.coset_count} cosets")
-        if run.equal_words(w1, w2):
-            return WordVerdict("equal", "coincidence in partial coset enumeration")
-
-        if self.simplify_word(w1) == self.simplify_word(w2):
-            return WordVerdict("equal", "identical after generator elimination")
-        kb = self.rewriting
-        r1, r2 = kb.reduce_word(w1), kb.reduce_word(w2)
-        if r1 == r2:
-            return WordVerdict("equal", "common rewriting reduct")
-        if kb.confluent:
-            return WordVerdict("distinct", "distinct confluent normal forms")
-
-        if self.abelianization.image(w1) != self.abelianization.image(w2):
-            return WordVerdict("distinct", "separated in the abelianisation")
+        verdict = self.decide_without_search(run, w1, w2)
+        if verdict is not None:
+            return verdict
 
         diff = concat(self.simplify_word(w1), invert(self.simplify_word(w2)))
         sep = search_hom(self.simplified.presentation,

@@ -8,7 +8,9 @@ rewriting index, the all-pairs critical-pair scan, the recursive normal-form
 count, the torsion-quotient report on fresh toolboxes, the unwatched first
 coset pass, the closure homomorphism search, word evaluation by composing
 `mult` and `inv`, the fingerprint read from the derived subgroup and the
-element orders of the quotient by it).  Tests freeze expected values computed by these
+element orders of the quotient by it, the degeneracy pass and the word-problem
+ladder that each wrote out the search-free proof stages, the two Gauss-Jordan
+eliminations mod p).  Tests freeze expected values computed by these
 oracles and compare the real code against them.
 """
 
@@ -848,3 +850,149 @@ def composed_eval(target, word, images):
         g = images[x - 1] if x > 0 else target.inv(images[-x - 1])
         acc = target.mult(acc, g)
     return acc
+
+
+def reference_word_equal(toolbox, w1, w2):
+    """GroupToolbox.word_equal with its own copy of the search-free stages,
+    which asked the abelianisation only after the completion: the same
+    outcomes, and the same evidence for every `equal`."""
+    from gridgroups.present import concat, free_reduce, invert
+    from gridgroups.wordprob import WordVerdict, hom_targets, search_hom
+
+    w1, w2 = free_reduce(w1), free_reduce(w2)
+    if w1 == w2:
+        return WordVerdict("equal", "identical after free reduction")
+    run = toolbox.coset_run()
+    if run.status == "complete":
+        a, b = run.table.element(w1), run.table.element(w2)
+        if a == b:
+            return WordVerdict("equal", "same coset in closed table")
+        return WordVerdict("distinct",
+                           f"separated in the regular action on {run.table.coset_count} cosets")
+    if run.equal_words(w1, w2):
+        return WordVerdict("equal", "coincidence in partial coset enumeration")
+    if toolbox.simplify_word(w1) == toolbox.simplify_word(w2):
+        return WordVerdict("equal", "identical after generator elimination")
+    kb = toolbox.rewriting
+    if kb.reduce_word(w1) == kb.reduce_word(w2):
+        return WordVerdict("equal", "common rewriting reduct")
+    if kb.confluent:
+        return WordVerdict("distinct", "distinct confluent normal forms")
+    if toolbox.abelianization.image(w1) != toolbox.abelianization.image(w2):
+        return WordVerdict("distinct", "separated in the abelianisation")
+    diff = concat(toolbox.simplify_word(w1), invert(toolbox.simplify_word(w2)))
+    budgets = toolbox.budgets
+    sep = search_hom(toolbox.simplified.presentation, hom_targets(budgets.hom_degree),
+                     lambda t, imgs: t.eval_word(diff, imgs) != t.identity,
+                     budgets.hom_nodes)
+    if sep is not None:
+        return WordVerdict("distinct", f"separated by homomorphism to {sep[0]} "
+                                       f"with generator images {sep[1]}")
+    kb2 = toolbox.rewriting_simplified
+    q1 = kb2.reduce_word(toolbox.simplify_word(w1))
+    q2 = kb2.reduce_word(toolbox.simplify_word(w2))
+    if q1 == q2:
+        return WordVerdict("equal", "common reduct after generator elimination")
+    if kb2.confluent:
+        return WordVerdict("distinct",
+                           "distinct confluent normal forms (eliminated generators)")
+    return WordVerdict("unknown", "budgets exhausted")
+
+
+def reference_degeneracy_partial(toolbox, dims, run):
+    """classify._degeneracy_partial with its own copy of the search-free
+    stages and nested loops over each family's pairs; the pairs it leaves
+    open go to reference_word_equal."""
+    from gridgroups.present import generator_families
+
+    image = toolbox.abelianization.image
+    kb = None
+    undecided = []
+    for named in generator_families(dims):
+        for i in range(len(named)):
+            for k in range(i + 1, len(named)):
+                n1, w1 = named[i]
+                n2, w2 = named[k]
+                if run.equal_words(w1, w2):
+                    return (n1, n2, "coincidence in partial coset enumeration"), []
+                if image(w1) != image(w2):
+                    continue
+                if toolbox.simplify_word(w1) == toolbox.simplify_word(w2):
+                    return (n1, n2, "identical after generator elimination"), []
+                if kb is None:
+                    kb = toolbox.rewriting
+                if kb.reduce_word(w1) == kb.reduce_word(w2):
+                    return (n1, n2, "common rewriting reduct"), []
+                if not kb.confluent:
+                    undecided.append((n1, n2, w1, w2))
+    still = []
+    for n1, n2, w1, w2 in undecided:
+        v = reference_word_equal(toolbox, w1, w2)
+        if v.outcome == "equal":
+            return (n1, n2, v.evidence), []
+        if v.outcome == "unknown":
+            still.append((n1, n2))
+    return None, still
+
+
+def nested_family_pairs(dims):
+    """The pairs of each family by the nested loops that family_pairs
+    replaced."""
+    from gridgroups.present import generator_families
+
+    out = []
+    for famname, named in zip("ab", generator_families(dims)):
+        for i in range(len(named)):
+            for k in range(i + 1, len(named)):
+                out.append((famname, named[i], named[k]))
+    return out
+
+
+def reference_rank_mod_p(rows, p):
+    """The rank of a matrix mod p, by its own Gauss-Jordan loop."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col] % p, p - 2, p)
+        mat[rank] = [v * inv % p for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] % p:
+                f = mat[i][col] % p
+                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def reference_solve_mod_p(rows, rhs, p):
+    """One solution of rows^T x = rhs mod p, or None, by its own
+    Gauss-Jordan loop on the augmented matrix."""
+    m = len(rows[0])
+    n = len(rows)
+    aug = [[rows[j][i] % p for j in range(n)] + [rhs[i] % p] for i in range(m)]
+    rank = 0
+    pivots = []
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = pow(aug[rank][col], p - 2, p)
+        aug[rank] = [v * inv % p for v in aug[rank]]
+        for i in range(m):
+            if i != rank and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, m):
+        if aug[i][n]:
+            return None
+    x = [0] * n
+    for k, col in enumerate(pivots):
+        x[col] = aug[k][n]
+    return x

@@ -1,4 +1,7 @@
 import json
+import lzma
+import os
+import random
 from collections import Counter
 
 import pytest
@@ -15,16 +18,21 @@ from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import (GridDims, GridError, format_matrix,
                              orbit_canonical_form, parse_matrix)
 from gridgroups.present import (Presentation, eliminate_generators,
-                                generator_families, parse_word,
+                                family_pairs, generator_families, parse_word,
                                 presentation_from_matrix)
 from gridgroups.wordprob import Budgets, GroupToolbox
 
-from oracles import reference_first_pass, reference_torsion_quotient_report
+from oracles import (nested_family_pairs, reference_degeneracy_partial,
+                     reference_first_pass, reference_torsion_quotient_report,
+                     reference_word_equal)
 from reference_tables import (MIRROR_5x5_SLICE, NON_AMENABLE_5x5, RANK_3x3,
                               RANK_3x5, RANK_3x7_INFINITE,
                               RANK_3x9_CLOSED_ONLY_ELIMINATED, mirror_5x5_text)
 
 QUICK = Budgets(max_cosets=20_000, kb_max_rules=1500)
+
+MIRROR_POOL = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "perfbench", "data", "mirror-5x5.json.xz")
 
 # a degenerate class of free rank 0 whose group closes over the eliminated
 # presentation, so that its first pass makes no run over the raw one
@@ -357,6 +365,131 @@ class TestFirstPass:
             assert record_to_json(rec) == record_to_json(ref).replace(
                 "common rewriting reduct", "same element of the closed coset table"), \
                 format_matrix(mat)
+
+
+# the ten mirror-form 5x5 classes whose witness is not a coincidence: eight
+# common rewriting reducts and two identities after generator elimination
+MIRROR_5x5_PROVED_WITHOUT_COINCIDENCE = [
+    "x 1 2 3 4\n1 5 6 7 8\n2 6 5 8 7\n3 9 10 11 12\n4 10 11 12 9",
+    "x 1 2 3 4\n1 5 6 7 8\n2 6 5 8 7\n3 9 10 11 12\n4 10 12 9 11",
+    "x 1 2 3 4\n1 5 6 7 8\n2 6 5 8 7\n3 9 10 11 12\n4 11 12 9 10",
+    "x 1 2 3 4\n1 5 6 7 8\n2 6 5 8 7\n3 9 10 11 12\n4 11 12 10 9",
+    "x 1 2 3 4\n1 5 6 7 8\n2 6 7 8 5\n3 9 10 11 12\n4 12 9 10 11",
+    "x 1 2 3 4\n1 5 6 7 8\n2 6 7 8 5\n3 9 10 11 12\n4 12 11 10 9",
+    "x 1 2 3 4\n1 5 6 7 8\n2 7 5 8 6\n3 9 10 11 12\n4 11 12 9 10",
+    "x 1 2 3 4\n1 5 6 7 8\n2 7 8 5 6\n3 9 10 11 12\n4 11 12 10 9",
+    "x 1 2 3 4\n1 5 6 7 8\n2 7 8 5 6\n3 9 10 11 12\n4 12 11 10 9",
+    "x 1 2 3 4\n1 5 6 7 8\n2 7 8 6 5\n3 9 10 11 12\n4 11 12 10 9",
+]
+
+
+def _open_first_passes(mats, budgets=QUICK):
+    """(matrix, toolbox, first pass) of each class whose first pass does not
+    close, on a fresh toolbox as classify_matrix makes it."""
+    out = []
+    for mat in mats:
+        dims = GridDims(*mat.dims)
+        toolbox = GroupToolbox(presentation_from_matrix(mat), budgets)
+        run = classify_module._first_pass(toolbox, dims)
+        if run.status != "complete":
+            out.append((mat, toolbox, run))
+    return out
+
+
+def _mirror_pool_slice(count, seed):
+    with lzma.open(MIRROR_POOL, "rt") as fh:
+        keys = [key for key, *_ in json.load(fh)["classes"]]
+    return [parse_matrix(mirror_5x5_text(key))
+            for key in sorted(random.Random(seed).sample(keys, count))]
+
+
+def _word_pairs(rng, pres, count):
+    """Seeded pairs of short words; about half of them equal in the group,
+    the second word being the first with a relator put in."""
+    n = pres.generator_count
+
+    def word(length):
+        return tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length))
+
+    for _ in range(count):
+        w1 = word(rng.randint(0, 4))
+        if rng.random() < 0.5:
+            cut = rng.randint(0, len(w1))
+            w2 = w1[:cut] + rng.choice(pres.relators) + w1[cut:]
+        else:
+            w2 = word(rng.randint(0, 4))
+        yield w1, w2
+
+
+class TestProofLadder:
+    """The degeneracy pass and word_equal share GroupToolbox's search-free
+    stages (decide_without_search), in one pair order (family_pairs).  The
+    oracles are the two copies of those stages that they replaced, which
+    asked the abelianisation at different points."""
+
+    CORPORA = {
+        "open-3x7": lambda: _open_first_passes(enumerate_pairings(GridDims(3, 7))),
+        "mirror-5x5-slice": lambda: _open_first_passes(_mirror_pool_slice(120, 14)),
+        "mirror-5x5-rewriting": lambda: _open_first_passes(
+            parse_matrix(text) for text in MIRROR_5x5_PROVED_WITHOUT_COINCIDENCE),
+        # budgets so small that word_equal's searches prove the rewriting
+        # classes degenerate, and leave a 3x7 class's pairs open
+        "low-budgets": lambda: _open_first_passes(
+            [parse_matrix(text) for text in MIRROR_5x5_PROVED_WITHOUT_COINCIDENCE]
+            + list(enumerate_pairings(GridDims(3, 7))),
+            Budgets(max_cosets=300, kb_max_rules=40, hom_nodes=300)),
+    }
+    # each corpus's size, and the witness evidence that must occur in it
+    EXPECTED = {
+        "open-3x7": (127, {"coincidence in partial coset enumeration"}),
+        "mirror-5x5-slice": (120, {"coincidence in partial coset enumeration"}),
+        "mirror-5x5-rewriting": (10, {"common rewriting reduct",
+                                      "identical after generator elimination"}),
+        "low-budgets": (137, {"common reduct after generator elimination",
+                                         "open pairs"}),
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_witness_and_open_pairs_match_the_replaced_pass(self, corpus):
+        cases = self.CORPORA[corpus]()
+        size, must = self.EXPECTED[corpus]
+        assert len(cases) == size
+        evidence = set()
+        for mat, toolbox, run in cases:
+            dims = GridDims(*mat.dims)
+            got = classify_module._degeneracy_partial(toolbox, dims, run)
+            assert got == reference_degeneracy_partial(toolbox, dims, run), \
+                format_matrix(mat)
+            if got[0] is not None:
+                evidence.add(got[0][2])
+            elif got[1]:
+                evidence.add("open pairs")
+        assert must <= evidence
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_word_equal_matches_the_replaced_ladder(self, corpus):
+        """Same outcome, and for `equal` the same evidence; a `distinct`
+        may cite the abelianisation where the old ladder cited confluent
+        normal forms."""
+        rng = random.Random(7)
+        outcomes = Counter()
+        for mat, toolbox, _ in self.CORPORA[corpus]():
+            toolbox.coset_run(min(classify_module.TC_FIRST_PASS, toolbox.budgets.max_cosets))
+            for w1, w2 in _word_pairs(rng, toolbox.presentation, 4):
+                got = toolbox.word_equal(w1, w2)
+                want = reference_word_equal(toolbox, w1, w2)
+                assert got.outcome == want.outcome, (format_matrix(mat), w1, w2)
+                if got.outcome == "equal":
+                    assert got.evidence == want.evidence, (format_matrix(mat), w1, w2)
+                outcomes[got.outcome] += 1
+        assert outcomes["equal"] > 0 and outcomes["distinct"] > 0
+
+    @pytest.mark.parametrize("rows", range(3, 8))
+    @pytest.mark.parametrize("cols", range(3, 8))
+    def test_family_pairs_match_nested_loops(self, rows, cols):
+        dims = GridDims(rows, cols)
+        assert list(family_pairs(dims)) == nested_family_pairs(dims)
+        assert len(family_pairs(dims)) == (rows * (rows - 1) + cols * (cols - 1)) // 2
 
 
 class TestFamily:

@@ -5,13 +5,15 @@ import pytest
 from gridgroups.coset import todd_coxeter
 from gridgroups.grid import parse_matrix
 from gridgroups.groupring import (GroupRingElement, GroupRingError, LabReport,
-                                  NOT_INVERTIBLE, SubgroupContext,
+                                  NOT_INVERTIBLE, SubgroupContext, _rank_mod_p,
+                                  _solve_mod_p,
                                   conditional_expectation, gr_add, gr_basis,
                                   gr_mul, gr_one, gr_scal, gr_sub, gr_zero,
                                   matrix_unit_lab, matrix_units, rank2_inverse,
                                   rank2_zero_divisor, verify_direct_finiteness)
 from gridgroups.present import Presentation, presentation_from_matrix
 
+from oracles import reference_rank_mod_p, reference_solve_mod_p
 from reference_tables import RANK_3x3, RANK_3x5
 
 Z4 = todd_coxeter(Presentation(("x",), ((1, 1, 1, 1),))).table
@@ -208,6 +210,36 @@ class TestLabs:
             assert gr_mul(e12, e12).is_zero()
             q = gr_add(e11, e22)
             assert gr_mul(q, q).coeffs == q.coeffs
+
+
+class TestLinearAlgebraModP:
+    """Rank and solve share one row reduction; the oracles are the two
+    Gauss-Jordan loops it replaced."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_ranks_and_solutions_match_the_replaced_eliminations(self, p):
+        rng = random.Random(100 + p)
+        inconsistent = solved = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            # entries outside 0..p-1, and often rank-deficient
+            rows = [[rng.randint(-2 * p, 2 * p) for _ in range(m)] for _ in range(n)]
+            if rng.random() < 0.5 and n > 1:
+                rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+            assert _rank_mod_p(rows, p) == reference_rank_mod_p(rows, p)
+            rhs = [rng.randint(-p, p) for _ in range(m)]
+            sol = _solve_mod_p(rows, rhs, p)
+            assert sol == reference_solve_mod_p(rows, rhs, p)
+            if sol is None:
+                inconsistent += 1
+            else:
+                solved += 1
+                assert all(sum(x * row[i] for x, row in zip(sol, rows)) % p == rhs[i] % p
+                           for i in range(m))
+        assert inconsistent > 0 and solved > 0
+
+    def test_rank_of_no_rows(self):
+        assert _rank_mod_p([], 3) == reference_rank_mod_p([], 3) == 0
 
 
 class TestCornerEmbedding:
