@@ -1,8 +1,8 @@
 """Per-class analysis: group construction, degeneracy, structure, checks.
 
-classify() is a pure function of (matrix, budgets).  Every failure mode is
-a verdict, never an exception: a class the provers cannot settle within
-budget is reported undecided, with the budgets it was given.
+classify_matrix() is a pure function of (matrix, budgets).  Every failure
+mode is a verdict, never an exception: a class the provers cannot settle
+within budget is reported undecided, with the budgets it was given.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from typing import Optional
 from .abelian import Abelianization, AbelianInvariants
 from .coset import (CosetEnumeration, CosetTable, GroupFingerprint, fingerprint,
                     todd_coxeter)
-from .grid import (GridDims, GridError, Pairing, PairingMatrix, cell_partners,
+from .grid import (GridDims, GridError, PairingMatrix, cell_partners,
                    column_connected, format_matrix, orbit_canonical_form,
                    parse_matrix, proper_invariant_subgrids, row_connected)
 from .groupring import DirectFinitenessReport, verify_direct_finiteness
-from .present import (Presentation, Word, family_pairs, format_word,
-                      free_reduce, generator_families, presentation_from_matrix)
+from .present import (Presentation, Word, family_pairs, first_family_repeat,
+                      format_word, free_reduce, generator_families,
+                      presentation_from_matrix)
 from .rewrite import RewriteSystem
 from .smallgroups import identify_small_group
 from .wordprob import Budgets, GroupToolbox
@@ -66,14 +67,11 @@ class ClassificationRecord:
 
 
 def _degeneracy_from_table(table: CosetTable, dims: GridDims):
-    for fam in generator_families(dims):
-        seen: dict[int, str] = {}
-        for name, word in fam:
-            e = table.element(word)
-            if e in seen:
-                return (seen[e], name, "same element of the closed coset table")
-            seen[e] = name
-    return None
+    repeat = first_family_repeat(dims, table.element)
+    if repeat is None:
+        return None
+    _, n1, n2 = repeat
+    return (n1, n2, "same element of the closed coset table")
 
 
 def _closed_table_verdict(table: CosetTable, dims: GridDims,
@@ -241,10 +239,6 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
         annotations=_annotations_for(mat), **flags)
 
 
-def classify(pairing: Pairing, budgets: Budgets = Budgets()) -> ClassificationRecord:
-    return classify_matrix(pairing.canonical_matrix(), budgets)
-
-
 def _table_from_rewriting(kb: RewriteSystem,
                           images: Optional[tuple[Word, ...]] = None) -> Optional[CosetTable]:
     kind, count = kb.language()
@@ -279,20 +273,6 @@ def _forces_syntactic(mat: PairingMatrix) -> bool:
         return False
     partner = cell_partners(mat)
     return all(partner[(0, k)][1] == 0 for k in range(1, cols))
-
-
-def filter_flags(record: ClassificationRecord) -> ClassificationRecord:
-    """Recompute the structural filter memberships from the grid alone.
-
-    Pure matrix predicates plus the syntactic mirror test; no group
-    computation happens here, so this is safe on undecided records too.
-    """
-    forces = record.forces_a_eq_b
-    if _forces_syntactic(record.matrix):
-        forces = True
-    return ClassificationRecord(**{**record.__dict__,
-                                   **structural_flags(record.matrix),
-                                   "forces_a_eq_b": forces})
 
 
 def forces_a_eq_b(record_or_matrix, budgets: Budgets = Budgets()) -> Optional[bool]:
@@ -386,16 +366,7 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims) -> TorsionQuo
     if quotient_abelian:
         ab = toolbox.abelianization
         tor = len(ab.invariants.torsion)
-        for famname, fam in zip("ab", generator_families(dims)):
-            seen: dict[tuple, str] = {}
-            for name, word in fam:
-                free_part = tuple(ab.image(word)[tor:])
-                if free_part in seen:
-                    collision = (famname, seen[free_part], name)
-                    break
-                seen[free_part] = name
-            if collision:
-                break
+        collision = first_family_repeat(dims, lambda w: tuple(ab.image(w)[tor:]))
     else:
         for famname, (n1, w1), (n2, w2) in family_pairs(dims):
             v = toolbox.word_equal(w1, w2)
@@ -478,7 +449,7 @@ def family_pairing(n: int) -> PairingMatrix:
         pairs.append(((0, j), (j, 2)))
         pairs.append(((1, j), (j, 0)))
         pairs.append(((2, j), (j, 1)))
-    return Pairing(GridDims(size, size), pairs).to_matrix()
+    return PairingMatrix.from_pairs(GridDims(size, size), pairs)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 SENTINEL = -1
 
 
@@ -154,8 +152,31 @@ class PairingMatrix(_Matrix):
         mat._cells = None
         return mat
 
-    def pairing(self) -> "Pairing":
-        return Pairing.from_matrix(self)
+    @classmethod
+    def from_pairs(cls, dims: GridDims, pairs) -> "PairingMatrix":
+        """The consecutively numbered matrix of a partition given as cell
+        pairs: labels are assigned in traversal order.  The validator checks
+        everything the pairs do not: each label used twice, never twice in a
+        row or column, and every cell filled."""
+        dims = GridDims(*dims).validate()
+        rows, cols = dims
+        partner: dict[tuple[int, int], tuple[int, int]] = {}
+        for a, b in pairs:
+            for (i, j), other in ((a, b), (b, a)):
+                if not (0 <= i < rows and 0 <= j < cols) or i == j == 0:
+                    raise GridError(f"cell {(i, j)} is outside the grid or the corner")
+                if (i, j) in partner:
+                    raise GridError(f"cell {(i, j)} used twice")
+                partner[i, j] = other
+        flat = [SENTINEL] + [0] * (rows * cols - 1)
+        nxt = 1
+        for idx in range(1, rows * cols):
+            other = partner.get(divmod(idx, cols))
+            if flat[idx] or other is None:
+                continue
+            flat[idx] = flat[other[0] * cols + other[1]] = nxt
+            nxt += 1
+        return cls(dims, flat)
 
 
 class PartialPairingMatrix(_Matrix):
@@ -225,20 +246,6 @@ def all_symmetries(dims: GridDims) -> Iterator[GridSymmetry]:
     for rp in permutations(range(1, dims.rows)):
         for cp in permutations(range(1, dims.cols)):
             yield GridSymmetry((0,) + rp, (0,) + cp)
-
-
-# ---------------------------------------------------------------------------
-# Row-major traversal order (skipping the sentinel corner)
-
-def lex_compare(a: _Matrix, b: _Matrix) -> int:
-    """Lexicographic comparison of the row-major sequences starting at (0,1)."""
-    if a.dims != b.dims:
-        raise GridError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    if a.flat < b.flat:
-        return LESS
-    if a.flat > b.flat:
-        return GREATER
-    return EQUAL
 
 
 def _renumber_flat(flat: Sequence[int]) -> list[int]:
@@ -593,84 +600,6 @@ def orbit_canonical_form(mat: PairingMatrix) -> PairingMatrix:
             raise RuntimeError(f"canonicity witness gives no smaller image of {current!r}")
         current = image
     return current
-
-
-# ---------------------------------------------------------------------------
-# Partition view
-
-class Pairing:
-    """The partition itself: unordered cell pairs covering the grid minus (0,0).
-
-    Equality and hashing go through the canonical matrix form, so two
-    Pairings compare equal exactly when they are related by a grid symmetry.
-    """
-
-    __slots__ = ("dims", "pairs", "_canon")
-
-    def __init__(self, dims: GridDims, pairs):
-        self.dims = GridDims(*dims).validate()
-        norm = []
-        seen: set[tuple[int, int]] = set()
-        for pair in pairs:
-            (a, b) = pair
-            a, b = tuple(a), tuple(b)
-            if a == b:
-                raise GridError(f"degenerate pair {pair}")
-            lo, hi = (a, b) if a < b else (b, a)
-            norm.append((lo, hi))
-            for cell in (lo, hi):
-                if cell in seen:
-                    raise GridError(f"cell {cell} used twice")
-                seen.add(cell)
-        expect = {(i, j) for i in range(self.dims.rows) for j in range(self.dims.cols)}
-        expect.discard((0, 0))
-        if seen != expect:
-            raise GridError("pairs do not cover the grid minus the corner")
-        for (i, j), (k, l) in norm:
-            if i == k or j == l:
-                raise GridError(f"pair {((i, j), (k, l))} shares a row or column")
-        self.pairs = frozenset(norm)
-        self._canon = None
-
-    @staticmethod
-    def from_matrix(mat: PairingMatrix) -> "Pairing":
-        return Pairing(mat.dims, [tuple(cells) for cells in mat.cells_by_label().values()])
-
-    def to_matrix(self) -> PairingMatrix:
-        """Consecutively numbered matrix: labels assigned in traversal order."""
-        rows, cols = self.dims
-        flat = [0] * (rows * cols)
-        flat[0] = SENTINEL
-        partner: dict[tuple[int, int], tuple[int, int]] = {}
-        for a, b in self.pairs:
-            partner[a] = b
-            partner[b] = a
-        nxt = 1
-        for idx in range(1, rows * cols):
-            if flat[idx]:
-                continue
-            cell = divmod(idx, cols)
-            other = partner[cell]
-            flat[idx] = nxt
-            flat[other[0] * cols + other[1]] = nxt
-            nxt += 1
-        return PairingMatrix(self.dims, flat)
-
-    def canonical_matrix(self) -> PairingMatrix:
-        if self._canon is None:
-            self._canon = orbit_canonical_form(self.to_matrix())
-        return self._canon
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pairing):
-            return NotImplemented
-        return self.dims == other.dims and self.canonical_matrix().flat == other.canonical_matrix().flat
-
-    def __hash__(self) -> int:
-        return hash((self.dims, self.canonical_matrix().flat))
-
-    def __repr__(self) -> str:
-        return f"Pairing({self.dims.rows}x{self.dims.cols}, {len(self.pairs)} pairs)"
 
 
 def cell_partners(mat: PairingMatrix) -> dict[tuple[int, int], tuple[int, int]]:

@@ -330,23 +330,35 @@ def _rep_matrix(table: CosetTable, rep: dict[str, tuple], pres: Presentation,
     return ((mat[0][0] % p, mat[0][1] % p), (mat[1][0] % p, mat[1][1] % p))
 
 
-def _corner_checks(branch: str, p: int, pres: Presentation, rep, q_coeffs) -> list[LabCheck]:
+def _corner(branch: str, p: int):
+    """The branch's group table, its projection Q, the corner elements Q·g·Q
+    and the representation matrices, both for every group element g."""
+    pres, rep = (_S3, _S3_REP) if branch == "S3" else (_DIH4, _DIH4_REP)
     table = _group_table(branch, pres)
+    if branch == "S3":
+        inv3 = pow(3, p - 2, p)
+        a, a2 = table.element((1,)), table.element((1, 1))
+        q = GroupRingElement(p, table, {0: 2 * inv3, a: -inv3, a2: -inv3})
+    else:
+        inv2 = pow(2, p - 2, p)
+        q = GroupRingElement(p, table, {0: inv2, table.element((1, 1)): -inv2})
+    n = table.coset_count
+    corner = [gr_mul(gr_mul(q, gr_basis(p, table, g)), q) for g in range(n)]
+    mats = [_rep_matrix(table, rep, pres, g, p) for g in range(n)]
+    return table, q, corner, mats
+
+
+def _corner_checks(branch: str, p: int) -> list[LabCheck]:
+    table, q, corner, mats = _corner(branch, p)
     n = table.coset_count
     checks = []
-    q = GroupRingElement(p, table, q_coeffs)
     qq = gr_mul(q, q)
     checks.append(LabCheck(branch, "projection squares to itself",
                            "pass" if qq.coeffs == q.coeffs else "fail"))
     # corner dimension: span of Q g Q over the group basis
-    vecs = []
-    for g in range(n):
-        x = gr_mul(gr_mul(q, gr_basis(p, table, g)), q)
-        vecs.append([x.coeffs.get(e, 0) for e in range(n)])
-    dim = _rank_mod_p(vecs, p)
+    dim = _rank_mod_p([[x.coeffs.get(e, 0) for e in range(n)] for x in corner], p)
     checks.append(LabCheck(branch, "corner has dimension 4",
                            "pass" if dim == 4 else "fail", f"dim={dim}"))
-    mats = [_rep_matrix(table, rep, pres, g, p) for g in range(n)]
     flat = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in mats]
     span = _rank_mod_p(flat, p)
     checks.append(LabCheck(branch, "representation spans the 2x2 matrices",
@@ -371,20 +383,11 @@ def matrix_unit_lab(p: int) -> LabReport:
     check_prime(p)
     checks: list[LabCheck] = []
     if p != 3:
-        table = _group_table("S3", _S3)
-        inv3 = pow(3, p - 2, p) if p != 3 else None
-        a = table.element((1,))
-        a2 = table.element((1, 1))
-        q_coeffs = {0: 2 * inv3 % p, a: -inv3 % p, a2: -inv3 % p}
-        checks.extend(_corner_checks("S3", p, _S3, _S3_REP, q_coeffs))
+        checks.extend(_corner_checks("S3", p))
     else:
         checks.append(LabCheck("S3", "all", "skip", "division by 3 unavailable in characteristic 3"))
     if p != 2:
-        table = _group_table("Dih4", _DIH4)
-        inv2 = pow(2, p - 2, p)
-        c2 = table.element((1, 1))
-        q_coeffs = {0: inv2 % p, c2: -inv2 % p}
-        checks.extend(_corner_checks("Dih4", p, _DIH4, _DIH4_REP, q_coeffs))
+        checks.extend(_corner_checks("Dih4", p))
     else:
         checks.append(LabCheck("Dih4", "all", "skip", "division by 2 unavailable in characteristic 2"))
     return LabReport(p, tuple(checks))
@@ -392,18 +395,8 @@ def matrix_unit_lab(p: int) -> LabReport:
 
 def matrix_units(p: int, branch: str = "S3") -> tuple[CosetTable, list[GroupRingElement]]:
     """Elements e11, e12, e21, e22 of the corner representing the 2x2 units."""
-    pres, rep = (_S3, _S3_REP) if branch == "S3" else (_DIH4, _DIH4_REP)
-    table = _group_table(branch, pres)
+    table, _, corner, mats = _corner(branch, p)
     n = table.coset_count
-    if branch == "S3":
-        inv3 = pow(3, p - 2, p)
-        a, a2 = table.element((1,)), table.element((1, 1))
-        q = GroupRingElement(p, table, {0: 2 * inv3, a: -inv3, a2: -inv3})
-    else:
-        inv2 = pow(2, p - 2, p)
-        q = GroupRingElement(p, table, {0: inv2, table.element((1, 1)): -inv2})
-    corner = [gr_mul(gr_mul(q, gr_basis(p, table, g)), q) for g in range(n)]
-    mats = [_rep_matrix(table, rep, pres, g, p) for g in range(n)]
     units = []
     for target in (((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))):
         # solve sum_g x_g * pi(QgQ) = target entrywise

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -181,6 +181,22 @@ def family_pairs(dims) -> tuple[tuple[str, tuple[str, Word], tuple[str, Word]], 
     return tuple((fam, named[i], named[k])
                  for fam, named in zip("ab", generator_families(dims))
                  for i in range(len(named)) for k in range(i + 1, len(named)))
+
+
+def first_family_repeat(dims, key: Callable[[Word], Hashable]
+                        ) -> Optional[tuple[str, str, str]]:
+    """The first repeat, walking the a family and then the b family in
+    generator order: (family "a" or "b", earlier name, name) for the first
+    name whose key equals that of an earlier name of its family, or None.
+    This is the other witness order, for keys read off all at once (closed
+    table elements, abelian images); family_pairs serves proofs per pair."""
+    for fam, named in zip("ab", generator_families(dims)):
+        seen: dict = {}
+        for name, word in named:
+            earlier = seen.setdefault(key(word), name)
+            if earlier != name:
+                return fam, earlier, name
+    return None
 
 
 def presentation_from_matrix(mat) -> Presentation:

@@ -10,7 +10,7 @@ coset pass, the closure homomorphism search, word evaluation by composing
 `mult` and `inv`, the fingerprint read from the derived subgroup and the
 element orders of the quotient by it, the degeneracy pass and the word-problem
 ladder that each wrote out the search-free proof stages, the two Gauss-Jordan
-eliminations mod p).  Tests freeze expected values computed by these
+eliminations mod p, the two repeat-order loops).  Tests freeze expected values computed by these
 oracles and compare the real code against them.
 """
 
@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.coset import GroupFingerprint
-from gridgroups.grid import (SENTINEL, GridDims, Pairing, PairingMatrix,
+from gridgroups.grid import (SENTINEL, GridDims, PairingMatrix,
                              all_symmetries, apply_symmetry, consecutive_renumbering)
 from gridgroups.rewrite import RewriteSystem
 
@@ -31,7 +31,7 @@ def brute_force_pairing_matrices(rows, cols):
 
     def rec(unmatched, pairs):
         if not unmatched:
-            out.append(Pairing(GridDims(rows, cols), pairs).to_matrix())
+            out.append(PairingMatrix.from_pairs(GridDims(rows, cols), pairs))
             return
         first = unmatched[0]
         rest = unmatched[1:]
@@ -224,10 +224,11 @@ def invariant_factors_by_minors(matrix):
     return factors
 
 
-def scan_proper_invariant_subgrids(pairing: Pairing):
+def scan_proper_invariant_subgrids(mat: PairingMatrix):
     """Every proper invariant subgrid through (0,0), by testing each row and
     column subset that holds index 0 and at least one other index."""
-    rows, cols = pairing.dims
+    rows, cols = mat.dims
+    pairs = list(mat.cells_by_label().values())
     out = []
     for rbits in range(1, 1 << (rows - 1)):
         rset = frozenset({0} | {i + 1 for i in range(rows - 1) if rbits >> i & 1})
@@ -236,7 +237,7 @@ def scan_proper_invariant_subgrids(pairing: Pairing):
             if len(rset) == rows and len(cset) == cols:
                 continue
             if all((i in rset and j in cset) == (k in rset and l in cset)
-                   for (i, j), (k, l) in pairing.pairs):
+                   for (i, j), (k, l) in pairs):
                 out.append((rset, cset))
     out.sort(key=lambda rc: (sorted(rc[0]), sorted(rc[1])))
     return out
@@ -946,6 +947,22 @@ def nested_family_pairs(dims):
             for k in range(i + 1, len(named)):
                 out.append((famname, named[i], named[k]))
     return out
+
+
+def reference_first_family_repeat(dims, key):
+    """The repeat-order loop that first_family_repeat replaced in the
+    closed-table degeneracy witness and the torsion report's abelian
+    collision."""
+    from gridgroups.present import generator_families
+
+    for famname, fam in zip("ab", generator_families(dims)):
+        seen = {}
+        for name, word in fam:
+            k = key(word)
+            if k in seen:
+                return (famname, seen[k], name)
+            seen[k] = name
+    return None
 
 
 def reference_rank_mod_p(rows, p):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import lzma
 import os
@@ -9,22 +11,24 @@ import pytest
 from gridgroups import classify as classify_module
 from gridgroups import abelian, groupring, smallgroups, wordprob
 from gridgroups.abelian import AbelianInvariants
-from gridgroups.classify import (ClassificationRecord, classify,
-                                 classify_matrix, family_pairing, family_record,
-                                 forces_a_eq_b, record_to_json,
+from gridgroups.classify import (ClassificationRecord, classify_matrix,
+                                 family_pairing, family_record, forces_a_eq_b,
+                                 record_to_json, structural_flags,
                                  torsion_quotient_report)
 from gridgroups.coset import todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
-from gridgroups.grid import (GridDims, GridError, format_matrix,
+from gridgroups.grid import (GridDims, GridError, GridSymmetry, PairingMatrix,
+                             apply_symmetry, format_matrix,
                              orbit_canonical_form, parse_matrix)
 from gridgroups.present import (Presentation, eliminate_generators,
-                                family_pairs, generator_families, parse_word,
+                                family_pairs, first_family_repeat,
+                                generator_families, parse_word,
                                 presentation_from_matrix)
 from gridgroups.wordprob import Budgets, GroupToolbox
 
 from oracles import (nested_family_pairs, reference_degeneracy_partial,
-                     reference_first_pass, reference_torsion_quotient_report,
-                     reference_word_equal)
+                     reference_first_family_repeat, reference_first_pass,
+                     reference_torsion_quotient_report, reference_word_equal)
 from reference_tables import (MIRROR_5x5_SLICE, NON_AMENABLE_5x5, RANK_3x3,
                               RANK_3x5, RANK_3x7_INFINITE,
                               RANK_3x9_CLOSED_ONLY_ELIMINATED, mirror_5x5_text)
@@ -85,8 +89,14 @@ class TestClassify:
         assert tb.word_equal(w1, w2).outcome == "equal"
 
     def test_classify_accepts_pairing_view(self):
-        rec = classify(parse_matrix(RANK_3x3[2][0]).pairing(), QUICK)
+        # a class given as the cell pairs of a symmetry image is classified
+        # through its canonical form
+        mat = parse_matrix(RANK_3x3[2][0])
+        moved = apply_symmetry(mat, GridSymmetry((0, 2, 1), (0, 2, 1)))
+        given = PairingMatrix.from_pairs(moved.dims, moved.cells_by_label().values())
+        rec = classify_matrix(given, QUICK, assume_canonical=False)
         assert rec.verdict.order == 5
+        assert rec.matrix == orbit_canonical_form(mat)
 
     def test_flags_on_the_3x3_classes(self):
         # the first class pins b1 = a1 and b2 = a2 outright, so it forces the
@@ -491,6 +501,24 @@ class TestProofLadder:
         assert list(family_pairs(dims)) == nested_family_pairs(dims)
         assert len(family_pairs(dims)) == (rows * (rows - 1) + cols * (cols - 1)) // 2
 
+    def test_first_family_repeat_matches_the_replaced_loops(self):
+        """Seeded random keys, from all distinct to all equal in each family,
+        give the same repeat as the loops it replaced, on 3x3 through 7x7."""
+        rng = random.Random(11)
+        for rows, cols in itertools.product(range(3, 8), repeat=2):
+            dims = GridDims(rows, cols)
+            a_fam, b_fam = generator_families(dims)
+            found = Counter()
+            for spread_a, spread_b in itertools.product((1, 3, rows + cols, 1000), repeat=2):
+                for _ in range(10):
+                    # both families' identity word takes its key from a's draw
+                    keys = {w: rng.randrange(spread_b) for _, w in b_fam}
+                    keys.update((w, rng.randrange(spread_a)) for _, w in a_fam)
+                    got = first_family_repeat(dims, keys.__getitem__)
+                    assert got == reference_first_family_repeat(dims, keys.__getitem__), keys
+                    found[None if got is None else got[0]] += 1
+            assert found["a"] and found["b"] and found[None], dims
+
 
 class TestFamily:
     def test_smallest_family_member(self):
@@ -549,21 +577,32 @@ class TestFamily:
         with pytest.raises(GridError):
             family_pairing(1)
 
+    def test_numbering_is_pinned(self):
+        # labels run in traversal order; these are the matrices' text digests
+        expected = {
+            2: "128a6dfe8be0739b3db38d9f8f548bb41e9f61168e6ede8854f38710ed9ec074",
+            3: "3add5ce5bd601a138a7e9a59ebfbc7fbc4e4d3ed97aeb7a44874a1826e995d28",
+            4: "54be49611f78889fa7fc23acf633a178ed6ad91772a8e4159830d1d391d6814d",
+            5: "fff0b1c1579b307dada633b8eb37355275006889fce8e2b45c96a2c560fe1f6a",
+        }
+        for n, digest in expected.items():
+            text = format_matrix(family_pairing(n))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
 
 class TestFilterFlags:
     def test_recomputation_matches_classify(self):
-        from gridgroups.classify import filter_flags
         for m in enumerate_pairings(GridDims(3, 5)):
             rec = classify_matrix(m, QUICK)
-            redone = filter_flags(rec)
-            assert redone.row_connected == rec.row_connected
-            assert redone.column_connected == rec.column_connected
-            assert redone.no_proper_invariant_subgrid == rec.no_proper_invariant_subgrid
+            assert structural_flags(rec.matrix) == dict(
+                row_connected=rec.row_connected,
+                column_connected=rec.column_connected,
+                no_proper_invariant_subgrid=rec.no_proper_invariant_subgrid)
 
     def test_family_pairing_fully_connected(self):
-        from gridgroups.classify import filter_flags
         rec = classify_matrix(family_pairing(3), QUICK, assume_canonical=False)
-        rec = filter_flags(rec)
+        flags = structural_flags(rec.matrix)
+        assert flags["row_connected"] and flags["column_connected"]
         assert rec.row_connected and rec.column_connected
 
     def test_quotient_abelian_records_carry_a_collision(self):

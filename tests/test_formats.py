@@ -4,7 +4,7 @@ import json
 import os
 
 from gridgroups.classify import classify_matrix, record_to_json
-from gridgroups.cli import format_table_csv, format_table_text, summarize
+from gridgroups.cli import format_table_csv, format_table_text, main, summarize
 from gridgroups.enumerate import format_checkpoint, parse_checkpoint, split_frontier
 from gridgroups.grid import GridDims, format_matrix, parse_matrix
 from gridgroups.present import format_presentation, presentation_from_matrix
@@ -52,3 +52,9 @@ def test_table_samples_reproducible():
     tables = summarize(lines)
     assert format_table_text(tables[(3, 3)]) == sample("table.txt")
     assert format_table_csv(tables) == sample("table.csv")
+
+
+def test_lab_sample(tmp_path):
+    out = tmp_path / "lab.txt"
+    assert main(["lab", "2", "3", "5", "7", "--out", str(out)]) == 0
+    assert out.read_text() == sample("lab.txt")

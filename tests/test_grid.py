@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridgroups.grid import (GridDims, GridError, GridSymmetry, OddDimensionError,
-                             Pairing, PairingMatrix, PartialPairingMatrix,
+                             PairingMatrix, PartialPairingMatrix,
                              all_symmetries, apply_symmetry, column_connected,
                              consecutive_renumbering, format_matrix,
                              has_smaller_stacked_image, is_consecutive,
-                             is_stacked, lex_compare, orbit_canonical_form,
+                             is_stacked, orbit_canonical_form,
                              parse_matrix, proper_invariant_subgrids,
-                             row_connected, LESS, EQUAL, GREATER,
-                             _renumber_flat)
+                             row_connected, _renumber_flat)
 
 from gridgroups import grid as grid_module
 from gridgroups.classify import family_pairing
@@ -33,6 +32,11 @@ MIRROR_POOL = os.path.join(os.path.dirname(os.path.dirname(__file__)),
 M1 = parse_matrix(RANK_3x3[0][0])
 M2 = parse_matrix(RANK_3x3[1][0])
 M3 = parse_matrix(RANK_3x3[2][0])
+
+
+def _pair_set(mat):
+    """The partition a matrix encodes, as a set of cell pairs."""
+    return {frozenset(cells) for cells in mat.cells_by_label().values()}
 
 
 def symmetries_st(dims):
@@ -83,22 +87,9 @@ class TestValidation:
 
 
 class TestLexCompare:
-    def test_identity_case(self):
-        assert lex_compare(M1, M1) == EQUAL
-
-    def test_first_coordinate_dominates(self):
-        a = PartialPairingMatrix(GridDims(3, 3), [-1, 1, 0, 0, 0, 0, 0, 0, 0])
-        b = PartialPairingMatrix(GridDims(3, 3), [-1, 2, 1, 0, 0, 0, 0, 0, 0])
-        assert lex_compare(a, b) == LESS
-        assert lex_compare(b, a) == GREATER
-
     def test_published_pair_differs_at_first_cell_of_last_row(self):
-        assert lex_compare(M1, M2) == LESS
+        assert M1.flat < M2.flat
         assert M1.flat[6] == 2 and M2.flat[6] == 4
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(GridError):
-            lex_compare(M1, parse_matrix("x 1 2 3 4\n1 2 5 6 7\n6 4 7 5 3"))
 
 
 class TestRenumbering:
@@ -116,8 +107,9 @@ class TestRenumbering:
 
     @given(sym=symmetries_st((3, 3)))
     def test_preserves_partition(self, sym):
-        m = consecutive_renumbering(apply_symmetry(M1, sym))
-        assert m.pairing().pairs == apply_symmetry(M1, sym).pairing().pairs
+        moved = apply_symmetry(M1, sym)
+        m = consecutive_renumbering(moved)
+        assert _pair_set(m) == _pair_set(moved)
 
 
 class TestSymmetry:
@@ -208,13 +200,17 @@ def _explicit_has_smaller(flat, rows, cols, k):
     return False
 
 
-def _random_image(mat, rng):
-    """The renumbered image of `mat` under a seeded random grid symmetry."""
-    rows, cols = mat.dims
+def _random_symmetry(dims, rng):
+    rows, cols = dims
     rp, cp = list(range(1, rows)), list(range(1, cols))
     rng.shuffle(rp)
     rng.shuffle(cp)
-    return consecutive_renumbering(apply_symmetry(mat, GridSymmetry((0, *rp), (0, *cp))))
+    return GridSymmetry((0, *rp), (0, *cp))
+
+
+def _random_image(mat, rng):
+    """The renumbered image of `mat` under a seeded random grid symmetry."""
+    return consecutive_renumbering(apply_symmetry(mat, _random_symmetry(mat.dims, rng)))
 
 
 def _leaf_slice(dims, depth, step, count):
@@ -294,24 +290,56 @@ class TestCanonicalDescent:
 
 class TestPairing:
     def test_round_trip(self):
-        p = M1.pairing()
-        assert p.to_matrix().pairing().pairs == p.pairs
+        assert PairingMatrix.from_pairs(M1.dims, M1.cells_by_label().values()) == M1
+
+    def test_round_trips_every_leaf_of_3x3_to_3x7(self):
+        """A leaf, and a seeded random image of it, come back from their cell
+        pairs as their consecutive renumbering."""
+        rng = random.Random(3)
+        leaves = 0
+        for cols in (3, 5, 7):
+            for leaf in enumerate_pairings(GridDims(3, cols)):
+                for mat in (leaf, apply_symmetry(leaf, _random_symmetry(leaf.dims, rng))):
+                    back = PairingMatrix.from_pairs(mat.dims, mat.cells_by_label().values())
+                    assert back == consecutive_renumbering(mat), format_matrix(mat)
+                leaves += 1
+        assert leaves == 3482
 
     def test_equality_is_orbit_equality(self):
         g = GridSymmetry((0, 2, 1), (0, 2, 1))
-        assert apply_symmetry(M2, g).pairing() == M2.pairing()
-        assert M1.pairing() != M2.pairing()
-        assert len({M1.pairing(), M2.pairing(), M3.pairing()}) == 3
+        assert orbit_canonical_form(apply_symmetry(M2, g)) == orbit_canonical_form(M2)
+        assert orbit_canonical_form(M1) != orbit_canonical_form(M2)
+        assert len({orbit_canonical_form(m) for m in (M1, M2, M3)}) == 3
 
     def test_never_pairs_within_row_or_column(self):
         for mat in brute_force_pairing_matrices(3, 3):
-            for (i, j), (k, l) in mat.pairing().pairs:
+            for (i, j), (k, l) in mat.cells_by_label().values():
                 assert i != k and j != l
 
     def test_rejects_row_sharing_pair(self):
         pairs = [((0, 1), (0, 2)), ((1, 0), (2, 1)), ((1, 1), (2, 2)), ((1, 2), (2, 0))]
-        with pytest.raises(GridError):
-            Pairing(GridDims(3, 3), pairs)
+        with pytest.raises(GridError, match="repeated in row"):
+            PairingMatrix.from_pairs(GridDims(3, 3), pairs)
+
+    @pytest.mark.parametrize("pairs, message", [
+        # M1's pairs are ((0,1),(1,0)), ((0,2),(2,0)), ((1,1),(2,2)) and
+        # ((1,2),(2,1)); each case but the first breaks them one way
+        ([((0, 1), (2, 1)), ((0, 2), (1, 0)), ((1, 1), (2, 2)), ((1, 2), (2, 0))],
+         "repeated in column"),
+        ([((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 1), (2, 2)), ((1, 2), (2, 2))],
+         "used twice"),
+        ([((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 1), (1, 1)), ((1, 2), (2, 1))],
+         "used twice"),
+        ([((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1))],
+         "outside the grid or the corner"),
+        ([((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 1), (3, 2)), ((1, 2), (2, 1))],
+         "outside the grid"),
+        ([((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1))],
+         "unfilled cell"),
+    ], ids=["column", "cell-twice", "same-cell", "corner", "outside", "uncovered"])
+    def test_rejects_invalid_pairs(self, pairs, message):
+        with pytest.raises(GridError, match=message):
+            PairingMatrix.from_pairs(GridDims(3, 3), pairs)
 
 
 class TestConnectivity:
@@ -359,7 +387,7 @@ class TestInvariantSubgrids:
         with_subgrid = 0
         for mat in mats:
             closures = proper_invariant_subgrids(mat)
-            scanned = scan_proper_invariant_subgrids(mat.pairing())
+            scanned = scan_proper_invariant_subgrids(mat)
             assert bool(closures) == bool(scanned), mat
             assert all(sub in scanned for sub in closures), mat
             assert all(any(r <= rs and c <= cs for r, c in closures)
