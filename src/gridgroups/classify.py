@@ -151,12 +151,13 @@ def _degeneracy_partial(toolbox: GroupToolbox, dims: GridDims, run: CosetEnumera
 
 
 def structural_flags(mat: PairingMatrix) -> dict[str, bool]:
-    """The grid-only flags of a class record, keyed by their field names."""
-    return dict(
-        row_connected=row_connected(mat),
-        column_connected=column_connected(mat),
-        no_proper_invariant_subgrid=not proper_invariant_subgrids(mat),
-    )
+    """The grid-only flags of a class record, keyed by their field names.
+    A pairing with no proper invariant subgrid is row and column connected
+    (see proper_invariant_subgrids), so only the others are tested."""
+    subgrid_free = not proper_invariant_subgrids(mat)
+    return dict(row_connected=subgrid_free or row_connected(mat),
+                column_connected=subgrid_free or column_connected(mat),
+                no_proper_invariant_subgrid=subgrid_free)
 
 
 def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),

@@ -267,9 +267,11 @@ class CosetTable:
 
     def element(self, word: Word) -> int:
         """The coset of a word, over the original generators when the table
-        has `images`."""
+        has `images`; a one-coset table reads no image."""
         if self.images is None:
             return self.trace(0, word)
+        if len(self.action) == 1:
+            return 0
         coset = 0
         for x in word:
             letters = self._image_letters.get(x)

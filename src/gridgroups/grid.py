@@ -59,13 +59,20 @@ class GridDims(NamedTuple):
 
 
 def _validate_flat(dims: GridDims, flat: Sequence[int], complete: bool) -> None:
+    """One pass over the cells in row-major order.  A bad cell (unfilled,
+    out of range, a label's third use) raises at once; then the first row,
+    then the first column that holds both cells of a label.  A complete
+    matrix that passes uses each label exactly twice: its rows*cols-1 cells
+    hold labels 1..(rows*cols-1)//2, none more than twice."""
     rows, cols = dims
     if len(flat) != rows * cols:
         raise GridError(f"expected {rows * cols} entries, got {len(flat)}")
     if flat[0] != SENTINEL:
         raise GridError("corner cell must hold the sentinel -1")
     max_label = dims.max_label
-    counts: dict[int, int] = {}
+    first: dict[int, int] = {}  # label -> index of its first cell
+    second: set[int] = set()
+    bad_row = bad_col = None  # (row, label) and (column, label) of the first repeats
     for idx in range(1, rows * cols):
         v = flat[idx]
         if v == 0:
@@ -74,28 +81,21 @@ def _validate_flat(dims: GridDims, flat: Sequence[int], complete: bool) -> None:
             continue
         if not 1 <= v <= max_label:
             raise GridError(f"label {v} out of range 1..{max_label}")
-        counts[v] = counts.get(v, 0) + 1
-        if counts[v] > 2:
+        prev = first.setdefault(v, idx)
+        if prev == idx:
+            continue
+        if v in second:
             raise GridError(f"label {v} used more than twice")
-    if complete and any(c != 2 for c in counts.values()):
-        bad = sorted(v for v, c in counts.items() if c != 2)
-        raise GridError(f"labels {bad} not used exactly twice")
-    for r in range(rows):
-        seen: set[int] = set()
-        for c in range(cols):
-            v = flat[r * cols + c]
-            if v > 0:
-                if v in seen:
-                    raise GridError(f"label {v} repeated in row {r}")
-                seen.add(v)
-    for c in range(cols):
-        seen = set()
-        for r in range(rows):
-            v = flat[r * cols + c]
-            if v > 0:
-                if v in seen:
-                    raise GridError(f"label {v} repeated in column {c}")
-                seen.add(v)
+        second.add(v)
+        r, c = divmod(idx, cols)
+        if bad_row is None and prev // cols == r:
+            bad_row = (r, v)
+        if prev % cols == c and (bad_col is None or c < bad_col[0]):
+            bad_col = (c, v)
+    if bad_row is not None:
+        raise GridError(f"label {bad_row[1]} repeated in row {bad_row[0]}")
+    if bad_col is not None:
+        raise GridError(f"label {bad_col[1]} repeated in column {bad_col[0]}")
 
 
 class _Matrix:
@@ -638,43 +638,42 @@ def column_connected(mat: PairingMatrix) -> bool:
 def proper_invariant_subgrids(mat: PairingMatrix) -> list[tuple[frozenset, frozenset]]:
     """Proper sub-rectangles through (0,0) that the pairing never leaves.
 
-    Every such subgrid contains a seed {0,i} x {0,j}, and invariant subgrids
-    are closed under intersection, so each seed has a least invariant
-    subgrid around it: its closure under "a cell inside pulls in its
-    partner's row and column".  The result lists the distinct proper
-    closures, sorted by rows then columns, so it is empty exactly
-    when no proper invariant subgrid exists, and every proper invariant
-    subgrid contains one of its members.  An empty result is the strongest
-    structural filter: such pairings are in particular row and column
-    connected.
+    Every such subgrid holds a cell (i, 0) with i >= 1: a cell (0, j) pairs
+    into another row, so no invariant subgrid but the corner has row 0
+    alone.  Invariant subgrids are closed under intersection, so each seed
+    {0,i} x {0} has a least invariant subgrid around it: its closure under
+    "a cell inside pulls in its partner's row and column".  The result
+    lists the distinct proper closures of the rows-1 seeds, sorted by rows
+    then columns, so it is empty exactly when no proper invariant subgrid
+    exists, and every proper invariant subgrid contains one of its members.
+    An empty result is the strongest structural filter: if the rows split,
+    row 0's component times all columns is a proper invariant subgrid, and
+    likewise for columns, so such pairings are row and column connected.
     """
     rows, cols = mat.dims
     partner = cell_partners(mat)
-    # full_cols[i] holds j when the closure of seed (i, j) is the whole grid;
-    # a closure that reaches such a seed is the whole grid too
-    full_cols: list[set[int]] = [set() for _ in range(rows)]
+    # the rows whose seed's closure is the whole grid; a closure that
+    # reaches one of them is the whole grid too
+    full_rows: set[int] = set()
     found = set()
     for i in range(1, rows):
-        for j in range(1, cols):
-            rset, cset = {0, i}, {0, j}
-            reach = set(full_cols[i])
-            pending = [(0, j), (i, 0), (i, j)]
-            full = False
-            while pending and not full:
-                r, c = partner[pending.pop()]
-                if r not in rset:
-                    rset.add(r)
-                    reach |= full_cols[r]
-                    pending.extend([(r, k) for k in cset])
-                if c not in cset:
-                    cset.add(c)
-                    pending.extend([(k, c) for k in rset])
-                full = (not reach.isdisjoint(cset)
-                        or (len(rset) == rows and len(cset) == cols))
-            if full:
-                full_cols[i].add(j)
-            else:
-                found.add((frozenset(rset), frozenset(cset)))
+        rset, cset = {0, i}, {0}
+        pending = [(i, 0)]
+        full = False
+        while pending and not full:
+            r, c = partner[pending.pop()]
+            if r not in rset:
+                full = r in full_rows
+                rset.add(r)
+                pending.extend([(r, k) for k in cset])
+            if c not in cset:
+                cset.add(c)
+                pending.extend([(k, c) for k in rset])
+            full = full or (len(rset) == rows and len(cset) == cols)
+        if full:
+            full_rows.add(i)
+        else:
+            found.add((frozenset(rset), frozenset(cset)))
     return sorted(found, key=lambda rc: (sorted(rc[0]), sorted(rc[1])))
 
 

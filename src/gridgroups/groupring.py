@@ -374,6 +374,17 @@ def _corner_checks(branch: str, p: int) -> list[LabCheck]:
     return checks
 
 
+# the characteristic in which each branch's projection would divide by zero
+_SKIPPED_CHARACTERISTIC = {"S3": 3, "Dih4": 2}
+
+
+def _skip_reason(branch: str, p: int) -> Optional[str]:
+    """Why the branch's corner cannot be built in characteristic p, or None."""
+    if p == _SKIPPED_CHARACTERISTIC.get(branch):
+        return f"division by {p} unavailable in characteristic {p}"
+    return None
+
+
 def matrix_unit_lab(p: int) -> LabReport:
     """Characteristic case split of the 2x2 matrix-unit construction.
 
@@ -382,19 +393,22 @@ def matrix_unit_lab(p: int) -> LabReport:
     """
     check_prime(p)
     checks: list[LabCheck] = []
-    if p != 3:
-        checks.extend(_corner_checks("S3", p))
-    else:
-        checks.append(LabCheck("S3", "all", "skip", "division by 3 unavailable in characteristic 3"))
-    if p != 2:
-        checks.extend(_corner_checks("Dih4", p))
-    else:
-        checks.append(LabCheck("Dih4", "all", "skip", "division by 2 unavailable in characteristic 2"))
+    for branch in ("S3", "Dih4"):
+        reason = _skip_reason(branch, p)
+        if reason is None:
+            checks.extend(_corner_checks(branch, p))
+        else:
+            checks.append(LabCheck(branch, "all", "skip", reason))
     return LabReport(p, tuple(checks))
 
 
 def matrix_units(p: int, branch: str = "S3") -> tuple[CosetTable, list[GroupRingElement]]:
-    """Elements e11, e12, e21, e22 of the corner representing the 2x2 units."""
+    """Elements e11, e12, e21, e22 of the corner representing the 2x2 units.
+    In the characteristic the lab skips for the branch it raises
+    GroupRingError with the lab's reason."""
+    reason = _skip_reason(branch, p)
+    if reason is not None:
+        raise GroupRingError(reason)
     table, _, corner, mats = _corner(branch, p)
     n = table.coset_count
     units = []

@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
+from typing import Optional
 
 Word = tuple[int, ...]
 
@@ -93,6 +94,15 @@ class Presentation:
                     raise PresentationError(f"letter {x} out of range for {n} generators")
             reduced.append(w)
         object.__setattr__(self, "relators", tuple(reduced))
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], relators: tuple[Word, ...]) -> "Presentation":
+        """A presentation the program built, with distinct names and freely
+        reduced relators in range by construction: not re-checked."""
+        pres = cls.__new__(cls)
+        object.__setattr__(pres, "names", names)
+        object.__setattr__(pres, "relators", relators)
+        return pres
 
     @property
     def generator_count(self) -> int:
@@ -199,23 +209,35 @@ def first_family_repeat(dims, key: Callable[[Word], Hashable]
     return None
 
 
+@cache
+def _cell_words(dims) -> tuple[tuple[str, ...], tuple[tuple[Word, ...], ...],
+                               tuple[tuple[Word, ...], ...]]:
+    """The generator names, and the word a_i b_j of each cell (i, j) and its
+    inverse, indexed by row then column (see generator_families).  Built
+    once per dims."""
+    a_fam, b_fam = generator_families(dims)
+    names = tuple(name for name, _ in a_fam[1:] + b_fam[1:])
+    words = tuple(tuple(a + b for _, b in b_fam) for _, a in a_fam)
+    return names, words, tuple(tuple(invert(w) for w in row) for row in words)
+
+
 def presentation_from_matrix(mat) -> Presentation:
     """Group presented by a complete pairing matrix.
 
     Each label's two cells (i,j), (k,l) contribute the relator
-    a_i b_j (a_k b_l)^-1, ordered by label (see generator_families).
+    a_i b_j (a_k b_l)^-1, ordered by label (see generator_families).  Two
+    cells of a pair share no row or column, so the relator is freely
+    reduced as it stands.
     """
-    a_fam, b_fam = generator_families(mat.dims)
-    names = tuple(name for name, _ in a_fam[1:] + b_fam[1:])
+    names, words, inverses = _cell_words(mat.dims)
     cells = mat.cells_by_label()
     relators = []
     for label in sorted(cells):
         if len(cells[label]) != 2:
             raise PresentationError(f"label {label} does not occur twice")
         (i, j), (k, l) = cells[label]
-        # Presentation reduces each relator freely
-        relators.append(a_fam[i][1] + b_fam[j][1] + invert(a_fam[k][1] + b_fam[l][1]))
-    return Presentation(names, tuple(relators))
+        relators.append(words[i][j] + inverses[k][l])
+    return Presentation._trusted(names, tuple(relators))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +246,48 @@ def presentation_from_matrix(mat) -> Presentation:
 @dataclass(frozen=True)
 class SimplifiedPresentation:
     presentation: Presentation
-    images: tuple[Word, ...]  # old generator index -> word over new generators
+    images: Sequence[Word]  # old generator index -> word over new generators
+
+
+class _ComposedImages(Sequence):
+    """The images of an elimination's original generators, composed from its
+    steps on first read: a table or abelianisation that reads no word
+    through them (a one-coset table) never pays for them."""
+
+    __slots__ = ("_n", "_steps", "_remap", "_words")
+
+    def __init__(self, n: int, steps: list[tuple[int, Word]], remap: dict[int, int]):
+        self._n, self._steps, self._remap = n, steps, remap
+        self._words: Optional[tuple[Word, ...]] = None
+
+    def _compose(self) -> tuple[Word, ...]:
+        if self._words is None:
+            n = self._n
+            images: list[Word] = [(i + 1,) for i in range(n)]
+            inverses: list[Word] = [(-i - 1,) for i in range(n)]
+            for g, repl in reversed(self._steps):
+                # repl names only survivors and generators eliminated after g
+                image = concat(*(images[x - 1] if x > 0 else inverses[-x - 1] for x in repl))
+                images[g - 1], inverses[g - 1] = image, invert(image)
+            remap = self._remap
+            self._words = tuple(tuple(map(remap.__getitem__, w)) for w in images)
+            self._steps = self._remap = None
+        return self._words
+
+    def __getitem__(self, index):
+        return self._compose()[index]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __eq__(self, other) -> bool:
+        return self._compose() == other
+
+    def __hash__(self) -> int:
+        return hash(self._compose())
+
+    def __repr__(self) -> str:
+        return repr(self._compose())
 
 
 def _substitute(word: Word, gen: int, repl: Word, inv_repl: Word) -> Word:
@@ -320,7 +383,7 @@ def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
     those generators the highest: in a grid group's presentation the column
     generators come last, and each occurs in fewer relators than a row
     generator.  It substitutes it only into the relators that contain it,
-    and composes the images of the original generators once, at the end.
+    and composes the images of the original generators on their first read.
     Unlike simplify_presentation it keeps no canonical order and removes no
     duplicate relators, so it is faster, but it gives a different
     presentation of the same group.
@@ -345,25 +408,22 @@ def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
         inv_repl = invert(repl)
         kept = []
         for r in relators:
-            r = _substitute(r, g, repl, inv_repl)
-            while len(r) > 1 and r[0] == -r[-1]:
-                r = r[1:-1]
-            if r:
-                kept.append(r)
+            if g in r or -g in r:  # the others stay cyclically reduced
+                r = _substitute(r, g, repl, inv_repl)
+                while len(r) > 1 and r[0] == -r[-1]:
+                    r = r[1:-1]
+                if not r:
+                    continue
+            kept.append(r)
         relators = kept
 
-    images: list[Word] = [(i + 1,) for i in range(n)]
-    inverses: list[Word] = [(-i - 1,) for i in range(n)]
-    for g, repl in reversed(eliminated):
-        # repl names only survivors and generators eliminated after g
-        image = concat(*(images[x - 1] if x > 0 else inverses[-x - 1] for x in repl))
-        images[g - 1], inverses[g - 1] = image, invert(image)
     done = {g for g, _ in eliminated}
     keep = [i for i in range(n) if i + 1 not in done]
     remap: dict[int, int] = {}
     for new, old in enumerate(keep, 1):
         remap[old + 1], remap[-old - 1] = new, -new
+    # substitution keeps the relators freely reduced and over the survivors
     return SimplifiedPresentation(
-        Presentation(tuple(pres.names[i] for i in keep),
-                     tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
-        tuple(tuple(map(remap.__getitem__, w)) for w in images))
+        Presentation._trusted(tuple(pres.names[i] for i in keep),
+                              tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
+        _ComposedImages(n, eliminated, remap))

@@ -10,7 +10,10 @@ coset pass, the closure homomorphism search, word evaluation by composing
 `mult` and `inv`, the fingerprint read from the derived subgroup and the
 element orders of the quotient by it, the degeneracy pass and the word-problem
 ladder that each wrote out the search-free proof stages, the two Gauss-Jordan
-eliminations mod p, the two repeat-order loops).  Tests freeze expected values computed by these
+eliminations mod p, the two repeat-order loops, the invariant-subgrid
+closures of every seed {0,i} x {0,j}, the three-pass matrix validator, the
+greedy elimination that substituted into every relator and composed its
+images at once).  Tests freeze expected values computed by these
 oracles and compare the real code against them.
 """
 
@@ -19,8 +22,11 @@ from itertools import combinations, permutations
 
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.coset import GroupFingerprint
-from gridgroups.grid import (SENTINEL, GridDims, PairingMatrix,
-                             all_symmetries, apply_symmetry, consecutive_renumbering)
+from gridgroups.grid import (SENTINEL, GridDims, GridError, PairingMatrix,
+                             all_symmetries, apply_symmetry, cell_partners,
+                             consecutive_renumbering)
+from gridgroups.present import (Presentation, SimplifiedPresentation, _substitute,
+                                concat, cyclic_reduce, invert)
 from gridgroups.rewrite import RewriteSystem
 
 
@@ -241,6 +247,126 @@ def scan_proper_invariant_subgrids(mat: PairingMatrix):
                 out.append((rset, cset))
     out.sort(key=lambda rc: (sorted(rc[0]), sorted(rc[1])))
     return out
+
+
+def seed_grid_invariant_subgrids(mat: PairingMatrix):
+    """The distinct proper closures of every seed {0,i} x {0,j}, i, j >= 1,
+    sorted by rows then columns: the (rows-1)(cols-1)-seed list that the
+    row-seed closures replaced."""
+    rows, cols = mat.dims
+    partner = cell_partners(mat)
+    # full_cols[i] holds j when the closure of seed (i, j) is the whole grid;
+    # a closure that reaches such a seed is the whole grid too
+    full_cols = [set() for _ in range(rows)]
+    found = set()
+    for i in range(1, rows):
+        for j in range(1, cols):
+            rset, cset = {0, i}, {0, j}
+            reach = set(full_cols[i])
+            pending = [(0, j), (i, 0), (i, j)]
+            full = False
+            while pending and not full:
+                r, c = partner[pending.pop()]
+                if r not in rset:
+                    rset.add(r)
+                    reach |= full_cols[r]
+                    pending.extend([(r, k) for k in cset])
+                if c not in cset:
+                    cset.add(c)
+                    pending.extend([(k, c) for k in rset])
+                full = (not reach.isdisjoint(cset)
+                        or (len(rset) == rows and len(cset) == cols))
+            if full:
+                full_cols[i].add(j)
+            else:
+                found.add((frozenset(rset), frozenset(cset)))
+    return sorted(found, key=lambda rc: (sorted(rc[0]), sorted(rc[1])))
+
+
+def reference_validate_flat(dims, flat, complete):
+    """The matrix validator as three passes: the cells, then each row, then
+    each column; it raises GridError with the message of the first fault."""
+    rows, cols = dims
+    if len(flat) != rows * cols:
+        raise GridError(f"expected {rows * cols} entries, got {len(flat)}")
+    if flat[0] != SENTINEL:
+        raise GridError("corner cell must hold the sentinel -1")
+    max_label = dims.max_label
+    counts = {}
+    for idx in range(1, rows * cols):
+        v = flat[idx]
+        if v == 0:
+            if complete:
+                raise GridError(f"unfilled cell at index {idx} in complete matrix")
+            continue
+        if not 1 <= v <= max_label:
+            raise GridError(f"label {v} out of range 1..{max_label}")
+        counts[v] = counts.get(v, 0) + 1
+        if counts[v] > 2:
+            raise GridError(f"label {v} used more than twice")
+    if complete and any(c != 2 for c in counts.values()):
+        bad = sorted(v for v, c in counts.items() if c != 2)
+        raise GridError(f"labels {bad} not used exactly twice")
+    for r in range(rows):
+        seen = set()
+        for c in range(cols):
+            v = flat[r * cols + c]
+            if v > 0:
+                if v in seen:
+                    raise GridError(f"label {v} repeated in row {r}")
+                seen.add(v)
+    for c in range(cols):
+        seen = set()
+        for r in range(rows):
+            v = flat[r * cols + c]
+            if v > 0:
+                if v in seen:
+                    raise GridError(f"label {v} repeated in column {c}")
+                seen.add(v)
+
+
+def reference_eliminate_generators(pres):
+    """The greedy Tietze pass that calls the substitution on every relator
+    and composes the original generators' images as it returns."""
+    n = pres.generator_count
+    relators = [cyclic_reduce(r) if r[0] == -r[-1] else r for r in pres.relators if r]
+    eliminated = []
+    while True:
+        for rel in sorted(relators, key=len):
+            once = [abs(x) for x in rel if rel.count(x) + rel.count(-x) == 1]
+            if once:
+                break
+        else:
+            break
+        g = max(once)
+        relators.remove(rel)
+        pos = rel.index(g) if g in rel else rel.index(-g)
+        rot = rel[pos:] + rel[:pos]
+        repl = invert(rot[1:]) if rot[0] == g else rot[1:]
+        eliminated.append((g, repl))
+        inv_repl = invert(repl)
+        kept = []
+        for r in relators:
+            r = _substitute(r, g, repl, inv_repl)
+            while len(r) > 1 and r[0] == -r[-1]:
+                r = r[1:-1]
+            if r:
+                kept.append(r)
+        relators = kept
+    images = [(i + 1,) for i in range(n)]
+    inverses = [(-i - 1,) for i in range(n)]
+    for g, repl in reversed(eliminated):
+        image = concat(*(images[x - 1] if x > 0 else inverses[-x - 1] for x in repl))
+        images[g - 1], inverses[g - 1] = image, invert(image)
+    done = {g for g, _ in eliminated}
+    keep = [i for i in range(n) if i + 1 not in done]
+    remap = {}
+    for new, old in enumerate(keep, 1):
+        remap[old + 1], remap[-old - 1] = new, -new
+    return SimplifiedPresentation(
+        Presentation(tuple(pres.names[i] for i in keep),
+                     tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
+        tuple(tuple(map(remap.__getitem__, w)) for w in images))
 
 
 def naive_group_from_table(table):

@@ -14,7 +14,7 @@ from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import GridDims, format_matrix, parse_matrix
 from gridgroups.present import (Presentation, PresentationError, concat,
                                 eliminate_generators, format_presentation,
-                                format_word, free_reduce, invert,
+                                format_word, free_reduce, generator_families, invert,
                                 parse_presentation, parse_word,
                                 presentation_from_matrix, simplify_presentation)
 from gridgroups import rewrite as rewrite_module
@@ -25,7 +25,8 @@ from gridgroups.wordprob import (Budgets, GroupToolbox, _table_target, hom_targe
 
 from oracles import (AllPairsRewriteSystem, BucketRewriteSystem, TailBuckets,
                      closure_search_hom, composed_eval, invariant_factors_by_minors,
-                     invariants_from_order_counts, reference_fingerprint)
+                     invariants_from_order_counts, reference_eliminate_generators,
+                     reference_fingerprint)
 from reference_tables import (HAND_PROOFS, MIRROR_5x5_SLICE, RANK_3x3, RANK_3x5,
                               RANK_3x7_INFINITE, mirror_5x5_text)
 
@@ -95,6 +96,23 @@ class TestPresentationFromPairing:
         assert run.table.coset_count == 8
         name, _ = identify_small_group(fingerprint(run.table, abelian_invariants(pres)))
         assert name == "Dih4"
+
+    @pytest.mark.parametrize("cols", [3, 5, 7])
+    def test_built_presentations_need_no_check(self, cols):
+        """The presentations the program builds itself skip Presentation's
+        free reduction and range check: on every class of rank 3 x cols the
+        grid presentation and its eliminated presentation equal their
+        validated copies, and the grid relators are the family words'."""
+        a_fam, b_fam = generator_families(GridDims(3, cols))
+        for mat in enumerate_pairings(GridDims(3, cols)):
+            pres = presentation_from_matrix(mat)
+            eliminated = eliminate_generators(pres).presentation
+            for built in (pres, eliminated):
+                assert Presentation(built.names, built.relators) == built, format_matrix(mat)
+            cells = mat.cells_by_label()
+            assert pres.relators == tuple(
+                free_reduce(a_fam[i][1] + b_fam[j][1] + invert(a_fam[k][1] + b_fam[l][1]))
+                for (i, j), (k, l) in (cells[label] for label in sorted(cells)))
 
 
 class TestToddCoxeter:
@@ -239,7 +257,8 @@ class TestSimplify:
 
 
 def check_elimination(pres, limit=2000):
-    """eliminate_generators presents the same group: it keeps the abelian
+    """eliminate_generators gives the presentation and images of the pass it
+    replaced, and presents the same group: it keeps the abelian
     invariants; in a closed table of the eliminated presentation every
     original relator, read through the images, is trivial; in a closed table
     of the raw one every eliminated relator is trivial and every generator
@@ -252,6 +271,8 @@ def check_elimination(pres, limit=2000):
     def original(word):
         return tuple(back[x - 1] if x > 0 else -back[-x - 1] for x in word)
 
+    assert Presentation(new.names, new.relators) == new  # built without the check
+    assert sp == reference_eliminate_generators(pres)
     assert Abelianization(new).invariants == Abelianization(pres).invariants
     assert [sp.images[g - 1] for g in back] == [(k,) for k in range(1, len(back) + 1)]
     run = todd_coxeter(new, max_cosets=limit)
@@ -294,6 +315,32 @@ class TestEliminate:
         assert sp.presentation.generator_count == 0
         assert sp.images == ((), ())
         assert check_elimination(pres)
+
+    def test_one_coset_table_reads_no_image(self):
+        """A word's element in a one-coset table is the identity coset, read
+        without the images; a bigger table reads each letter's image once."""
+        reads = []
+
+        class Images(tuple):
+            def __getitem__(self, index):
+                reads.append(index)
+                return tuple.__getitem__(self, index)
+
+        pres = parse_presentation("gens x y\nx*y^-1\ny^2*x\ny")
+        sp = eliminate_generators(pres)
+        run = todd_coxeter(sp.presentation)
+        one = CosetTable(run.table.ngens, run.table.action, sp.presentation,
+                         Images(sp.images))
+        assert one.coset_count == 1
+        assert one.element((1, 2, -1)) == 0 and reads == []
+        pres = parse_presentation("gens x y\nx^3\ny*x^-1")
+        sp = eliminate_generators(pres)
+        run = todd_coxeter(sp.presentation)
+        three = CosetTable(run.table.ngens, run.table.action, sp.presentation,
+                           Images(sp.images))
+        assert three.coset_count == 3
+        assert three.element((1, 2, 2)) == 0 and three.element((2,)) != 0
+        assert sorted(reads) == [0, 1]
 
 
 class TestWordProblem:

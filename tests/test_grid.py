@@ -2,13 +2,15 @@ import json
 import lzma
 import os
 import random
+import re
+from functools import cache
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridgroups.grid import (GridDims, GridError, GridSymmetry, OddDimensionError,
-                             PairingMatrix, PartialPairingMatrix,
+from gridgroups.grid import (SENTINEL, GridDims, GridError, GridSymmetry,
+                             OddDimensionError, PairingMatrix, PartialPairingMatrix,
                              all_symmetries, apply_symmetry, column_connected,
                              consecutive_renumbering, format_matrix,
                              has_smaller_stacked_image, is_consecutive,
@@ -17,12 +19,13 @@ from gridgroups.grid import (GridDims, GridError, GridSymmetry, OddDimensionErro
                              row_connected, _renumber_flat)
 
 from gridgroups import grid as grid_module
-from gridgroups.classify import family_pairing
+from gridgroups.classify import family_pairing, structural_flags
 from gridgroups.enumerate import (SearchCheckpoint, enumerate_pairings, resume,
                                   split_frontier)
 
 from oracles import (brute_force_pairing_matrices, brute_canonical, explicit_orbit,
-                     reference_canonical_flat, scan_proper_invariant_subgrids)
+                     reference_canonical_flat, reference_validate_flat,
+                     scan_proper_invariant_subgrids, seed_grid_invariant_subgrids)
 from reference_tables import NON_AMENABLE_5x5, RANK_3x3, mirror_5x5_text
 
 MIRROR_POOL = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -84,6 +87,48 @@ class TestValidation:
     def test_complete_requires_every_label_twice(self):
         with pytest.raises(GridError):
             PairingMatrix(GridDims(3, 3), [-1, 1, 2, 1, 3, 4, 2, 3, 4])
+
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 5), (5, 5), (4, 4)])
+    def test_one_pass_matches_the_three_pass_validator(self, dims):
+        """Seeded corruptions of valid matrices (cells overwritten, swapped
+        or zeroed, a truncated list) raise the message the three-pass
+        validator raises, or pass where it passes."""
+        dims = GridDims(*dims)
+        rows, cols = dims
+        rng = random.Random(f"validate-{rows}x{cols}")
+        if rows % 2 and cols % 2:
+            bases = [list(m.flat) for m in islice(enumerate_pairings(dims), 20)]
+        else:  # no complete pairing: start from partial matrices
+            bases = [[SENTINEL] + list(range(1, cols)) + [0] * (rows * cols - cols)]
+        outcomes = set()
+        for _ in range(3000):
+            flat = list(rng.choice(bases))
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.random()
+                i = rng.randrange(len(flat))
+                if kind < 0.5:
+                    flat[i] = rng.randint(-2, dims.max_label + 2)
+                elif kind < 0.8:
+                    j = rng.randrange(1, len(flat))
+                    flat[i], flat[j] = flat[j], flat[i]
+                elif kind < 0.97:
+                    flat[i] = 0
+                else:
+                    del flat[i]
+            for complete in (True, False):
+                want = got = None
+                try:
+                    reference_validate_flat(dims, flat, complete)
+                except GridError as exc:
+                    want = str(exc)
+                try:
+                    grid_module._validate_flat(dims, flat, complete)
+                except GridError as exc:
+                    got = str(exc)
+                assert got == want, (flat, complete)
+                outcomes.add(re.sub(r"[-\d, \[\]]+", " ", want or "valid").strip())
+        assert {"valid", "label used more than twice", "label repeated in row",
+                "label repeated in column"} <= outcomes
 
 
 class TestLexCompare:
@@ -342,6 +387,26 @@ class TestPairing:
             PairingMatrix.from_pairs(GridDims(3, 3), pairs)
 
 
+@cache
+def _subgrid_corpus():
+    """Every class of ranks 3x3-3x7, the first 300 classes of 5x5, and every
+    symmetry image of three 5x5 classes that have proper invariant subgrids."""
+    mats = brute_force_pairing_matrices(3, 3)
+    for dims in [(3, 5), (3, 7)]:
+        mats.extend(enumerate_pairings(GridDims(*dims)))
+    mats.extend(islice(enumerate_pairings(GridDims(5, 5)), 300))
+    # the 5x5 prefix has no subgrids (the first class with one is at
+    # index 103 048), so add every symmetry image of three 5x5 classes that
+    # do; in the third, rows 3 and 4 close to the whole grid, and the images
+    # that number them first test the full-row shortcut
+    for text in ["x 1 2 5 6\n1 3 4 7 8\n2 4 3 9 10\n5 7 9 11 12\n6 8 10 12 11",
+                 "x 1 2 3 4\n1 2 5 4 3\n5 6 7 8 9\n6 10 11 9 12\n7 11 10 12 8",
+                 "x 1 2 3 4\n1 5 6 7 8\n2 6 5 9 10\n3 7 10 11 12\n11 8 12 4 9"]:
+        mat = parse_matrix(text)
+        mats.extend(apply_symmetry(mat, g) for g in all_symmetries(mat.dims))
+    return mats
+
+
 class TestConnectivity:
     def test_first_class_fully_connected(self):
         assert row_connected(M1) and column_connected(M1)
@@ -354,9 +419,20 @@ class TestConnectivity:
         assert column_connected(mat)
 
     def test_subgrid_free_implies_connected(self):
-        for mat in brute_force_pairing_matrices(3, 3):
+        # the lemma that lets structural_flags skip the connectivity tests
+        subgrid_free = 0
+        for mat in _subgrid_corpus():
             if not proper_invariant_subgrids(mat):
-                assert row_connected(mat) and column_connected(mat)
+                assert row_connected(mat) and column_connected(mat), mat
+                subgrid_free += 1
+        assert subgrid_free > 0
+
+    def test_structural_flags_match_the_predicates(self):
+        for mat in _subgrid_corpus():
+            assert structural_flags(mat) == dict(
+                row_connected=row_connected(mat),
+                column_connected=column_connected(mat),
+                no_proper_invariant_subgrid=not seed_grid_invariant_subgrids(mat)), mat
 
 
 class TestInvariantSubgrids:
@@ -374,18 +450,8 @@ class TestInvariantSubgrids:
             assert proper_invariant_subgrids(parse_matrix(text)) == []
 
     def test_closures_agree_with_subset_scan(self):
-        mats = brute_force_pairing_matrices(3, 3)
-        for dims in [(3, 5), (3, 7)]:
-            mats.extend(enumerate_pairings(GridDims(*dims)))
-        mats.extend(islice(enumerate_pairings(GridDims(5, 5)), 300))
-        # the 5x5 prefix has no subgrids (the first class with one is at
-        # index 103 048), so add every symmetry image of two 5x5 classes that do
-        for text in ["x 1 2 5 6\n1 3 4 7 8\n2 4 3 9 10\n5 7 9 11 12\n6 8 10 12 11",
-                     "x 1 2 3 4\n1 2 5 4 3\n5 6 7 8 9\n6 10 11 9 12\n7 11 10 12 8"]:
-            mat = parse_matrix(text)
-            mats.extend(apply_symmetry(mat, g) for g in all_symmetries(mat.dims))
         with_subgrid = 0
-        for mat in mats:
+        for mat in _subgrid_corpus():
             closures = proper_invariant_subgrids(mat)
             scanned = scan_proper_invariant_subgrids(mat)
             assert bool(closures) == bool(scanned), mat
@@ -393,6 +459,20 @@ class TestInvariantSubgrids:
             assert all(any(r <= rs and c <= cs for r, c in closures)
                        for rs, cs in scanned), mat
             with_subgrid += bool(scanned)
+        assert with_subgrid > 0
+
+    def test_row_seeds_agree_with_every_seed(self):
+        """The row seeds {0,i} x {0} against the closures of every seed
+        {0,i} x {0,j}: empty together, each row-seed closure is one of the
+        old ones, and each old one contains a row-seed closure."""
+        with_subgrid = 0
+        for mat in _subgrid_corpus():
+            new = proper_invariant_subgrids(mat)
+            old = seed_grid_invariant_subgrids(mat)
+            assert bool(new) == bool(old), mat
+            assert all(sub in old for sub in new), mat
+            assert all(any(r <= rs and c <= cs for r, c in new) for rs, cs in old), mat
+            with_subgrid += bool(old)
         assert with_subgrid > 0
 
 

@@ -211,6 +211,16 @@ class TestLabs:
             q = gr_add(e11, e22)
             assert gr_mul(q, q).coeffs == q.coeffs
 
+    @pytest.mark.parametrize("p, branch", [(3, "S3"), (2, "Dih4")])
+    def test_matrix_units_give_the_labs_reason(self, p, branch):
+        # the characteristic the lab skips for the branch: no projection exists
+        reason = next(c.detail for c in matrix_unit_lab(p).checks
+                      if c.branch == branch and c.status == "skip")
+        assert reason == f"division by {p} unavailable in characteristic {p}"
+        with pytest.raises(GroupRingError) as exc:
+            matrix_units(p, branch)
+        assert str(exc.value) == reason
+
 
 class TestLinearAlgebraModP:
     """Rank and solve share one row reduction; the oracles are the two
