@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional
 
 from .abelian import Abelianization, AbelianInvariants
@@ -380,15 +381,9 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims) -> TorsionQuo
 
 
 def _toolbox_on(pres: Presentation, last: GroupToolbox, limit: int) -> GroupToolbox:
-    """A toolbox on `pres` holding the coset run at `limit`: `last` itself
-    when it already holds that run, a fork of `last` when on the same
-    presentation, else a fresh one."""
-    if pres is not last.presentation:
-        toolbox = GroupToolbox(pres, last.budgets)
-    elif last.coset_limit == limit:
-        return last
-    else:
-        toolbox = last.fork()
+    """`last` when it is on `pres`, else a fresh toolbox on `pres`; either
+    way working at its coset run to `limit`."""
+    toolbox = last if pres is last.presentation else GroupToolbox(pres, last.budgets)
     toolbox.coset_run(limit)
     return toolbox
 
@@ -404,13 +399,10 @@ def _escalate(toolbox: GroupToolbox) -> bool:
 def _short_words(toolbox: GroupToolbox, max_len: int):
     """Candidate torsion words: short combinations of surviving generators,
     mapped back to the original alphabet."""
-    names = toolbox.simplified.presentation.names
-    original = toolbox.presentation.names
-    back = [original.index(n) + 1 for n in names]
+    back = toolbox.survivors
     n = len(back)
-    singles = [(g,) for g in back]
-    for w in singles:
-        yield w
+    for g in back:
+        yield (g,)
     if max_len < 2:
         return
     for i in range(n):
@@ -481,19 +473,20 @@ _CURATED_RAW = [
      "non-amenable (known sofic)"),
 ]
 
-_CURATED: Optional[dict[tuple, tuple[str, ...]]] = None
+
+@cache
+def _curated() -> dict[tuple, tuple[str, ...]]:
+    """The curated labels, keyed by the canonical form's dims and cells."""
+    table: dict[tuple, tuple[str, ...]] = {}
+    for _, text, label in _CURATED_RAW:
+        canon = orbit_canonical_form(parse_matrix(text))
+        key = (canon.dims, canon.flat)
+        table[key] = table.get(key, ()) + (label,)
+    return table
 
 
 def _annotations_for(mat: PairingMatrix) -> tuple[str, ...]:
-    global _CURATED
-    if _CURATED is None:
-        table: dict[tuple, tuple[str, ...]] = {}
-        for _, text, label in _CURATED_RAW:
-            canon = orbit_canonical_form(parse_matrix(text))
-            key = (canon.dims, canon.flat)
-            table[key] = table.get(key, ()) + (label,)
-        _CURATED = table
-    return _CURATED.get((mat.dims, mat.flat), ())
+    return _curated().get((mat.dims, mat.flat), ())
 
 
 # ---------------------------------------------------------------------------

@@ -284,26 +284,52 @@ class SummaryTable:
                 + self.infinite_nonabelian + self.infinite_unknown)
 
 
-def _records(lines: Iterable[str]) -> Iterator[dict]:
-    """The records of a classify output, one JSON object per nonblank line."""
+def _record_problem(doc) -> Optional[str]:
+    """Why a JSON value lacks a field that `table` or `export-gap` reads, or
+    None when it has them all."""
+    if not (isinstance(doc, dict) and "dims" in doc and "matrix" in doc
+            and isinstance(doc.get("verdict"), dict) and "kind" in doc["verdict"]):
+        return "needs dims, matrix and verdict.kind"
+    dims, verdict = doc["dims"], doc["verdict"]
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(isinstance(n, int) for n in dims)):
+        return f"dims must be two integers, got {json.dumps(dims)}"
+    if not isinstance(doc["matrix"], str):
+        return "matrix must be a string"
+    kind = verdict["kind"]
+    if kind not in ("degenerate", "finite", "infinite", "undecided"):
+        return f"unknown verdict kind {json.dumps(kind)}"
+    if kind == "finite" and not ("order" in verdict
+                                 and isinstance(verdict.get("fingerprint"), dict)
+                                 and "derived_order" in verdict["fingerprint"]):
+        return "a finite verdict needs order and fingerprint.derived_order"
+    if kind == "degenerate" and not (isinstance(verdict.get("witness"), list)
+                                     and len(verdict["witness"]) == 3):
+        return "a degenerate verdict needs a witness of three parts"
+    return None
+
+
+def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
+    """The records of a classify output, one JSON object per nonblank line,
+    each after its place, "<file> line <n>"."""
     name = getattr(lines, "name", "records")
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
+        where = f"{name} line {number}"
         try:
             doc = json.loads(line)
         except ValueError as exc:
-            raise InputError(f"{name} line {number}: not a JSON record ({exc})") from None
-        if not (isinstance(doc, dict) and "dims" in doc and "matrix" in doc
-                and isinstance(doc.get("verdict"), dict) and "kind" in doc["verdict"]):
-            raise InputError(f"{name} line {number}: not a classification record "
-                             "(needs dims, matrix and verdict.kind)")
-        yield doc
+            raise InputError(f"{where}: not a JSON record ({exc})") from None
+        problem = _record_problem(doc)
+        if problem is not None:
+            raise InputError(f"{where}: not a classification record ({problem})")
+        yield where, doc
 
 
 def summarize(lines: Iterable[str]) -> dict[tuple[int, int], SummaryTable]:
     tables: dict[tuple[int, int], SummaryTable] = {}
-    for doc in _records(lines):
+    for _, doc in _records(lines):
         dims = tuple(doc["dims"])
         tab = tables.setdefault(dims, SummaryTable(dims))
         tab.total += 1
@@ -437,10 +463,14 @@ def cmd_export_gap(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     count = 0
     with _open_input(args.records) as fh:
-        for doc in _records(fh):
+        for where, doc in _records(fh):
+            try:
+                script = export_cas_script(doc)
+            except ValueError as exc:  # GridError and PresentationError among them
+                raise InputError(f"{where}: not a matrix ({exc})") from None
             path = os.path.join(args.outdir, f"class_{count:06d}.g")
             with open(path, "w") as out:
-                out.write(export_cas_script(doc))
+                out.write(script)
             count += 1
     print(f"wrote {count} scripts to {args.outdir}", file=sys.stderr)
     return 0

@@ -22,6 +22,7 @@ equal.  Nothing continues a stopped run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -247,9 +248,6 @@ class CosetTable:
         self.presentation = pres
         self.images = images
         self._image_letters: dict[int, bytes] = {}  # letter -> its image's path
-        self._letters: Optional[list[bytes]] = None
-        self._words: Optional[list[Word]] = None
-        self._inv: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
 
     @property
@@ -291,40 +289,39 @@ class CosetTable:
 
     def element_words(self) -> list[Word]:
         """A shortest word reaching each coset from 0, in search order."""
-        if self._words is None:
-            self._words = [letters_to_word(p) for p in self._element_letters()]
-        return self._words
+        return [letters_to_word(p) for p in self._element_letters]
 
+    @cached_property
     def _element_letters(self) -> list[bytes]:
         """element_words in the doubled alphabet."""
-        if self._letters is None:
-            steps = [bytes((d,)) for d in range(2 * self.ngens)]
-            paths: list[Optional[bytes]] = [None] * self.coset_count
-            paths[0] = b""
-            queue = [0]
-            qi = 0
-            while qi < len(queue):
-                c = queue[qi]
-                qi += 1
-                for d, step in enumerate(steps):
-                    nxt = self.action[c][d]
-                    if paths[nxt] is None:
-                        paths[nxt] = paths[c] + step
-                        queue.append(nxt)
-            if any(p is None for p in paths):
-                raise ValueError("coset table is not transitive")
-            self._letters = paths  # type: ignore[assignment]
-        return self._letters
+        steps = [bytes((d,)) for d in range(2 * self.ngens)]
+        paths: list[Optional[bytes]] = [None] * self.coset_count
+        paths[0] = b""
+        queue = [0]
+        qi = 0
+        while qi < len(queue):
+            c = queue[qi]
+            qi += 1
+            for d, step in enumerate(steps):
+                nxt = self.action[c][d]
+                if paths[nxt] is None:
+                    paths[nxt] = paths[c] + step
+                    queue.append(nxt)
+        if any(p is None for p in paths):
+            raise ValueError("coset table is not transitive")
+        return paths  # type: ignore[return-value]
 
     def mult(self, i: int, j: int) -> int:
-        return self._follow(i, self._element_letters()[j])
+        return self._follow(i, self._element_letters[j])
+
+    @cached_property
+    def _inverses(self) -> list[int]:
+        # the inverse of a path: its letters reversed, each inverted
+        return [self._follow(0, bytes(d ^ 1 for d in reversed(p)))
+                for p in self._element_letters]
 
     def inverse(self, i: int) -> int:
-        if self._inv is None:
-            # the inverse of a path: its letters reversed, each inverted
-            self._inv = [self._follow(0, bytes(d ^ 1 for d in reversed(p)))
-                         for p in self._element_letters()]
-        return self._inv[i]
+        return self._inverses[i]
 
     def order_of(self, i: int) -> int:
         if self._orders is None:

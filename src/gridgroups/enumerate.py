@@ -87,6 +87,12 @@ class SearchCheckpoint:
             self.done = [False] * len(self.frontier)
         if not (len(self.frontier) == len(self.emitted) == len(self.done)):
             raise CheckpointError("frontier/progress length mismatch")
+        if any(k < 0 for k in self.emitted):
+            raise CheckpointError("negative emitted count")
+        try:
+            self.dims.require_odd()
+        except GridError as exc:
+            raise CheckpointError(f"bad checkpoint dims: {exc}") from None
         for flat in self.frontier:
             m = PartialPairingMatrix(self.dims, flat)
             if m.filled_count != self.split_depth:
@@ -424,7 +430,9 @@ def parse_checkpoint(text: str) -> SearchCheckpoint:
             if toks[0] != "item" or int(toks[1]) != k:
                 raise CheckpointError(f"expected item {k} at line {pos + 1}")
             emitted.append(int(toks[3]))
-            done.append(bool(int(toks[5])))
+            if toks[5] not in ("0", "1"):
+                raise CheckpointError(f"done must be 0 or 1, got {toks[5]}")
+            done.append(toks[5] == "1")
             pos += 1
             flat = []
             for _ in range(dims.rows):

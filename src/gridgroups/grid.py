@@ -17,6 +17,7 @@ consecutively renumbered matrix in its orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 SENTINEL = -1
@@ -310,7 +311,7 @@ class _CanonWorkspace:
         self.renum: dict[int, int] = {}
 
 
-_WS_CACHE: dict[tuple[int, int], _CanonWorkspace] = {}
+_shared_workspace = cache(_CanonWorkspace)  # one for each (rows, cols)
 
 
 def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
@@ -346,11 +347,7 @@ def has_smaller_stacked_image(flat: Sequence[int], rows: int, cols: int,
         filled = sum(1 for v in flat[1:] if v != 0)
     if filled <= cols - 1:
         return False  # only row 0: every stacked image renumbers identically
-    ws = workspace
-    if ws is None:
-        ws = _WS_CACHE.get((rows, cols))
-        if ws is None:
-            ws = _WS_CACHE[(rows, cols)] = _CanonWorkspace(rows, cols)
+    ws = workspace or _shared_workspace(rows, cols)
 
     beyond = filled - (cols - 1)
     n_full = beyond // cols

@@ -8,10 +8,11 @@ elements are sparse coefficient maps with zero entries dropped eagerly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 from .coset import CosetTable, todd_coxeter
-from .present import Presentation, generator_families
+from .present import Presentation, Word, generator_families
 
 
 class GroupRingError(ValueError):
@@ -304,21 +305,17 @@ _DIH4 = Presentation(("c", "d"), ((1, 1, 1, 1), (2, 2), (1, 2, 1, 2)))
 _S3_REP = {"a": ((-1, -1), (1, 0)), "b": ((0, 1), (1, 0))}
 _DIH4_REP = {"c": ((0, -1), (1, 0)), "d": ((1, 0), (0, -1))}
 
-_TABLE_CACHE: dict[str, CosetTable] = {}
 
-
+@cache
 def _group_table(key: str, pres: Presentation) -> CosetTable:
-    if key not in _TABLE_CACHE:
-        run = todd_coxeter(pres, max_cosets=2000)
-        assert run.status == "complete"
-        _TABLE_CACHE[key] = run.table
-    return _TABLE_CACHE[key]
+    run = todd_coxeter(pres, max_cosets=2000)
+    assert run.status == "complete"
+    return run.table
 
 
-def _rep_matrix(table: CosetTable, rep: dict[str, tuple], pres: Presentation,
-                element: int, p: int):
+def _rep_matrix(word: Word, rep: dict[str, tuple], pres: Presentation, p: int):
     mat = ((1, 0), (0, 1))
-    for x in table.element_words()[element]:
+    for x in word:
         name = pres.names[abs(x) - 1]
         m = rep[name]
         if x < 0:
@@ -344,7 +341,7 @@ def _corner(branch: str, p: int):
         q = GroupRingElement(p, table, {0: inv2, table.element((1, 1)): -inv2})
     n = table.coset_count
     corner = [gr_mul(gr_mul(q, gr_basis(p, table, g)), q) for g in range(n)]
-    mats = [_rep_matrix(table, rep, pres, g, p) for g in range(n)]
+    mats = [_rep_matrix(w, rep, pres, p) for w in table.element_words()]
     return table, q, corner, mats
 
 
@@ -404,8 +401,12 @@ def matrix_unit_lab(p: int) -> LabReport:
 
 def matrix_units(p: int, branch: str = "S3") -> tuple[CosetTable, list[GroupRingElement]]:
     """Elements e11, e12, e21, e22 of the corner representing the 2x2 units.
-    In the characteristic the lab skips for the branch it raises
-    GroupRingError with the lab's reason."""
+    p is a prime and the branch is "S3" or "Dih4".  In the characteristic
+    the lab skips for the branch it raises GroupRingError with the lab's
+    reason."""
+    check_prime(p)
+    if branch not in _SKIPPED_CHARACTERISTIC:
+        raise GroupRingError(f"unknown branch {branch!r}: expected S3 or Dih4")
     reason = _skip_reason(branch, p)
     if reason is not None:
         raise GroupRingError(reason)

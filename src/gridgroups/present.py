@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Optional
 
@@ -254,40 +254,35 @@ class _ComposedImages(Sequence):
     steps on first read: a table or abelianisation that reads no word
     through them (a one-coset table) never pays for them."""
 
-    __slots__ = ("_n", "_steps", "_remap", "_words")
-
     def __init__(self, n: int, steps: list[tuple[int, Word]], remap: dict[int, int]):
         self._n, self._steps, self._remap = n, steps, remap
-        self._words: Optional[tuple[Word, ...]] = None
 
-    def _compose(self) -> tuple[Word, ...]:
-        if self._words is None:
-            n = self._n
-            images: list[Word] = [(i + 1,) for i in range(n)]
-            inverses: list[Word] = [(-i - 1,) for i in range(n)]
-            for g, repl in reversed(self._steps):
-                # repl names only survivors and generators eliminated after g
-                image = concat(*(images[x - 1] if x > 0 else inverses[-x - 1] for x in repl))
-                images[g - 1], inverses[g - 1] = image, invert(image)
-            remap = self._remap
-            self._words = tuple(tuple(map(remap.__getitem__, w)) for w in images)
-            self._steps = self._remap = None
-        return self._words
+    @cached_property
+    def _words(self) -> tuple[Word, ...]:
+        n = self._n
+        images: list[Word] = [(i + 1,) for i in range(n)]
+        inverses: list[Word] = [(-i - 1,) for i in range(n)]
+        for g, repl in reversed(self._steps):
+            # repl names only survivors and generators eliminated after g
+            image = concat(*(images[x - 1] if x > 0 else inverses[-x - 1] for x in repl))
+            images[g - 1], inverses[g - 1] = image, invert(image)
+        remap = self._remap
+        return tuple(tuple(map(remap.__getitem__, w)) for w in images)
 
     def __getitem__(self, index):
-        return self._compose()[index]
+        return self._words[index]
 
     def __len__(self) -> int:
         return self._n
 
     def __eq__(self, other) -> bool:
-        return self._compose() == other
+        return self._words == other
 
     def __hash__(self) -> int:
-        return hash(self._compose())
+        return hash(self._words)
 
     def __repr__(self) -> str:
-        return repr(self._compose())
+        return repr(self._words)
 
 
 def _substitute(word: Word, gen: int, repl: Word, inv_repl: Word) -> Word:

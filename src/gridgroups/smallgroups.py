@@ -9,13 +9,12 @@ for separating words in groups the enumerator cannot close.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .abelian import abelian_invariants
 from .coset import CosetTable, GroupFingerprint, fingerprint, todd_coxeter
 from .present import Presentation
-
-_W = tuple
 
 
 def _p(names: str, *relators: tuple[int, ...]) -> Presentation:
@@ -72,21 +71,16 @@ class CatalogEntry:
     fp: GroupFingerprint
 
 
-_CATALOG: Optional[list[CatalogEntry]] = None
-
-
-def catalog() -> list[CatalogEntry]:
-    global _CATALOG
-    if _CATALOG is None:
-        entries = []
-        for name, pres in _NONABELIAN:
-            run = todd_coxeter(pres, max_cosets=5000)
-            if run.status != "complete":
-                raise RuntimeError(f"catalog group {name} did not close")
-            fp = fingerprint(run.table, abelian_invariants(pres))
-            entries.append(CatalogEntry(name, run.table, fp))
-        _CATALOG = entries
-    return _CATALOG
+@cache
+def catalog() -> tuple[CatalogEntry, ...]:
+    entries = []
+    for name, pres in _NONABELIAN:
+        run = todd_coxeter(pres, max_cosets=5000)
+        if run.status != "complete":
+            raise RuntimeError(f"catalog group {name} did not close")
+        fp = fingerprint(run.table, abelian_invariants(pres))
+        entries.append(CatalogEntry(name, run.table, fp))
+    return tuple(entries)
 
 
 def abelian_name(invariants) -> str:

@@ -11,6 +11,7 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import permutations
 from typing import Callable, Optional, Sequence
 
@@ -111,19 +112,12 @@ def _symmetric_target(k: int) -> _HomTarget:
                       index[tuple(range(k))])
 
 
-_TABLE_TARGETS: list[_HomTarget] = []  # the catalog's groups, built once
-_SYM_CACHE: dict[int, _HomTarget] = {}
-
-
-def hom_targets(max_degree: int) -> list[_HomTarget]:
-    if not _TABLE_TARGETS:
-        _TABLE_TARGETS.extend(_table_target(e.name, e.table) for e in catalog())
-    out = list(_TABLE_TARGETS)
-    for k in range(3, max_degree + 1):
-        if k not in _SYM_CACHE:
-            _SYM_CACHE[k] = _symmetric_target(k)
-        out.append(_SYM_CACHE[k])
-    return out
+@cache
+def hom_targets(max_degree: int) -> tuple[_HomTarget, ...]:
+    """The catalog's groups, then the symmetric groups of degree 3 to
+    `max_degree`; built once for each degree."""
+    return (*(_table_target(e.name, e.table) for e in catalog()),
+            *map(_symmetric_target, range(3, max_degree + 1)))
 
 
 def _extend_images(target: _HomTarget, images: list[int], depth: int,
@@ -172,95 +166,71 @@ def search_hom(pres: Presentation, targets: Sequence[_HomTarget],
 
 
 class GroupToolbox:
-    """Caches the expensive artifacts of one presentation."""
+    """Caches the expensive artifacts of one presentation, and one coset run
+    for each limit it is asked at."""
 
     def __init__(self, pres: Presentation, budgets: Budgets = Budgets()):
         self.presentation = pres
         self.budgets = budgets
-        self._eliminated: Optional[SimplifiedPresentation] = None
-        self._ab: Optional[Abelianization] = None
-        self._simplified: Optional[SimplifiedPresentation] = None
-        self._tc: Optional[CosetEnumeration] = None
-        self._tc_limit = 0
-        self._kb: Optional[RewriteSystem] = None
-        self._kb_simplified: Optional[RewriteSystem] = None
-
-    def fork(self) -> GroupToolbox:
-        """A toolbox on the same presentation and budgets that shares the
-        artifacts built so far, except the coset run: callers enumerate at
-        different limits, and a partial table's proofs depend on its limit."""
-        other = GroupToolbox(self.presentation, self.budgets)
-        other._eliminated, other._ab = self._eliminated, self._ab
-        other._simplified = self._simplified
-        other._kb, other._kb_simplified = self._kb, self._kb_simplified
-        return other
+        self._runs: dict[int, CosetEnumeration] = {}
+        self._limit: Optional[int] = None  # the limit coset_run() reads
 
     # -- cached artifacts ----------------------------------------------------
 
-    @property
+    @cached_property
     def eliminated(self) -> SimplifiedPresentation:
         """The cheap greedy elimination (`eliminate_generators`), which the
         first coset pass enumerates."""
-        if self._eliminated is None:
-            self._eliminated = eliminate_generators(self.presentation)
-        return self._eliminated
+        return eliminate_generators(self.presentation)
 
-    @property
+    @cached_property
     def abelianization(self) -> Abelianization:
         """The Smith form of the eliminated presentation, reading words over
         the original generators through their images.  Its callers ask only
         whether two images, or their free coordinates, are equal; an
         isomorphism of abelianisations keeps both, so it answers as the raw
         presentation's would, from a smaller matrix."""
-        if self._ab is None:
-            eliminated = self.eliminated
-            self._ab = Abelianization(eliminated.presentation, eliminated.images)
-        return self._ab
+        eliminated = self.eliminated
+        return Abelianization(eliminated.presentation, eliminated.images)
 
-    @property
+    @cached_property
     def simplified(self) -> SimplifiedPresentation:
-        if self._simplified is None:
-            self._simplified = simplify_presentation(self.presentation)
-        return self._simplified
+        return simplify_presentation(self.presentation)
 
-    @property
-    def coset_limit(self) -> int:
-        """The limit the cached coset run was made at; 0 before any run."""
-        return self._tc_limit
+    @cached_property
+    def survivors(self) -> tuple[int, ...]:
+        """For each simplified generator, the original generator it is."""
+        original = self.presentation.names
+        return tuple(original.index(name) + 1
+                     for name in self.simplified.presentation.names)
 
     def coset_run(self, max_cosets: Optional[int] = None,
                   watch: Optional[tuple[Word, Word]] = None) -> CosetEnumeration:
-        """The cached enumeration.  The first call runs it, to `max_cosets`
-        or else the budgets' limit; a later call with a higher limit runs an
-        incomplete one again to that limit, and any other call returns the
-        cache.  A run made with `watch` may come back stopped (see
-        `todd_coxeter`): it goes to the caller and is never cached, so a
-        later call enumerates afresh."""
-        run = self._tc
+        """The enumeration to `max_cosets`, else to the limit of the last
+        call, else to the budgets' limit; made once for each limit, and that
+        limit then serves the calls that name none.  A run made with `watch`
+        may come back stopped (see `todd_coxeter`): it goes to the caller
+        and is never cached, so a later call enumerates afresh."""
+        limit = max_cosets if max_cosets is not None \
+            else self._limit or self.budgets.max_cosets
+        run = self._runs.get(limit)
         if run is None:
-            limit = max_cosets if max_cosets is not None else self.budgets.max_cosets
-        elif max_cosets is not None and max_cosets > self._tc_limit \
-                and run.status != "complete":
-            limit = max_cosets
-        else:
-            return run
-        run = todd_coxeter(self.presentation, max_cosets=limit, watch=watch)
-        if run.status != "stopped":
-            self._tc, self._tc_limit = run, limit
+            run = todd_coxeter(self.presentation, max_cosets=limit, watch=watch)
+            if run.status == "stopped":
+                return run
+            self._runs[limit] = run
+        self._limit = limit
         return run
 
-    @property
+    @cached_property
     def rewriting(self) -> RewriteSystem:
         # completion runs over the raw presentation: its relators are short,
         # which keeps rule growth tame (eliminating generators lengthens
         # relators and slows completion badly)
-        if self._kb is None:
-            self._kb = RewriteSystem(self.presentation,
-                                     max_rules=self.budgets.kb_max_rules,
-                                     max_len=self.budgets.kb_max_len)
-        return self._kb
+        return RewriteSystem(self.presentation, max_rules=self.budgets.kb_max_rules,
+                             max_len=self.budgets.kb_max_len)
 
-    @property
+    @cached_property
     def rewriting_simplified(self) -> RewriteSystem:
         """Completion over the eliminated-generator presentation.
 
@@ -269,11 +239,9 @@ class GroupToolbox:
         finiteness/infiniteness certificates.  Words must be translated with
         simplify_word before reduction here.
         """
-        if self._kb_simplified is None:
-            self._kb_simplified = RewriteSystem(self.simplified.presentation,
-                                                max_rules=self.budgets.kb_max_rules,
-                                                max_len=self.budgets.kb_max_len)
-        return self._kb_simplified
+        return RewriteSystem(self.simplified.presentation,
+                             max_rules=self.budgets.kb_max_rules,
+                             max_len=self.budgets.kb_max_len)
 
     def simplify_word(self, word: Word) -> Word:
         images = self.simplified.images
@@ -371,15 +339,11 @@ class GroupToolbox:
         Commutators of the surviving simplified generators suffice: they
         still generate, and there are far fewer pairs to test.
         """
-        names = self.simplified.presentation.names
-        original = self.presentation.names
-        back = {k + 1: original.index(names[k]) + 1 for k in range(len(names))}
-        n = len(names)
+        gens = self.survivors
         unknown = False
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                comm = tuple(back[x] if x > 0 else -back[-x] for x in (i, j, -i, -j))
-                v = self.word_equal(comm, ())
+        for i, x in enumerate(gens):
+            for y in gens[i + 1:]:
+                v = self.word_equal((x, y, -x, -y), ())
                 if v.outcome == "distinct":
                     return False
                 if v.outcome != "equal":

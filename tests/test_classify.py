@@ -206,7 +206,7 @@ class TestTorsionQuotient:
         """A class takes at most one Smith form for each distinct
         presentation that its path builds a toolbox on.  On an infinite
         class the first pass reads the toolbox's abelianisation, and the
-        torsion-quotient report's forks share it; on a finite class the
+        torsion-quotient report works on that toolbox; on a finite class the
         fingerprint of the closed table reads the same invariants."""
         smallgroups.catalog()  # its fingerprints take Smith forms of their own
         forms = []

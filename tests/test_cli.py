@@ -311,6 +311,19 @@ class TestBadInput:
          "dims-only.jsonl line 1: not a classification record"),
         (["export-gap", os.path.join(DATA, "list.jsonl")],
          "list.jsonl line 1: not a classification record"),
+        (["table", os.path.join(DATA, "finite-without-order.jsonl")],
+         "finite-without-order.jsonl line 1: not a classification record (a finite "
+         "verdict needs order and fingerprint.derived_order)"),
+        (["table", os.path.join(DATA, "scalar-dims.jsonl")],
+         "scalar-dims.jsonl line 1: not a classification record (dims must be two "
+         "integers, got 3)"),
+        (["export-gap", os.path.join(DATA, "short-matrix.jsonl")],
+         "short-matrix.jsonl line 1: not a matrix"),
+        (["resume", os.path.join(DATA, "negative-emitted.ckpt"), "--classify"],
+         "negative emitted count"),
+        (["resume", os.path.join(DATA, "done-7.ckpt")], "done must be 0 or 1, got 7"),
+        (["resume", os.path.join(DATA, "even-dims.ckpt")],
+         "full pairings need odd row/column counts, got 2x2"),
     ])
     def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
         out_flag = "--outdir" if argv[0] == "export-gap" else "--out"

@@ -352,3 +352,23 @@ class TestCheckpointFormat:
         text = format_checkpoint(cp).replace("depth 4", "depth 5")
         with pytest.raises(CheckpointError):
             parse_checkpoint(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("emitted 0 done 0", "emitted -1 done 0", "negative emitted count"),
+        ("emitted 0 done 0", "emitted 0 done 7", "done must be 0 or 1, got 7"),
+        ("emitted 0 done 0", "emitted 0 done -1", "done must be 0 or 1, got -1"),
+        ("dims 3 3", "dims 3 4", "need odd row/column counts"),
+    ])
+    def test_counts_and_dims_are_checked_when_read(self, old, new, message):
+        """A checkpoint whose counts `resume` would misread, or whose dims
+        `enumerate` rejects, is an error rather than a silent empty run."""
+        text = format_checkpoint(split_frontier(GridDims(3, 3), 2))
+        assert old in text
+        with pytest.raises(CheckpointError, match=message):
+            parse_checkpoint(text.replace(old, new, 1))
+
+    def test_counts_are_checked_when_built(self):
+        cp = split_frontier(GridDims(3, 3), 2)
+        with pytest.raises(CheckpointError, match="negative emitted count"):
+            SearchCheckpoint(cp.dims, cp.split_depth, cp.frontier,
+                             [-1] * len(cp.frontier))

@@ -375,18 +375,30 @@ class TestWordProblem:
         v = tb.word_equal(free_reduce(word * power), ())
         assert v.outcome == "equal", v
 
-    def test_fork_shares_all_but_the_coset_run(self):
+    def test_one_coset_run_per_limit(self):
+        """Each limit gets a run of its own, made once, and a call that names
+        no limit reads the last limit named; a lower limit asked after a
+        higher one is not answered by the higher run."""
         tb = GroupToolbox(Presentation(("x", "y"), ((1, 1), (2, 2, 2))), Budgets(max_cosets=100))
-        shared = ("eliminated", "abelianization", "simplified", "rewriting",
-                  "rewriting_simplified")
-        before = [getattr(tb, name) for name in shared]
-        run = tb.coset_run()
-        fork = tb.fork()
-        assert (fork.presentation, fork.budgets) == (tb.presentation, tb.budgets)
-        assert all(getattr(fork, name) is b for name, b in zip(shared, before))
-        assert run.cosets_defined > 50
-        assert fork.coset_run(50).cosets_defined <= 50  # a run of its own
-        assert tb.coset_run() is run
+        default = tb.coset_run()
+        assert default.cosets_defined > 50
+        lower = tb.coset_run(50)
+        assert lower is not default and lower.cosets_defined <= 50
+        assert tb.coset_run() is lower
+        assert tb.coset_run(100) is default
+        assert tb.coset_run() is default
+        assert tb.coset_run(50) is lower
+
+    def test_artifacts_are_built_once(self):
+        pres = Presentation(("x", "y", "z"), ((1, 2, -3), (1, 1), (2, 2, 2)))
+        tb = GroupToolbox(pres, Budgets(max_cosets=100))
+        for name in ("eliminated", "abelianization", "simplified", "survivors",
+                     "rewriting", "rewriting_simplified"):
+            assert getattr(tb, name) is getattr(tb, name), name
+        # each simplified generator is the original generator of its name
+        assert [pres.names[g - 1] for g in tb.survivors] \
+            == list(tb.simplified.presentation.names)
+        assert len(tb.survivors) < pres.generator_count
 
     def test_a_stopped_run_is_not_cached(self):
         """Only a caller that watches sees a stopped run: the toolbox does
@@ -397,7 +409,6 @@ class TestWordProblem:
             tb = GroupToolbox(pres, Budgets(max_cosets=1000))
             stopped = tb.coset_run(limit, watch=((-2,), (1, 2, 1)))  # y^-1 = xyx
             assert stopped.status == "stopped" and stopped.cosets_defined == 5
-            assert tb.coset_limit == 0
             run = tb.coset_run(limit)
             plain = todd_coxeter(pres, max_cosets=limit)
             assert run.status == plain.status == ("complete" if limit == 100 else "exhausted")
@@ -406,7 +417,12 @@ class TestWordProblem:
                 assert run.table.action == plain.table.action
             else:
                 assert run.graph == plain.graph
-            assert tb.coset_limit == limit and tb.coset_run() is run
+            assert tb.coset_run() is run
+        # a stopped run leaves the working limit as it was: the next call
+        # that names no limit enumerates to the budgets' limit, not to 5
+        tb = GroupToolbox(pres, Budgets(max_cosets=1000))
+        assert tb.coset_run(5, watch=((-2,), (1, 2, 1))).status == "stopped"
+        assert tb.coset_run().status == "complete"
 
     def test_hom_targets_are_built_once(self):
         first, second = hom_targets(6), hom_targets(6)

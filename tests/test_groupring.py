@@ -221,6 +221,18 @@ class TestLabs:
             matrix_units(p, branch)
         assert str(exc.value) == reason
 
+    @pytest.mark.parametrize("branch", ["foo", "s3", "Dih5", ""])
+    def test_matrix_units_reject_an_unknown_branch(self, branch):
+        with pytest.raises(GroupRingError, match="unknown branch"):
+            matrix_units(5, branch)
+
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_matrix_units_reject_a_non_prime(self, p):
+        # as the lab does: over Z/9 the Dih4 system used to come back with
+        # e21 = e22 = 0, and over Z/1 with all four units zero
+        with pytest.raises(GroupRingError, match="not prime"):
+            matrix_units(p, "Dih4")
+
 
 class TestLinearAlgebraModP:
     """Rank and solve share one row reduction; the oracles are the two
