@@ -209,7 +209,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
                         verdict = Verdict("infinite", abelian=toolbox.is_abelian(),
                                           evidence="confluent system with infinitely many normal forms")
                         break
-                    table = _table_from_rewriting(kb, images)
+                    table = _table_from_rewriting(kb, count, images)
                     if table is None:
                         continue
                     verdict = _closed_table_verdict(table, dims, inv)
@@ -241,19 +241,18 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
         annotations=_annotations_for(mat), **flags)
 
 
-def _table_from_rewriting(kb: RewriteSystem,
+def _table_from_rewriting(kb: RewriteSystem, count: int,
                           images: Optional[tuple[Word, ...]] = None) -> Optional[CosetTable]:
-    kind, count = kb.language()
-    if kind != "finite" or count > 4096:
+    """The regular table on the `count` normal forms of a confluent system
+    whose language is finite of that size, or None above 4096 forms."""
+    if count > 4096:
         return None
-    forms = kb.normal_forms(count + 1)
+    forms = kb.normal_forms(count + 1)  # in shortlex order
     if len(forms) != count:
         return None
-    index = {w: i for i, w in enumerate(sorted(forms, key=lambda w: (len(w), w)))}
+    index = {w: i for i, w in enumerate(forms)}
     nd = 2 * kb.presentation.generator_count
-    action = []
-    for w in sorted(forms, key=lambda w: (len(w), w)):
-        action.append([index[kb.reduce(w + bytes((d,)))] for d in range(nd)])
+    action = [[index[kb.reduce(w + bytes((d,)))] for d in range(nd)] for w in forms]
     return CosetTable(kb.presentation.generator_count, action, kb.presentation, images)
 
 

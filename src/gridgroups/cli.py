@@ -143,9 +143,12 @@ def _tasks(mats: Iterable[PairingMatrix]) -> Iterator[list[PairingMatrix]]:
 
 def _worker_lines(mats: Iterable[PairingMatrix], budgets: Budgets, class_filter: str,
                   workers: int) -> Iterator[str]:
-    """_leaf_lines computed by a pool of workers.  The parent enumerates and
-    sends runs of LEAVES_PER_TASK classes; imap returns the workers' blocks
-    in task order, so the lines come out in the serial order."""
+    """_leaf_lines computed by a pool of workers.  The parent enumerates or
+    reads the classes and sends runs of LEAVES_PER_TASK of them; imap returns
+    the workers' blocks in task order, so the lines come out in the serial
+    order.  The parent reads ahead of the workers, so an InputError from a
+    bad input line can end the run before the lines of the classes read
+    before it are written."""
     import multiprocessing as mp
 
     with mp.Pool(workers) as pool:
@@ -203,9 +206,7 @@ def _read_matrices(fh) -> Iterator[PairingMatrix]:
 def cmd_enumerate(args) -> int:
     with _checked_input():
         dims = GridDims(args.rows, args.cols).require_odd()
-        if not 0 <= (args.split_depth or 0) <= dims.cell_count:
-            raise GridError(f"split depth {args.split_depth} out of range 0..{dims.cell_count}")
-    config = EnumerationConfig(max_nodes=args.max_nodes, split_depth=args.split_depth)
+    config = EnumerationConfig(max_nodes=args.max_nodes)
     try:
         return _run_campaign(args.out, _leaf_lines(enumerate_pairings(dims, config), None))
     except EnumerationBudgetExceeded as exc:
@@ -492,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--max-nodes", type=_positive_int, default=None)
-    p.add_argument("--split-depth", type=int, default=None)
     p.add_argument("--checkpoint", default=None,
                    help="write a resumable checkpoint on budget overrun")
     p.set_defaults(func=cmd_enumerate)
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="classify matrices from an enumerate output file")
     p.add_argument("--out", default="-")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes classifying runs of enumerated classes")
+                   help="worker processes classifying runs of consecutive classes")
     p.add_argument("--filter", choices=_FILTERS, default="none",
                    help="restrict to classes passing a structural filter")
     add_budget_flags(p)
@@ -548,8 +548,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "classify":
         if args.from_file is None and None in (args.rows, args.cols):
             parser.error("classify needs --from FILE or both --rows and --cols")
-        if args.from_file is not None and args.workers > 1:
-            parser.error("--workers splits a rank's search tree; it does not apply to --from")
         if args.from_file is not None and (args.rows, args.cols) != (None, None):
             parser.error("--rows and --cols choose a rank to search; they do not apply to --from")
     try:

@@ -62,7 +62,6 @@ class BranchValueSet:
 @dataclass
 class EnumerationConfig:
     max_nodes: Optional[int] = None
-    split_depth: Optional[int] = None
     # when set, the first-column cells below row 0 take only labels below
     # it; with the number of columns on a square grid this leaves exactly
     # the mirror-form classes, whose first column holds labels 1..cols-1
@@ -93,6 +92,8 @@ class SearchCheckpoint:
             self.dims.require_odd()
         except GridError as exc:
             raise CheckpointError(f"bad checkpoint dims: {exc}") from None
+        if any(a >= b for a, b in zip(self.frontier, self.frontier[1:])):
+            raise CheckpointError("frontier items are not in strictly increasing order")
         for flat in self.frontier:
             m = PartialPairingMatrix(self.dims, flat)
             if m.filled_count != self.split_depth:
@@ -208,8 +209,10 @@ def _children(cur: _Cursor) -> list[tuple[int, Optional[list]]]:
 
     The branch values are the usable half-pair labels that survive the
     canonicity test, then (except in the last row, where it could never be
-    paired) one fresh label, which is kept untested; one that completes a
-    row is searched only for its stabiliser.  Inside a row after row 1
+    paired) one fresh label.  A fresh label is kept untested unless it
+    completes a row: then it gets the full test, which also gives its
+    stabiliser, and is dropped when the rows have a smaller image, since
+    its subtree yields no leaf.  Inside a row after row 1
     a half-pair is tested against the stabiliser of the rows above
     (`smaller_in_next_row`); a child that completes a row, and every cell
     without a stabiliser, gets the full test.
@@ -261,12 +264,13 @@ def _children(cur: _Cursor) -> list[tuple[int, Optional[list]]]:
     if (fresh <= cur.max_label and i < rows - 1
             and (below is None or fresh < below)
             and count_feasible(cur.singles + 1, fresh)):
-        child = None
+        smaller, child = False, None
         if record:
             cur.place(fresh)
-            child = cur.full_test(cur.filled, True)[1]
+            smaller, child = cur.full_test(cur.filled, True)
             cur.unplace()
-        out.append((fresh, child))
+        if not smaller:
+            out.append((fresh, child))
     return out
 
 
@@ -375,9 +379,8 @@ def enumerate_pairings(dims: GridDims,
     dims = GridDims(*dims).require_odd()
     if config is None:
         config = EnumerationConfig()
-    depth = config.split_depth
-    if depth is None:  # a budgeted run checkpoints at items just below row 0
-        depth = 0 if config.max_nodes is None else min(dims.cols + 1, dims.cell_count)
+    # a budgeted run checkpoints at items just below row 0
+    depth = 0 if config.max_nodes is None else min(dims.cols + 1, dims.cell_count)
     yield from resume(split_frontier(dims, depth, config.first_column_below), config)
 
 

@@ -684,7 +684,7 @@ def format_matrix(mat: _Matrix) -> str:
     return "\n".join(lines)
 
 
-def parse_matrix(text: str, partial: bool = False):
+def parse_matrix(text: str):
     rows = []
     for line in text.strip().splitlines():
         toks = line.split()
@@ -697,6 +697,6 @@ def parse_matrix(text: str, partial: bool = False):
         raise GridError("ragged matrix text")
     flat = [v for row in rows for v in row]
     dims = GridDims(len(rows), cols)
-    if partial or any(v == 0 for v in flat[1:]):
+    if any(v == 0 for v in flat[1:]):
         return PartialPairingMatrix(dims, flat)
     return PairingMatrix(dims, flat)

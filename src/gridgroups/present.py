@@ -250,7 +250,7 @@ class SimplifiedPresentation:
 
 
 class _ComposedImages(Sequence):
-    """The images of an elimination's original generators, composed from its
+    """The images of a Tietze pass's original generators, composed from its
     steps on first read: a table or abelianisation that reads no word
     through them (a one-coset table) never pays for them."""
 
@@ -315,10 +315,8 @@ def simplify_presentation(pres: Presentation) -> SimplifiedPresentation:
     usable relator.  Returns the reduced presentation plus words expressing
     every original generator in the surviving ones.
     """
-    n = pres.generator_count
     relators = [cyclic_reduce(r) for r in pres.relators]
-    images: list[Word] = [(i + 1,) for i in range(n)]
-    alive = [True] * n
+    eliminated: list[tuple[int, Word]] = []  # (generator, its word), in order
 
     def normalize() -> None:
         nonlocal relators
@@ -354,21 +352,11 @@ def simplify_presentation(pres: Presentation) -> SimplifiedPresentation:
         else:
             repl = rot[1:]          # g^-1 * w = 1  =>  g = w
         del relators[ri]
+        eliminated.append((g, repl))
         inv_repl = invert(repl)
         relators = [_substitute(r, g, repl, inv_repl) for r in relators]
-        images = [_substitute(w, g, repl, inv_repl) for w in images]
-        alive[g - 1] = False
         normalize()
-
-    keep = [i for i in range(n) if alive[i]]
-    remap = {old + 1: new + 1 for new, old in enumerate(keep)}
-
-    def remap_word(w: Word) -> Word:
-        return tuple(remap[x] if x > 0 else -remap[-x] for x in w)
-
-    new_pres = Presentation(tuple(pres.names[i] for i in keep),
-                            tuple(remap_word(r) for r in relators))
-    return SimplifiedPresentation(new_pres, tuple(remap_word(w) for w in images))
+    return _survivors(pres, relators, eliminated)
 
 
 def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
@@ -383,7 +371,6 @@ def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
     duplicate relators, so it is faster, but it gives a different
     presentation of the same group.
     """
-    n = pres.generator_count
     # a presentation's relators are freely reduced, so none of these is empty
     relators = [cyclic_reduce(r) if r[0] == -r[-1] else r for r in pres.relators if r]
     eliminated: list[tuple[int, Word]] = []  # (generator, its word), in order
@@ -412,13 +399,20 @@ def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
             kept.append(r)
         relators = kept
 
+    return _survivors(pres, relators, eliminated)
+
+
+def _survivors(pres: Presentation, relators: list[Word],
+               eliminated: list[tuple[int, Word]]) -> SimplifiedPresentation:
+    """The end of a Tietze pass: its relators, freely reduced words over the
+    generators it did not eliminate, renumbered onto those survivors, and the
+    original generators' images composed from its steps."""
     done = {g for g, _ in eliminated}
-    keep = [i for i in range(n) if i + 1 not in done]
+    keep = [i for i in range(pres.generator_count) if i + 1 not in done]
     remap: dict[int, int] = {}
     for new, old in enumerate(keep, 1):
         remap[old + 1], remap[-old - 1] = new, -new
-    # substitution keeps the relators freely reduced and over the survivors
     return SimplifiedPresentation(
         Presentation._trusted(tuple(pres.names[i] for i in keep),
                               tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
-        _ComposedImages(n, eliminated, remap))
+        _ComposedImages(pres.generator_count, eliminated, remap))

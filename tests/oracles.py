@@ -25,7 +25,8 @@ from gridgroups.coset import GroupFingerprint
 from gridgroups.grid import (SENTINEL, GridDims, GridError, PairingMatrix,
                              all_symmetries, apply_symmetry, cell_partners,
                              consecutive_renumbering)
-from gridgroups.present import (Presentation, SimplifiedPresentation, _substitute,
+from gridgroups.present import (MAX_REPLACEMENT_LENGTH, Presentation,
+                                SimplifiedPresentation, _cyclic_key, _substitute,
                                 concat, cyclic_reduce, invert)
 from gridgroups.rewrite import RewriteSystem
 
@@ -367,6 +368,66 @@ def reference_eliminate_generators(pres):
         Presentation(tuple(pres.names[i] for i in keep),
                      tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
         tuple(tuple(map(remap.__getitem__, w)) for w in images))
+
+
+def reference_simplify_presentation(pres):
+    """The canonical greedy Tietze pass that substitutes into every
+    original generator's image on each round and renumbers the survivors
+    at the end."""
+    n = pres.generator_count
+    relators = [cyclic_reduce(r) for r in pres.relators]
+    images = [(i + 1,) for i in range(n)]
+    alive = [True] * n
+
+    def normalize():
+        nonlocal relators
+        seen = {}
+        for r in relators:
+            r = cyclic_reduce(r)
+            if r:
+                seen.setdefault(_cyclic_key(r), r)
+        relators = sorted(seen.values(), key=lambda w: (len(w), w))
+
+    normalize()
+    while True:
+        choice = None
+        for ri, rel in enumerate(relators):
+            counts = {}
+            for x in rel:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for g, cnt in counts.items():
+                if cnt == 1 and len(rel) - 1 <= MAX_REPLACEMENT_LENGTH:
+                    if choice is None or len(rel) < len(relators[choice[0]]) or (
+                            len(rel) == len(relators[choice[0]]) and g < choice[1]):
+                        choice = (ri, g)
+            if choice is not None and len(relators[choice[0]]) <= 2:
+                break
+        if choice is None:
+            break
+        ri, g = choice
+        rel = relators[ri]
+        pos = next(k for k, x in enumerate(rel) if abs(x) == g)
+        rot = rel[pos:] + rel[:pos]
+        if rot[0] == g:
+            repl = invert(rot[1:])  # g * w = 1  =>  g = w^-1
+        else:
+            repl = rot[1:]          # g^-1 * w = 1  =>  g = w
+        del relators[ri]
+        inv_repl = invert(repl)
+        relators = [_substitute(r, g, repl, inv_repl) for r in relators]
+        images = [_substitute(w, g, repl, inv_repl) for w in images]
+        alive[g - 1] = False
+        normalize()
+
+    keep = [i for i in range(n) if alive[i]]
+    remap = {old + 1: new + 1 for new, old in enumerate(keep)}
+
+    def remap_word(w):
+        return tuple(remap[x] if x > 0 else -remap[-x] for x in w)
+
+    new_pres = Presentation(tuple(pres.names[i] for i in keep),
+                            tuple(remap_word(r) for r in relators))
+    return SimplifiedPresentation(new_pres, tuple(remap_word(w) for w in images))
 
 
 def naive_group_from_table(table):

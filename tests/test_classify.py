@@ -24,6 +24,7 @@ from gridgroups.present import (Presentation, eliminate_generators,
                                 family_pairs, first_family_repeat,
                                 generator_families, parse_word,
                                 presentation_from_matrix)
+from gridgroups.rewrite import RewriteSystem
 from gridgroups.wordprob import Budgets, GroupToolbox
 
 from oracles import (nested_family_pairs, reference_degeneracy_partial,
@@ -97,6 +98,34 @@ class TestClassify:
         rec = classify_matrix(given, QUICK, assume_canonical=False)
         assert rec.verdict.order == 5
         assert rec.matrix == orbit_canonical_form(mat)
+
+    def test_confluent_rewriting_decides_finite_classes(self, monkeypatch):
+        """With too few cosets to close a table, each finite class of ranks
+        3x3-3x7 gets the verdict and dfc it has at the acceptance budgets,
+        most of them from the table of a confluent system's normal forms,
+        whose language is counted once per system."""
+        finite = [rec for cols in (3, 5, 7) for mat in enumerate_pairings(GridDims(3, cols))
+                  if (rec := classify_matrix(mat, QUICK)).verdict.kind == "finite"]
+        assert len(finite) == 27
+        tables, languages = [], []
+        real_table, real_language = classify_module._table_from_rewriting, RewriteSystem.language
+
+        def table(*args):
+            tables.append(real_table(*args))
+            return tables[-1]
+
+        def language(rs):
+            languages.append(real_language(rs))
+            return languages[-1]
+
+        monkeypatch.setattr(classify_module, "_table_from_rewriting", table)
+        monkeypatch.setattr(RewriteSystem, "language", language)
+        low = Budgets(max_cosets=6, kb_max_rules=1500)
+        for rec in finite:
+            got = classify_matrix(rec.matrix, low)
+            assert (got.verdict, got.dfc) == (rec.verdict, rec.dfc), format_matrix(rec.matrix)
+        assert len(tables) == 25 and None not in tables
+        assert len(languages) == len(tables)
 
     def test_flags_on_the_3x3_classes(self):
         # the first class pins b1 = a1 and b2 = a2 outright, so it forces the

@@ -34,7 +34,7 @@ class TestEnumerateCommand:
         cp = tmp_path / "cp.txt"
         rc = run_cli("enumerate", "--rows", "3", "--cols", "5",
                      "--out", str(out), "--max-nodes", "40",
-                     "--split-depth", "4", "--checkpoint", str(cp))
+                     "--checkpoint", str(cp))
         assert rc == 3
         assert cp.exists()
         emitted = len(out.read_text().strip().splitlines())
@@ -108,14 +108,18 @@ class TestClassifyCommand:
             assert all(d["flags"]["no_proper_invariant_subgrid"] for d in docs)
 
     def test_worker_stream_matches_serial(self, tmp_path):
-        # workers filter, classify and render their own runs of leaves
+        # workers filter, classify and render their own runs of leaves, of
+        # the search or of a saved enumeration
+        mats = tmp_path / "mats.txt"
+        run_cli("enumerate", "--rows", "3", "--cols", "5", "--out", str(mats))
         serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-        for class_filter in _FILTERS:
-            run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(serial),
-                    "--max-cosets", "20000", "--filter", class_filter)
-            run_cli("classify", "--rows", "3", "--cols", "5", "--out", str(parallel),
-                    "--max-cosets", "20000", "--filter", class_filter, "--workers", "2")
-            assert serial.read_bytes() == parallel.read_bytes(), class_filter
+        for source in (["--rows", "3", "--cols", "5"], ["--from", str(mats)]):
+            for class_filter in _FILTERS:
+                run_cli("classify", *source, "--out", str(serial),
+                        "--max-cosets", "20000", "--filter", class_filter)
+                run_cli("classify", *source, "--out", str(parallel),
+                        "--max-cosets", "20000", "--filter", class_filter, "--workers", "2")
+                assert serial.read_bytes() == parallel.read_bytes(), (source, class_filter)
 
     def test_worker_tasks_are_bounded_runs_of_the_stream(self):
         mats = list(enumerate_pairings(GridDims(3, 5)))
@@ -271,8 +275,8 @@ class TestBadInput:
         (["classify"], "needs --from FILE or both --rows and --cols"),
         (["classify", "--rows", "3"], "needs --from FILE or both --rows and --cols"),
         (["classify", "--rows", "3", "--cols", "5", "--workers", "-2"], "--workers"),
-        (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--workers", "2"],
-         "does not apply to --from"),
+        (["enumerate", "--rows", "3", "--cols", "5", "--split-depth", "4"],
+         "unrecognized arguments: --split-depth 4"),
         (["lab", "4"], "4 is not prime"),
         (["lab", "0"], "must be a positive integer, got 0"),
         (["lab", "-3"], "must be a positive integer, got -3"),
@@ -291,8 +295,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv, message", [
         (["classify", "--rows", "4", "--cols", "5"], "need odd row/column counts"),
-        (["enumerate", "--rows", "3", "--cols", "5", "--split-depth", "15"],
-         "split depth 15 out of range 0..14"),
+        (["classify", "--from", os.path.join(SAMPLES, "records.jsonl"), "--workers", "2"],
+         "records.jsonl line 1: not a matrix line"),
         (["classify", "--from", "no-such-file.txt"], "No such file"),
         (["resume", "no-such-checkpoint.txt"], "No such file"),
         (["classify", "--from", os.path.join(SAMPLES, "records.jsonl")],
@@ -324,6 +328,8 @@ class TestBadInput:
         (["resume", os.path.join(DATA, "done-7.ckpt")], "done must be 0 or 1, got 7"),
         (["resume", os.path.join(DATA, "even-dims.ckpt")],
          "full pairings need odd row/column counts, got 2x2"),
+        (["resume", os.path.join(DATA, "duplicate-item.ckpt")],
+         "frontier items are not in strictly increasing order"),
     ])
     def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
         out_flag = "--outdir" if argv[0] == "export-gap" else "--out"

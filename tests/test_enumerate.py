@@ -40,14 +40,14 @@ class TestBranchValues:
 
     def test_fresh_absent_at_label_ceiling(self):
         # all four labels of the 3x3 grid already placed once or twice
-        m = parse_matrix("x 1 2\n3 4 0\n0 0 0", partial=True)
+        m = parse_matrix("x 1 2\n3 4 0\n0 0 0")
         bv = branch_values(m)
         assert bv.fresh is None
 
     def test_dominated_half_pair_is_pruned(self):
         # at cell (1,0) of [x 1 2 / . . .], placing 2 is a column swap away
         # from a lex-smaller matrix, so only 1 and the fresh 3 survive
-        m = parse_matrix("x 1 2\n0 0 0\n0 0 0", partial=True)
+        m = parse_matrix("x 1 2\n0 0 0\n0 0 0")
         bv = branch_values(m)
         assert 2 not in bv.half_pairs
         assert bv.half_pairs == (1,)
@@ -57,7 +57,7 @@ class TestBranchValues:
         # at cell (1,1) of [x 1 2 / 1 . .] the only usable half-pair is 2;
         # checking the four row/column swaps by hand shows no stacked image
         # renumbers smaller, so 2 stays alongside the fresh label
-        m = parse_matrix("x 1 2\n1 0 0\n0 0 0", partial=True)
+        m = parse_matrix("x 1 2\n1 0 0\n0 0 0")
         bv = branch_values(m)
         assert bv.half_pairs == (2,)
         assert bv.fresh == 3
@@ -116,6 +116,15 @@ class TestEnumerate:
     def test_completeness_against_brute_force_3x5(self):
         expected = {reference_canonical_flat(m) for m in brute_force_pairing_matrices(3, 5)}
         assert {m.flat for m in leaves(3, 5)} == expected
+
+    def test_no_node_that_completes_a_row_has_a_smaller_image(self):
+        """A fresh label that completes a row gets the full test like a
+        half-pair, so no node whose rows are whole has a smaller stacked
+        image; one that had one would have no leaf below it."""
+        for rows, cols, bound in ((5, 5, 5), (3, 7, None), (3, 9, None)):
+            for depth in range(2 * cols - 1, (rows - 1) * cols, cols):
+                for flat in split_frontier(GridDims(rows, cols), depth, bound).frontier:
+                    assert not has_smaller_stacked_image(flat, rows, cols, depth), flat
 
 
 def _slice(dims, depth, step):
@@ -227,8 +236,9 @@ class TestFirstColumnBound:
         for rows, cols, bound in ((3, 5, 5), (3, 5, 4), (3, 7, 7)):
             want = [m.flat for m in leaves(rows, cols) if below(m.flat, cols, bound)]
             assert [m.flat for m in leaves(rows, cols, first_column_below=bound)] == want
-            assert [m.flat for m in leaves(rows, cols, first_column_below=bound,
-                                           split_depth=cols + 3)] == want
+            cp = split_frontier(GridDims(rows, cols), cols + 3, bound)
+            config = EnumerationConfig(first_column_below=bound)
+            assert [m.flat for m in resume(cp, config)] == want
 
     def test_5x5_bounded_stream_is_the_mirror_pool(self):
         # the pool holds every rank-5x5 mirror-form class in enumeration order
@@ -285,8 +295,7 @@ class TestSplitResume:
     def test_budget_overrun_checkpoint_resumes_exactly(self):
         try:
             got = []
-            for m in enumerate_pairings(GridDims(3, 5),
-                                        EnumerationConfig(max_nodes=60, split_depth=4)):
+            for m in resume(split_frontier(GridDims(3, 5), 4), EnumerationConfig(max_nodes=60)):
                 got.append(m.flat)
             raise AssertionError("budget should have run out")
         except EnumerationBudgetExceeded as exc:
@@ -366,6 +375,22 @@ class TestCheckpointFormat:
         assert old in text
         with pytest.raises(CheckpointError, match=message):
             parse_checkpoint(text.replace(old, new, 1))
+
+    def test_frontier_is_in_emission_order(self):
+        """Every split lists its items strictly increasing, the search's
+        emission order, so a frontier that lists an item twice, which
+        `resume` would replay, or out of order is an error."""
+        splits = [(3, 3, 8, None), (3, 3, 8, 3), (3, 5, 12, None), (3, 7, 12, None),
+                  (5, 5, 12, None), (5, 5, 12, 5)]
+        for rows, cols, deepest, bound in splits:
+            for depth in range(deepest + 1):
+                frontier = split_frontier(GridDims(rows, cols), depth, bound).frontier
+                assert all(a < b for a, b in zip(frontier, frontier[1:]))
+        cp = split_frontier(GridDims(3, 5), 6)
+        assert len(cp.frontier) > 1
+        for frontier in (cp.frontier[:1] * 2, cp.frontier[::-1]):
+            with pytest.raises(CheckpointError, match="strictly increasing"):
+                SearchCheckpoint(cp.dims, cp.split_depth, frontier)
 
     def test_counts_are_checked_when_built(self):
         cp = split_frontier(GridDims(3, 3), 2)

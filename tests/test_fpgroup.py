@@ -10,7 +10,7 @@ from gridgroups.abelian import (Abelianization, AbelianInvariants,
                                 abelian_invariants, smith_normal_form)
 from gridgroups.classify import family_pairing
 from gridgroups.coset import CosetTable, fingerprint, todd_coxeter
-from gridgroups.enumerate import enumerate_pairings
+from gridgroups.enumerate import EnumerationConfig, enumerate_pairings
 from gridgroups.grid import GridDims, format_matrix, parse_matrix
 from gridgroups.present import (Presentation, PresentationError, concat,
                                 eliminate_generators, format_presentation,
@@ -26,7 +26,7 @@ from gridgroups.wordprob import (Budgets, GroupToolbox, _table_target, hom_targe
 from oracles import (AllPairsRewriteSystem, BucketRewriteSystem, TailBuckets,
                      closure_search_hom, composed_eval, invariant_factors_by_minors,
                      invariants_from_order_counts, reference_eliminate_generators,
-                     reference_fingerprint)
+                     reference_fingerprint, reference_simplify_presentation)
 from reference_tables import (HAND_PROOFS, MIRROR_5x5_SLICE, RANK_3x3, RANK_3x5,
                               RANK_3x7_INFINITE, mirror_5x5_text)
 
@@ -241,7 +241,37 @@ class TestAbelianInvariants:
         assert inv == AbelianInvariants(0, (6,))
 
 
+def check_simplification(pres):
+    """simplify_presentation gives the presentation and images of the pass
+    it replaced, which substituted into every image on each round."""
+    sp = simplify_presentation(pres)
+    new = sp.presentation
+    assert Presentation(new.names, new.relators) == new  # built without the check
+    assert sp == reference_simplify_presentation(pres)
+
+
 class TestSimplify:
+    @pytest.mark.parametrize("cols", [3, 5, 7])
+    def test_every_class_of_rank_3xn(self, cols):
+        for mat in enumerate_pairings(GridDims(3, cols)):
+            check_simplification(presentation_from_matrix(mat))
+
+    def test_the_mirror_pool(self):
+        mats = list(enumerate_pairings(GridDims(5, 5), EnumerationConfig(first_column_below=5)))
+        assert len(mats) == 1889
+        for mat in mats:
+            check_simplification(presentation_from_matrix(mat))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=8),
+                 min_size=1, max_size=4))))
+    def test_random_presentations(self, gens_and_relators):
+        n, relators = gens_and_relators
+        check_simplification(Presentation(tuple(f"x{k}" for k in range(1, n + 1)),
+                                          tuple(tuple(r) for r in relators)))
+
     def test_images_are_consistent(self):
         pres = presentation_from_matrix(parse_matrix(RANK_3x3[1][0]))
         sp = simplify_presentation(pres)
@@ -597,6 +627,18 @@ class TestRewritingExtras:
                                         ((1, 1, 1), (2, 2), (1, 2, 1, 2))))
         assert rs.confluent
         assert rs.language() == ("finite", 6)
+
+    def test_normal_forms_are_in_shortlex_order(self):
+        systems = [RewriteSystem(Presentation(("x", "y"), rels), max_rules=500)
+                   for rels in (((1, 1, 1), (2, 2), (1, 2, 1, 2)),   # Sym3
+                                ((2, 2),),                           # Z * Z2
+                                ((1,) * 4, (2, 2), (1, 2, 1, 2)))]   # Dih4
+        systems += [RewriteSystem(presentation_from_matrix(parse_matrix(t)), max_rules=500)
+                    for t, _, _ in RANK_3x3]
+        for rs in (rs for rs in systems if rs.confluent):
+            forms = rs.normal_forms(200)
+            assert len(forms) > 1
+            assert forms == sorted(forms, key=lambda w: (len(w), w))
 
     def test_language_leaves_the_recursion_limit_alone(self):
         import sys

@@ -190,7 +190,7 @@ class TestStackedConsecutive:
         assert not is_stacked(m)
 
     def test_stunted_leaf_shape(self):
-        m = parse_matrix("x 1 2\n1 2 3\n3 4 0", partial=True)
+        m = parse_matrix("x 1 2\n1 2 3\n3 4 0")
         assert is_stacked(m) and is_consecutive(m)
         assert m.filled_count == 7
 
@@ -483,6 +483,6 @@ class TestTextFormat:
 
     def test_partial_round_trip(self):
         text = "x 1 2\n1 2 3\n3 4 0"
-        m = parse_matrix(text, partial=True)
+        m = parse_matrix(text)
         assert format_matrix(m) == text
-        assert parse_matrix(format_matrix(m), partial=True) == m
+        assert parse_matrix(format_matrix(m)) == m
