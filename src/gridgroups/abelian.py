@@ -112,10 +112,6 @@ class AbelianInvariants:
             order *= d
         return order
 
-    def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z{d}" for d in self.torsion]
-        return " x ".join(parts) if parts else "1"
-
 
 class Abelianization:
     """Abelianised presentation with coordinates for word images.

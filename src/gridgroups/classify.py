@@ -220,6 +220,8 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
 
     dfc = None
     ic = None
+    # forces_a_eq_b: false off the square; on it, read from a closed table,
+    # true in mirror form for an open class, else unknown (degenerate too)
     forces: Optional[bool] = False if dims.rows != dims.cols else None
     if verdict.kind == "finite":
         dfc = verify_direct_finiteness(dims, table)
@@ -274,45 +276,6 @@ def _forces_syntactic(mat: PairingMatrix) -> bool:
         return False
     partner = cell_partners(mat)
     return all(partner[(0, k)][1] == 0 for k in range(1, cols))
-
-
-def forces_a_eq_b(record_or_matrix, budgets: Budgets = Budgets()) -> Optional[bool]:
-    """Whether the relations force the two support sums to coincide.
-
-    Exact over a closed coset table; for groups that stay open, a proved
-    matching of the two families decides true, a proved mismatch decides
-    false, anything else is unknown (None).
-    """
-    mat = record_or_matrix.matrix if isinstance(record_or_matrix, ClassificationRecord) \
-        else record_or_matrix
-    dims = GridDims(*mat.dims)
-    if dims.rows != dims.cols:
-        raise GridError("only square grids can force equality of the support sums")
-    if _forces_syntactic(mat):
-        return True
-    pres = presentation_from_matrix(mat)
-    toolbox = GroupToolbox(pres, budgets)
-    run = toolbox.coset_run()
-    if run.status == "complete":
-        return _forces_from_table(run.table, dims)
-    a_named, b_named = generator_families(dims)
-    unmatched_b = {n for n, _ in b_named}
-    unknown = False
-    for n1, w1 in a_named:
-        hit = None
-        for n2, w2 in b_named:
-            v = toolbox.word_equal(w1, w2)
-            if v.outcome == "equal":
-                hit = n2
-                break
-            if v.outcome == "unknown":
-                unknown = True
-        if hit is None:
-            return None if unknown else False
-        unmatched_b.discard(hit)
-    if not unmatched_b:
-        return True
-    return None if unknown else False
 
 
 # ---------------------------------------------------------------------------

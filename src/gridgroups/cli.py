@@ -16,7 +16,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .classify import (_forces_syntactic, classify_matrix, record_to_json,
@@ -105,55 +104,28 @@ def _open_input(path: str):
         return open(path)
 
 
-def _leaf_lines(mats: Iterable[PairingMatrix], budgets: Optional[Budgets],
-                class_filter: str = "none") -> Iterator[str]:
-    """One output line per class that passes the filter: its record, or its
-    matrix when there are no budgets to classify with.  Structural flags the
-    filter computed are handed on to classify_matrix."""
+def _class_line(budgets: Budgets, class_filter: str, mat: PairingMatrix) -> str:
+    """The record line of one class, or "" when it fails the filter.
+    Structural flags the filter computed are handed on to classify_matrix."""
+    flags = None
+    if class_filter in ("connected", "subgrid-free"):
+        flags = structural_flags(mat)
+        if class_filter == "connected":
+            passes = flags["row_connected"] and flags["column_connected"]
+        else:
+            passes = flags["no_proper_invariant_subgrid"]
+    elif class_filter in ("mirror", "non-mirror"):
+        passes = _forces_syntactic(mat) == (class_filter == "mirror")
+    else:
+        passes = True
+    if not passes:
+        return ""
+    return record_to_json(classify_matrix(mat, budgets, flags=flags)) + "\n"
+
+
+def _matrix_lines(mats: Iterable[PairingMatrix]) -> Iterator[str]:
     for mat in mats:
-        flags = None
-        if class_filter in ("connected", "subgrid-free"):
-            flags = structural_flags(mat)
-            if class_filter == "connected":
-                passes = flags["row_connected"] and flags["column_connected"]
-            else:
-                passes = flags["no_proper_invariant_subgrid"]
-        elif class_filter in ("mirror", "non-mirror"):
-            passes = _forces_syntactic(mat) == (class_filter == "mirror")
-        else:
-            passes = True
-        if not passes:
-            continue
-        if budgets is None:
-            yield format_matrix(mat).replace("\n", " / ") + "\n"
-        else:
-            yield record_to_json(classify_matrix(mat, budgets, flags=flags)) + "\n"
-
-
-def _task_lines(budgets: Budgets, class_filter: str, mats: list[PairingMatrix]) -> list[str]:
-    """Worker task: the lines of a run of consecutive classes."""
-    return list(_leaf_lines(mats, budgets, class_filter))
-
-
-def _tasks(mats: Iterable[PairingMatrix]) -> Iterator[list[PairingMatrix]]:
-    it = iter(mats)
-    while task := list(islice(it, LEAVES_PER_TASK)):
-        yield task
-
-
-def _worker_lines(mats: Iterable[PairingMatrix], budgets: Budgets, class_filter: str,
-                  workers: int) -> Iterator[str]:
-    """_leaf_lines computed by a pool of workers.  The parent enumerates or
-    reads the classes and sends runs of LEAVES_PER_TASK of them; imap returns
-    the workers' blocks in task order, so the lines come out in the serial
-    order.  The parent reads ahead of the workers, so an InputError from a
-    bad input line can end the run before the lines of the classes read
-    before it are written."""
-    import multiprocessing as mp
-
-    with mp.Pool(workers) as pool:
-        for block in pool.imap(partial(_task_lines, budgets, class_filter), _tasks(mats)):
-            yield from block
+        yield format_matrix(mat).replace("\n", " / ") + "\n"
 
 
 def _run_campaign(out_path: Optional[str], lines: Iterable[str],
@@ -163,8 +135,10 @@ def _run_campaign(out_path: Optional[str], lines: Iterable[str],
     With a `(checkpoint, path)` the output is appended to, and after each
     line it is flushed and the checkpoint rewritten with the output's
     length (when it is a file), so the checkpoint never counts a line that
-    is not in the file.  A resume killed between the two writes leaves a
-    line past that length, which the next resume cuts off first."""
+    is not in the file.  It is rewritten once more when the stream ends,
+    for the items done after the last line.  A resume killed between the
+    two writes leaves a line past that length, which the next resume cuts
+    off first."""
     if checkpoint is None:
         with _output(out_path) as out:
             out.writelines(lines)
@@ -185,6 +159,7 @@ def _run_campaign(out_path: Optional[str], lines: Iterable[str],
             if sized:
                 cp.output_bytes = os.fstat(out.fileno()).st_size
             write_checkpoint(cp, cp_path)
+        write_checkpoint(cp, cp_path)
     return 0
 
 
@@ -208,7 +183,7 @@ def cmd_enumerate(args) -> int:
         dims = GridDims(args.rows, args.cols).require_odd()
     config = EnumerationConfig(max_nodes=args.max_nodes)
     try:
-        return _run_campaign(args.out, _leaf_lines(enumerate_pairings(dims, config), None))
+        return _run_campaign(args.out, _matrix_lines(enumerate_pairings(dims, config)))
     except EnumerationBudgetExceeded as exc:
         then = "pass --checkpoint to make the run resumable"
         if args.checkpoint:
@@ -228,11 +203,17 @@ def cmd_classify(args) -> int:
             bound = args.cols if args.filter == "mirror" else None
             mats = enumerate_pairings(GridDims(args.rows, args.cols).require_odd(),
                                       EnumerationConfig(first_column_below=bound))
-    if args.workers > 1:
-        lines = _worker_lines(mats, args.budgets, args.filter, args.workers)
-    else:
-        lines = _leaf_lines(mats, args.budgets, args.filter)
-    return _run_campaign(args.out, lines)
+    line = partial(_class_line, args.budgets, args.filter)
+    if args.workers == 1:
+        return _run_campaign(args.out, map(line, mats))
+    # the parent enumerates or reads the classes and imap returns the lines
+    # in stream order.  The parent reads ahead of the workers, so an
+    # InputError from a bad input line can end the run before the lines of
+    # the classes read before it are written
+    import multiprocessing as mp
+
+    with mp.Pool(args.workers) as pool:
+        return _run_campaign(args.out, pool.imap(line, mats, chunksize=LEAVES_PER_TASK))
 
 
 def cmd_resume(args) -> int:
@@ -243,7 +224,8 @@ def cmd_resume(args) -> int:
             if size < cp.output_bytes:
                 raise InputError(f"{args.out} holds {size} bytes, but the checkpoint "
                                  f"counts {cp.output_bytes}: not the output it was resumed into")
-    lines = _leaf_lines(resume(cp), args.budgets if args.classify else None)
+    lines = (map(partial(_class_line, args.budgets, "none"), resume(cp)) if args.classify
+             else _matrix_lines(resume(cp)))
     return _run_campaign(args.out, lines, checkpoint=(cp, args.checkpoint))
 
 

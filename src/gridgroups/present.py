@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Optional
 
@@ -47,14 +48,7 @@ def invert(word: Sequence[int]) -> Word:
 
 
 def concat(*words: Sequence[int]) -> Word:
-    out: list[int] = []
-    for w in words:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return free_reduce(chain.from_iterable(words))
 
 
 def cyclic_reduce(word: Word) -> Word:

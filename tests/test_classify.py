@@ -12,7 +12,7 @@ from gridgroups import classify as classify_module
 from gridgroups import abelian, groupring, smallgroups, wordprob
 from gridgroups.abelian import AbelianInvariants
 from gridgroups.classify import (ClassificationRecord, classify_matrix,
-                                 family_pairing, family_record, forces_a_eq_b,
+                                 family_pairing, family_record,
                                  record_to_json, structural_flags,
                                  torsion_quotient_report)
 from gridgroups.coset import todd_coxeter
@@ -138,28 +138,39 @@ class TestClassify:
             assert rec.forces_a_eq_b is forces
 
 class TestForces:
+    """The flag as the record defines it: false off the square; on it, read
+    from a closed table, true in mirror form for an open class, else null."""
+
+    MIRROR = "x 1 2 3 4\n1 5 6 7 8\n2 6 5 8 7\n3 9 10 11 12\n4 10 9 12 11"
+
     def test_mirror_form_forces(self):
-        mat = parse_matrix(
-            "x 1 2 3 4\n1 5 6 7 8\n2 6 5 8 7\n3 9 10 11 12\n4 10 9 12 11")
-        assert forces_a_eq_b(mat, QUICK) is True
+        rec = classify_matrix(parse_matrix(self.MIRROR), QUICK)
+        assert rec.verdict.kind == "infinite"
+        assert rec.forces_a_eq_b is True
 
     def test_mirror_form_detected_after_row_renumbering(self):
         # first-row labels pair into the first column but not index-matched
         from gridgroups.classify import _forces_syntactic
         from gridgroups.grid import GridSymmetry, apply_symmetry, consecutive_renumbering
-        mat = parse_matrix(
-            "x 1 2 3 4\n1 5 6 7 8\n2 6 5 8 7\n3 9 10 11 12\n4 10 9 12 11")
         moved = consecutive_renumbering(apply_symmetry(
-            mat, GridSymmetry((0, 2, 1, 4, 3), (0, 1, 2, 3, 4))))
+            parse_matrix(self.MIRROR), GridSymmetry((0, 2, 1, 4, 3), (0, 1, 2, 3, 4))))
         assert _forces_syntactic(moved)
-        assert forces_a_eq_b(moved, QUICK) is True
+        assert classify_matrix(moved, QUICK, assume_canonical=False).forces_a_eq_b is True
+
+    def test_open_class_off_mirror_form_is_unknown(self):
+        # infinite, and not in mirror form: nothing decides the flag
+        mat = parse_matrix("x 1 2 3 4\n1 5 3 6 7\n5 7 6 2 8\n9 10 4 11 12\n10 12 11 8 9")
+        rec = classify_matrix(mat, QUICK)
+        assert rec.verdict.kind == "infinite"
+        assert rec.forces_a_eq_b is None
 
     def test_small_cyclic_class_does_not_force(self):
-        assert forces_a_eq_b(parse_matrix(RANK_3x3[2][0]), QUICK) is False
+        rec = classify_matrix(parse_matrix(RANK_3x3[2][0]), QUICK, assume_canonical=False)
+        assert rec.forces_a_eq_b is False
 
     def test_non_square_rejected(self):
-        with pytest.raises(GridError):
-            forces_a_eq_b(parse_matrix(RANK_3x5[0][0]), QUICK)
+        rec = classify_matrix(parse_matrix(RANK_3x5[0][0]), QUICK, assume_canonical=False)
+        assert rec.forces_a_eq_b is False
 
 
 class TestTorsionQuotient:

@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from gridgroups.cli import (_FILTERS, LEAVES_PER_TASK, _tasks, export_cas_script,
+from gridgroups.cli import (_FILTERS, LEAVES_PER_TASK, export_cas_script,
                             format_table_csv, format_table_text, main, summarize)
 from gridgroups.enumerate import enumerate_pairings
-from gridgroups.grid import GridDims
+from gridgroups.grid import GridDims, format_matrix
 
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "samples")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -121,12 +121,26 @@ class TestClassifyCommand:
                         "--max-cosets", "20000", "--filter", class_filter, "--workers", "2")
                 assert serial.read_bytes() == parallel.read_bytes(), (source, class_filter)
 
-    def test_worker_tasks_are_bounded_runs_of_the_stream(self):
+    def test_worker_tasks_are_bounded_runs_of_the_stream(self, tmp_path, monkeypatch):
+        import multiprocessing.pool
+        real, chunksizes, replies = multiprocessing.pool.Pool.imap, [], []
+
+        def imap(pool, func, iterable, chunksize=1):
+            chunksizes.append(chunksize)
+            for reply in real(pool, func, iterable, chunksize):
+                replies.append(reply)
+                yield reply
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", imap)
+        out = tmp_path / "r35.jsonl"
+        run_cli("classify", "--rows", "3", "--cols", "5", "--workers", "2",
+                "--out", str(out), "--max-cosets", "20000")
+        assert chunksizes == [LEAVES_PER_TASK]
         mats = list(enumerate_pairings(GridDims(3, 5)))
-        tasks = list(_tasks(mats))
-        assert [mat for task in tasks for mat in task] == mats
-        assert [len(task) for task in tasks[:-1]] == [LEAVES_PER_TASK] * (len(tasks) - 1)
-        assert 0 < len(tasks[-1]) <= LEAVES_PER_TASK
+        assert len(replies) == len(mats) > LEAVES_PER_TASK
+        assert all(reply.count("\n") == 1 and reply.endswith("\n") for reply in replies)
+        assert "".join(replies) == out.read_text()
+        assert [json.loads(reply)["matrix"] for reply in replies] == [format_matrix(m) for m in mats]
 
 
 class TestResumeCommand:
@@ -160,6 +174,28 @@ class TestResumeCommand:
                        "--out", str(parts), "--max-cosets", "20000") == 0
         assert parts.read_bytes() == whole.read_bytes()
         assert len(whole.read_text().splitlines()) == 76
+
+    def test_resumed_to_the_end_every_item_is_done(self, tmp_path):
+        import shutil
+        # a budgeted 3x5 run splits into 4 items, the last of which has no
+        # leaf; the sample checkpoint's last item has leaves
+        split = tmp_path / "split.txt"
+        head = tmp_path / "split.out"
+        assert run_cli("enumerate", "--rows", "3", "--cols", "5", "--max-nodes", "20",
+                       "--checkpoint", str(split), "--out", str(head)) == 3
+        sample = tmp_path / "sample.txt"
+        shutil.copy(os.path.join(SAMPLES, "checkpoint.txt"), sample)
+        for cp in (split, sample):
+            out = tmp_path / (cp.stem + ".resumed")
+            assert run_cli("resume", str(cp), "--out", str(out)) == 0
+            items = [line for line in cp.read_text().splitlines() if line.startswith("item ")]
+            assert items and not [line for line in items if line.endswith(" done 0")]
+            written, saved = out.read_bytes(), cp.read_bytes()
+            assert run_cli("resume", str(cp), "--out", str(out)) == 0
+            assert (out.read_bytes(), cp.read_bytes()) == (written, saved)
+        whole = "".join(format_matrix(m).replace("\n", " / ") + "\n"
+                        for m in enumerate_pairings(GridDims(3, 5)))
+        assert head.read_text() + (tmp_path / "split.resumed").read_text() == whole
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
