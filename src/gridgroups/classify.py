@@ -22,7 +22,6 @@ from .groupring import DirectFinitenessReport, verify_direct_finiteness
 from .present import (Presentation, Word, family_pairs, first_family_repeat,
                       format_word, free_reduce, generator_families,
                       presentation_from_matrix)
-from .rewrite import RewriteSystem
 from .smallgroups import identify_small_group
 from .wordprob import Budgets, GroupToolbox
 
@@ -175,9 +174,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
     if flags is None:
         flags = structural_flags(mat)
 
-    verdict: Optional[Verdict] = None
     table: Optional[CosetTable] = None
-
     first = _first_pass(toolbox, dims)
     inv = toolbox.abelianization.invariants
     if first.status == "complete":
@@ -193,30 +190,23 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
                 evidence="distinctness unresolved for "
                          + ", ".join(f"{x}~{y}" for x, y in undecided_pairs)
                          + f" within budgets {budgets}")
+        # from here on all generator images are pairwise separated
+        elif inv.free_rank > 0:
+            verdict = Verdict("infinite", abelian=toolbox.is_abelian(),
+                              evidence=f"abelianisation has free rank {inv.free_rank}")
         else:
-            # all generator images pairwise separated: nondegenerate
-            if inv.free_rank > 0:
+            # free rank 0: infinite when a confluent system has infinitely
+            # many normal forms, the raw one or else the second completion,
+            # which is built only when the raw one is not confluent
+            kb = toolbox.rewriting
+            if not kb.confluent:
+                kb = toolbox.rewriting_simplified
+            if kb.confluent and kb.language()[0] == "infinite":
                 verdict = Verdict("infinite", abelian=toolbox.is_abelian(),
-                                  evidence=f"abelianisation has free rank {inv.free_rank}")
+                                  evidence="confluent system with infinitely many normal forms")
             else:
-                for kb, images in ((toolbox.rewriting, None),
-                                   (toolbox.rewriting_simplified,
-                                    toolbox.simplified.images)):
-                    if not kb.confluent:
-                        continue
-                    kind, count = kb.language()
-                    if kind == "infinite":
-                        verdict = Verdict("infinite", abelian=toolbox.is_abelian(),
-                                          evidence="confluent system with infinitely many normal forms")
-                        break
-                    table = _table_from_rewriting(kb, count, images)
-                    if table is None:
-                        continue
-                    verdict = _closed_table_verdict(table, dims, inv)
-                    break
-                if verdict is None:
-                    verdict = Verdict("undecided",
-                                      evidence=f"enumeration and rewriting budgets exhausted: {budgets}")
+                verdict = Verdict("undecided",
+                                  evidence=f"enumeration and rewriting budgets exhausted: {budgets}")
 
     dfc = None
     ic = None
@@ -241,21 +231,6 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
         matrix=mat, verdict=verdict, forces_a_eq_b=forces,
         abelian_invariants=inv, dfc=dfc, ic=ic,
         annotations=_annotations_for(mat), **flags)
-
-
-def _table_from_rewriting(kb: RewriteSystem, count: int,
-                          images: Optional[tuple[Word, ...]] = None) -> Optional[CosetTable]:
-    """The regular table on the `count` normal forms of a confluent system
-    whose language is finite of that size, or None above 4096 forms."""
-    if count > 4096:
-        return None
-    forms = kb.normal_forms(count + 1)  # in shortlex order
-    if len(forms) != count:
-        return None
-    index = {w: i for i, w in enumerate(forms)}
-    nd = 2 * kb.presentation.generator_count
-    action = [[index[kb.reduce(w + bytes((d,)))] for d in range(nd)] for w in forms]
-    return CosetTable(kb.presentation.generator_count, action, kb.presentation, images)
 
 
 def _forces_from_table(table: CosetTable, dims: GridDims) -> bool:

@@ -14,7 +14,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,22 +31,13 @@ from .groupring import (GroupRingError, check_prime, matrix_unit_lab, rank2_inve
 from .present import format_word, presentation_from_matrix
 from .wordprob import Budgets
 
-PROFILE_ENV = "GRIDGROUPS_PROFILE"
-
-_PROFILES = {
-    "default": Budgets(),
-    "quick": Budgets(max_cosets=20_000, kb_max_rules=1500, hom_nodes=20_000),
-    "deep": Budgets(max_cosets=1_000_000, kb_max_rules=20_000, kb_max_len=60,
-                    hom_nodes=500_000),
-}
-
-
 _BUDGET_FLAGS = ("max_cosets", "kb_max_rules", "kb_max_len", "torsion_word_len")
 
 
-def _budgets_from_args(args, base: Budgets) -> Budgets:
-    return replace(base, **{name: getattr(args, name) for name in _BUDGET_FLAGS
-                            if getattr(args, name) is not None})
+def _budgets_from_args(args) -> Budgets:
+    """Budgets(), with the budget flags given on the command line."""
+    return Budgets(**{name: getattr(args, name) for name in _BUDGET_FLAGS
+                      if getattr(args, name) is not None})
 
 
 def _positive_int(text: str) -> int:
@@ -522,11 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if "max_cosets" in vars(args):  # a command that takes budget flags
-        profile = os.environ.get(PROFILE_ENV, "default")
-        if profile not in _PROFILES:
-            parser.error(f"unknown {PROFILE_ENV} {profile!r}; "
-                         f"valid profiles: {', '.join(_PROFILES)}")
-        args.budgets = _budgets_from_args(args, _PROFILES[profile])
+        args.budgets = _budgets_from_args(args)
     if args.command == "classify":
         if args.from_file is None and None in (args.rows, args.cols):
             parser.error("classify needs --from FILE or both --rows and --cols")

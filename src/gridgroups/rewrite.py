@@ -296,23 +296,3 @@ class RewriteSystem:
             color[nxt] = GRAY
             stack.append([nxt, 0, 1])
         return "finite", counts[0]
-
-    def normal_forms(self, limit: int) -> list[bytes]:
-        """Irreducible words in shortlex order, up to `limit` of them."""
-        if not self.confluent:
-            raise ValueError("normal forms require a confluent system")
-        nd = 2 * self.presentation.generator_count
-        out: list[bytes] = [b""]
-        frontier: list[bytes] = [b""]
-        while frontier and len(out) < limit:
-            nxt: list[bytes] = []
-            for w in frontier:
-                for ch in range(nd):
-                    cand = w + bytes((ch,))
-                    if self.reduce(cand) == cand:
-                        out.append(cand)
-                        nxt.append(cand)
-                        if len(out) >= limit:
-                            return out
-            frontier = nxt
-        return out

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
+from math import factorial
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .abelian import Abelianization
@@ -30,9 +32,11 @@ class Budgets:
     kb_max_rules: int = 5000
     kb_max_len: int = 40
     torsion_word_len: int = 4
-    order_cap: int = 12
-    hom_degree: int = 6          # symmetric-group targets up to S6
     hom_nodes: int = 50_000
+
+
+ORDER_CAP = 12   # the highest power element_order tries
+HOM_DEGREE = 6   # symmetric-group targets up to Sym6
 
 
 @dataclass(frozen=True)
@@ -53,69 +57,57 @@ class ElementOrder:
 
 
 class _HomTarget:
-    """Finite multiplication structure used for separating homomorphisms.
+    """A finite group that separating homomorphisms map into: elements are
+    0 .. size-1, 0 the identity, and words are evaluated through the
+    multiplication table `rows[a][b]` and the inverse list `invs`.  `build`
+    makes both on first use, so a target the search never reaches costs
+    nothing (Sym6's table has 720 x 720 entries)."""
 
-    A catalog group also has its multiplication table, `rows[a][b]`, and
-    its inverses, `invs`, and evaluates words through them.  A symmetric
-    group composes permutations instead: Sym6 alone would need a table of
-    720 x 720 entries."""
+    identity = 0
 
-    def __init__(self, name: str, size: int, mult, inv, identity: int,
-                 rows: Optional[list[list[int]]] = None,
-                 invs: Optional[list[int]] = None):
+    def __init__(self, name: str, size: int,
+                 build: Callable[[], tuple[list[list[int]], list[int]]]):
         self.name = name
         self.size = size
-        self.mult = mult
-        self.inv = inv
-        self.identity = identity
-        self.rows = rows
-        self.invs = invs
+        self._build = build
+
+    @cached_property
+    def tables(self) -> tuple[list[list[int]], list[int]]:
+        return self._build()
 
     def eval_word(self, word: Word, images: Sequence[int]) -> int:
-        acc = self.identity
-        rows = self.rows
-        if rows is not None:
-            invs = self.invs
-            for x in word:
-                acc = rows[acc][images[x - 1] if x > 0 else invs[images[-x - 1]]]
-            return acc
-        mult, inv = self.mult, self.inv
+        rows, invs = self.tables
+        acc = 0
         for x in word:
-            g = images[x - 1] if x > 0 else inv(images[-x - 1])
-            acc = mult(acc, g)
+            acc = rows[acc][images[x - 1] if x > 0 else invs[images[-x - 1]]]
         return acc
 
 
 def _table_target(name: str, table: CosetTable) -> _HomTarget:
     n = table.coset_count
-    rows = [[table.mult(i, j) for j in range(n)] for i in range(n)]
-    invs = [table.inverse(i) for i in range(n)]
-    return _HomTarget(name, n, lambda a, b: rows[a][b], lambda a: invs[a], 0,
-                      rows, invs)
+    return _HomTarget(name, n, lambda: (
+        [[table.mult(i, j) for j in range(n)] for i in range(n)],
+        [table.inverse(i) for i in range(n)]))
 
 
 def _symmetric_target(k: int) -> _HomTarget:
-    elems = [tuple(p) for p in permutations(range(k))]
-    index = {p: i for i, p in enumerate(elems)}
-    invs = []
-    for p in elems:
-        q = [0] * k
-        for i, v in enumerate(p):
-            q[v] = i
-        invs.append(index[tuple(q)])
+    """Sym(k) on the permutations of range(k) in lexicographic order, the
+    identity first; a·b applies a, then b."""
+    def build():
+        elems = list(permutations(range(k)))
+        index = {p: i for i, p in enumerate(elems)}
+        rows = [[index[after(b)] for b in elems]
+                for after in (itemgetter(*a) for a in elems)]
+        invs = [index[tuple(sorted(range(k), key=p.__getitem__))] for p in elems]
+        return rows, invs
 
-    def mult(a: int, b: int) -> int:
-        pa, pb = elems[a], elems[b]
-        return index[tuple(pb[pa[i]] for i in range(k))]
-
-    return _HomTarget(f"Sym{k}", len(elems), mult, lambda a: invs[a],
-                      index[tuple(range(k))])
+    return _HomTarget(f"Sym{k}", factorial(k), build)
 
 
 @cache
 def hom_targets(max_degree: int) -> tuple[_HomTarget, ...]:
     """The catalog's groups, then the symmetric groups of degree 3 to
-    `max_degree`; built once for each degree."""
+    `max_degree`; made once for each degree, their tables on first use."""
     return (*(_table_target(e.name, e.table) for e in catalog()),
             *map(_symmetric_target, range(3, max_degree + 1)))
 
@@ -235,9 +227,9 @@ class GroupToolbox:
         """Completion over the eliminated-generator presentation.
 
         Occasionally confluent when the raw system is not (few generators,
-        e.g. virtually cyclic groups); used as a second chance for
-        finiteness/infiniteness certificates.  Words must be translated with
-        simplify_word before reduction here.
+        e.g. virtually cyclic groups); word_equal's last resort, and a
+        second chance to prove a group of free rank 0 infinite.  Words must
+        be translated with simplify_word before reduction here.
         """
         return RewriteSystem(self.simplified.presentation,
                              max_rules=self.budgets.kb_max_rules,
@@ -291,7 +283,7 @@ class GroupToolbox:
 
         diff = concat(self.simplify_word(w1), invert(self.simplify_word(w2)))
         sep = search_hom(self.simplified.presentation,
-                         hom_targets(self.budgets.hom_degree),
+                         hom_targets(HOM_DEGREE),
                          lambda t, imgs: t.eval_word(diff, imgs) != t.identity,
                          self.budgets.hom_nodes)
         if sep is not None:
@@ -322,7 +314,7 @@ class GroupToolbox:
         if any(free_coords):
             return ElementOrder("infinite", None, "infinite order in the abelianisation")
         identity: Word = ()
-        for k in range(1, self.budgets.order_cap + 1):
+        for k in range(1, ORDER_CAP + 1):
             v = self.word_equal(free_reduce(word * k), identity)
             if v.outcome == "equal":
                 for j in range(1, k):

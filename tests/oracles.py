@@ -18,6 +18,7 @@ oracles and compare the real code against them.
 """
 
 from collections import deque
+from functools import cache
 from itertools import combinations, permutations
 
 from gridgroups.abelian import AbelianInvariants
@@ -1029,14 +1030,43 @@ def closure_search_hom(pres, targets, predicate, node_budget):
     return None
 
 
+@cache
+def composition_ops(name):
+    """(mult, inv) of the hom target called `name`, by composition, as
+    wordprob evaluated the symmetric groups before every target read a
+    table: SymK composes the permutations of range(k), listed in
+    lexicographic order, and a product a·b applies a, then b; a catalog
+    group reads its closed coset table one product at a time."""
+    from gridgroups.smallgroups import catalog
+
+    if name.startswith("Sym"):
+        k = int(name[3:])
+        elems = [tuple(p) for p in permutations(range(k))]
+        index = {p: i for i, p in enumerate(elems)}
+
+        def mult(a, b):
+            pa, pb = elems[a], elems[b]
+            return index[tuple(pb[pa[i]] for i in range(k))]
+
+        def inv(a):
+            q = [0] * k
+            for i, v in enumerate(elems[a]):
+                q[v] = i
+            return index[tuple(q)]
+
+        return mult, inv
+    table = next(e.table for e in catalog() if e.name == name)
+    return table.mult, table.inverse
+
+
 def composed_eval(target, word, images):
-    """A word's value under generator images, one `mult` and, for an inverse
-    letter, one `inv` call per letter: hom-target evaluation before table
-    targets read their tables."""
+    """A word's value under generator images, one product and, for an
+    inverse letter, one inverse per letter, through composition_ops."""
+    mult, inv = composition_ops(target.name)
     acc = target.identity
     for x in word:
-        g = images[x - 1] if x > 0 else target.inv(images[-x - 1])
-        acc = target.mult(acc, g)
+        g = images[x - 1] if x > 0 else inv(images[-x - 1])
+        acc = mult(acc, g)
     return acc
 
 
@@ -1045,7 +1075,7 @@ def reference_word_equal(toolbox, w1, w2):
     which asked the abelianisation only after the completion: the same
     outcomes, and the same evidence for every `equal`."""
     from gridgroups.present import concat, free_reduce, invert
-    from gridgroups.wordprob import WordVerdict, hom_targets, search_hom
+    from gridgroups.wordprob import HOM_DEGREE, WordVerdict, hom_targets, search_hom
 
     w1, w2 = free_reduce(w1), free_reduce(w2)
     if w1 == w2:
@@ -1069,10 +1099,9 @@ def reference_word_equal(toolbox, w1, w2):
     if toolbox.abelianization.image(w1) != toolbox.abelianization.image(w2):
         return WordVerdict("distinct", "separated in the abelianisation")
     diff = concat(toolbox.simplify_word(w1), invert(toolbox.simplify_word(w2)))
-    budgets = toolbox.budgets
-    sep = search_hom(toolbox.simplified.presentation, hom_targets(budgets.hom_degree),
+    sep = search_hom(toolbox.simplified.presentation, hom_targets(HOM_DEGREE),
                      lambda t, imgs: t.eval_word(diff, imgs) != t.identity,
-                     budgets.hom_nodes)
+                     toolbox.budgets.hom_nodes)
     if sep is not None:
         return WordVerdict("distinct", f"separated by homomorphism to {sep[0]} "
                                        f"with generator images {sep[1]}")

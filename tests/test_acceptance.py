@@ -14,7 +14,8 @@ from collections import Counter
 import pytest
 
 from gridgroups.abelian import abelian_invariants
-from gridgroups.classify import _forces_syntactic, classify_matrix, family_pairing
+from gridgroups.classify import (_forces_syntactic, classify_matrix, family_pairing,
+                                 record_to_json)
 from gridgroups.cli import main as cli_main, summarize
 from gridgroups.coset import todd_coxeter
 from gridgroups.enumerate import enumerate_pairings
@@ -380,3 +381,19 @@ def test_criterion_06_and_07_rank_5x5(tmp_path):
     print(f"criterion 7 PASS  rank 5x5: {len(fins)} finite "
           f"({len(abelian)} abelian), {len(inf_ab)} infinite abelian, "
           f"frequencies match, in {(time.time() - t0) / 60:.0f} min")
+
+
+def test_criteria_report_prints_every_row(tmp_path, capsys):
+    """tests/criteria_report.py prints all 25 rows of criteria 6 and 7 for
+    a 5x5 record file, past its first mismatch: here the records of the
+    two NON_AMENABLE_5x5 classes alone."""
+    import criteria_report
+    path = tmp_path / "r55.jsonl"
+    path.write_text("".join(
+        record_to_json(classify_matrix(parse_matrix(text), BUDGETS, assume_canonical=False))
+        + "\n" for text in NON_AMENABLE_5x5))
+    assert criteria_report.main([str(path)]) == 1
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 25
+    assert rows[0].split()[-3:] == ["0", "100", "MISMATCH"]
+    assert all(row.endswith("ok") for row in rows[-2:])

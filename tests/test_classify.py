@@ -5,6 +5,8 @@ import lzma
 import os
 import random
 from collections import Counter
+from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -24,7 +26,6 @@ from gridgroups.present import (Presentation, eliminate_generators,
                                 family_pairs, first_family_repeat,
                                 generator_families, parse_word,
                                 presentation_from_matrix)
-from gridgroups.rewrite import RewriteSystem
 from gridgroups.wordprob import Budgets, GroupToolbox
 
 from oracles import (nested_family_pairs, reference_degeneracy_partial,
@@ -38,6 +39,21 @@ QUICK = Budgets(max_cosets=20_000, kb_max_rules=1500)
 
 MIRROR_POOL = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                            "perfbench", "data", "mirror-5x5.json.xz")
+
+# the 33 classes of the full rank 5x5, in campaign order, that are proved
+# infinite by a confluent system with infinitely many normal forms: every
+# class whose first pass does not close and that is nondegenerate of free
+# rank 0, at the acceptance budgets
+CONFLUENT_5x5 = os.path.join(os.path.dirname(__file__), "data", "confluent-5x5.txt")
+# sha256 of their records at the acceptance budgets, one line each
+CONFLUENT_5x5_SHA256 = "dfd57b0e18c22587f47b32b5614a29d1328caf82567bead457b11c3aa96b5ec7"
+# the three of them whose raw system is not confluent: the second
+# completion, of the simplified presentation, proves them infinite
+NEED_SECOND_COMPLETION = [
+    "x 1 2 3 4\n1 5 3 2 6\n7 6 4 8 5\n9 10 11 12 7\n10 9 12 11 8",
+    "x 1 2 3 4\n1 5 3 2 6\n7 6 4 8 9\n10 11 5 12 7\n11 10 12 9 8",
+    "x 1 2 3 4\n1 5 3 2 6\n7 6 4 8 9\n10 11 9 12 7\n11 10 12 5 8",
+]
 
 # a degenerate class of free rank 0 whose group closes over the eliminated
 # presentation, so that its first pass makes no run over the raw one
@@ -99,33 +115,60 @@ class TestClassify:
         assert rec.verdict.order == 5
         assert rec.matrix == orbit_canonical_form(mat)
 
-    def test_confluent_rewriting_decides_finite_classes(self, monkeypatch):
-        """With too few cosets to close a table, each finite class of ranks
-        3x3-3x7 gets the verdict and dfc it has at the acceptance budgets,
-        most of them from the table of a confluent system's normal forms,
-        whose language is counted once per system."""
+    def test_low_coset_budget_leaves_finite_classes_undecided(self):
+        """A confluent system proves a class of free rank 0 infinite, never
+        finite.  So with too few cosets to close a table, 25 of the 27
+        finite classes of ranks 3x3-3x7 are undecided, the other two keep
+        their verdict, and at 20 000 cosets every one gets back the verdict
+        and dfc it has at the acceptance budgets."""
         finite = [rec for cols in (3, 5, 7) for mat in enumerate_pairings(GridDims(3, cols))
                   if (rec := classify_matrix(mat, QUICK)).verdict.kind == "finite"]
         assert len(finite) == 27
-        tables, languages = [], []
-        real_table, real_language = classify_module._table_from_rewriting, RewriteSystem.language
-
-        def table(*args):
-            tables.append(real_table(*args))
-            return tables[-1]
-
-        def language(rs):
-            languages.append(real_language(rs))
-            return languages[-1]
-
-        monkeypatch.setattr(classify_module, "_table_from_rewriting", table)
-        monkeypatch.setattr(RewriteSystem, "language", language)
         low = Budgets(max_cosets=6, kb_max_rules=1500)
+        undecided = 0
         for rec in finite:
             got = classify_matrix(rec.matrix, low)
+            if got.verdict.kind == "undecided":
+                undecided += 1
+                assert got.verdict.evidence \
+                    == f"enumeration and rewriting budgets exhausted: {low}"
+                assert got.dfc is None
+            else:
+                assert (got.verdict, got.dfc) == (rec.verdict, rec.dfc), format_matrix(rec.matrix)
+            got = classify_matrix(rec.matrix, replace(low, max_cosets=20_000))
             assert (got.verdict, got.dfc) == (rec.verdict, rec.dfc), format_matrix(rec.matrix)
-        assert len(tables) == 25 and None not in tables
-        assert len(languages) == len(tables)
+        assert undecided == 25
+
+    def test_confluent_infinite_classes_of_rank_5x5(self, monkeypatch):
+        """The confluent branch's only traffic in the full rank 5x5: the
+        records are pinned, three classes need the second completion, and
+        no other class builds it."""
+        built = []
+        real = GroupToolbox.rewriting_simplified
+
+        def counting(toolbox):
+            built.append(toolbox.presentation)
+            return real.func(toolbox)
+
+        second = cached_property(counting)
+        second.__set_name__(GroupToolbox, "rewriting_simplified")
+        monkeypatch.setattr(GroupToolbox, "rewriting_simplified", second)
+        with open(CONFLUENT_5x5) as fh:
+            mats = [parse_matrix(line.strip().replace(" / ", "\n")) for line in fh]
+        assert len(mats) == 33
+        digest = hashlib.sha256()
+        needing = []
+        for mat in mats:
+            del built[:]
+            rec = classify_matrix(mat, QUICK)
+            digest.update((record_to_json(rec) + "\n").encode())
+            assert rec.verdict.evidence == "confluent system with infinitely many normal forms"
+            if built:
+                needing.append(mat)
+                assert built == [presentation_from_matrix(mat)]
+                assert (rec.verdict.kind, rec.verdict.abelian) == ("infinite", False)
+        assert digest.hexdigest() == CONFLUENT_5x5_SHA256
+        assert needing == [parse_matrix(text) for text in NEED_SECOND_COMPLETION]
 
     def test_flags_on_the_3x3_classes(self):
         # the first class pins b1 = a1 and b2 = a2 outright, so it forces the

@@ -11,6 +11,7 @@ from gridgroups.cli import (_FILTERS, LEAVES_PER_TASK, export_cas_script,
                             format_table_csv, format_table_text, main, summarize)
 from gridgroups.enumerate import enumerate_pairings
 from gridgroups.grid import GridDims, format_matrix
+from gridgroups.wordprob import Budgets
 
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "samples")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -289,21 +290,14 @@ class TestBudgetFlags:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_unknown_profile_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("GRIDGROUPS_PROFILE", "fast")
-        with pytest.raises(SystemExit) as exc:
-            run_cli("classify", "--rows", "3", "--cols", "3")
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "'fast'" in err and "default, quick, deep" in err
-
     def test_flags_override_the_profile(self):
-        from gridgroups.cli import _PROFILES, _budgets_from_args, build_parser
+        """The budget flags given override the default Budgets(); the
+        others keep their defaults."""
+        from gridgroups.cli import _budgets_from_args, build_parser
         args = build_parser().parse_args(["classify", "--max-cosets", "1",
                                           "--kb-max-len", "7"])
-        budgets = _budgets_from_args(args, _PROFILES["quick"])
-        assert (budgets.max_cosets, budgets.kb_max_len) == (1, 7)
-        assert budgets.kb_max_rules == _PROFILES["quick"].kb_max_rules
+        assert _budgets_from_args(args) == Budgets(max_cosets=1, kb_max_len=7)
+        assert _budgets_from_args(build_parser().parse_args(["classify"])) == Budgets()
 
 
 class TestBadInput:
