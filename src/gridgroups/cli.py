@@ -13,7 +13,8 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -61,11 +62,10 @@ def _prime(text: str) -> int:
 
 @contextmanager
 def _output(path: Optional[str], mode: str = "w"):
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, mode) as fh:
-            yield fh
+    with _checked_input():
+        fh = nullcontext(sys.stdout) if path in (None, "-") else open(path, mode)
+    with fh as out:
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,9 @@ def _output(path: Optional[str], mode: str = "w"):
 
 _FILTERS = ("none", "connected", "subgrid-free", "mirror", "non-mirror")
 LEAVES_PER_TASK = 32  # consecutive classes per worker task
+# the longest a resume writes lines between two checkpoint writes, and so
+# about the most work a kill loses
+CHECKPOINT_SECONDS = 1.0
 
 
 class InputError(Exception):
@@ -123,13 +126,13 @@ def _run_campaign(out_path: Optional[str], lines: Iterable[str],
                   checkpoint: Optional[tuple[SearchCheckpoint, str]] = None) -> int:
     """The output loop of every campaign.
 
-    With a `(checkpoint, path)` the output is appended to, and after each
-    line it is flushed and the checkpoint rewritten with the output's
-    length (when it is a file), so the checkpoint never counts a line that
-    is not in the file.  It is rewritten once more when the stream ends,
-    for the items done after the last line.  A resume killed between the
-    two writes leaves a line past that length, which the next resume cuts
-    off first."""
+    With a `(checkpoint, path)` the output is appended to, and at most once
+    every CHECKPOINT_SECONDS, and once when the stream ends, it is flushed
+    and the checkpoint rewritten with the output's length (when it is a
+    file), so the checkpoint never counts a line that is not in the file.
+    A resume killed between two writes leaves lines past that length, which
+    the next resume cuts off first.  Nothing is written when the stream
+    fails, since a line may be only half written then."""
     if checkpoint is None:
         with _output(out_path) as out:
             out.writelines(lines)
@@ -137,20 +140,23 @@ def _run_campaign(out_path: Optional[str], lines: Iterable[str],
     cp, cp_path = checkpoint
     with _output(out_path, "a") as out:
         sized = out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode)
-        if not sized:
-            cp.output_bytes = None
-        elif cp.output_bytes is None:
-            cp.output_bytes = os.fstat(out.fileno()).st_size
+
+        def save():
+            out.flush()
+            cp.output_bytes = os.fstat(out.fileno()).st_size if sized else None
             write_checkpoint(cp, cp_path)
-        else:
+
+        if sized and cp.output_bytes is None:
+            save()
+        elif sized:
             out.truncate(cp.output_bytes)
+        due = time.monotonic() + CHECKPOINT_SECONDS
         for line in lines:
             out.write(line)
-            out.flush()
-            if sized:
-                cp.output_bytes = os.fstat(out.fileno()).st_size
-            write_checkpoint(cp, cp_path)
-        write_checkpoint(cp, cp_path)
+            if time.monotonic() >= due:
+                save()
+                due = time.monotonic() + CHECKPOINT_SECONDS
+        save()
     return 0
 
 
@@ -172,6 +178,10 @@ def _read_matrices(fh) -> Iterator[PairingMatrix]:
 def cmd_enumerate(args) -> int:
     with _checked_input():
         dims = GridDims(args.rows, args.cols).require_odd()
+        if args.checkpoint:
+            # written only after the search, so its path is tried first
+            open(args.checkpoint + ".tmp", "w").close()
+            os.remove(args.checkpoint + ".tmp")
     config = EnumerationConfig(max_nodes=args.max_nodes)
     try:
         return _run_campaign(args.out, _matrix_lines(enumerate_pairings(dims, config)))
@@ -371,9 +381,8 @@ def format_table_csv(tables: dict[tuple[int, int], SummaryTable]) -> str:
 
 
 def cmd_table(args) -> int:
-    with _open_input(args.records) as fh:
+    with _open_input(args.records) as fh, _output(args.out) as out:
         tables = summarize(fh)
-    with _output(args.out) as out:
         if args.csv:
             out.write(format_table_csv(tables))
         else:
@@ -467,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--max-nodes", type=_positive_int, default=None)
     p.add_argument("--checkpoint", default=None,
-                   help="write a resumable checkpoint on budget overrun")
+                   help="write a resumable checkpoint on budget overrun (needs --max-nodes)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="classify every class of a rank")
@@ -519,6 +528,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("classify needs --from FILE or both --rows and --cols")
         if args.from_file is not None and (args.rows, args.cols) != (None, None):
             parser.error("--rows and --cols choose a rank to search; they do not apply to --from")
+    if args.command == "enumerate" and args.checkpoint and args.max_nodes is None:
+        parser.error("--checkpoint needs --max-nodes: only a budgeted run stops early")
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

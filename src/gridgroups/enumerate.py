@@ -26,7 +26,7 @@ of their subtree streams in frontier order reproduces the plain stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .grid import (
@@ -36,6 +36,7 @@ from .grid import (
     PairingMatrix,
     PartialPairingMatrix,
     _CanonWorkspace,
+    format_matrix,
     has_smaller_stacked_image,
     is_consecutive,
     is_stacked,
@@ -73,21 +74,18 @@ class SearchCheckpoint:
     dims: GridDims
     split_depth: int
     frontier: list[tuple[int, ...]]
-    emitted: list[int] = field(default_factory=list)
-    done: list[bool] = field(default_factory=list)
+    # the resume position: items finish in frontier order, so `item` counts
+    # the finished ones and `leaves` the leaves of the next already emitted
+    item: int = 0
+    leaves: int = 0
     # the byte length of the output file holding the emitted lines, when a
     # resume into a file has recorded it
     output_bytes: Optional[int] = None
 
     def __post_init__(self):
-        if not self.emitted:
-            self.emitted = [0] * len(self.frontier)
-        if not self.done:
-            self.done = [False] * len(self.frontier)
-        if not (len(self.frontier) == len(self.emitted) == len(self.done)):
-            raise CheckpointError("frontier/progress length mismatch")
-        if any(k < 0 for k in self.emitted):
-            raise CheckpointError("negative emitted count")
+        if min(self.item, self.leaves) < 0 or (self.item, self.leaves) > (len(self.frontier), 0):
+            raise CheckpointError(f"position {self.item} {self.leaves} is outside "
+                                  f"the {len(self.frontier)} frontier items")
         try:
             self.dims.require_odd()
         except GridError as exc:
@@ -100,9 +98,6 @@ class SearchCheckpoint:
                 raise CheckpointError("frontier item depth mismatch")
             if not is_stacked(m) or not is_consecutive(m):
                 raise CheckpointError("frontier item is not a search node")
-
-    def exhausted(self) -> bool:
-        return all(self.done)
 
 
 class EnumerationBudgetExceeded(Exception):
@@ -335,10 +330,10 @@ def split_frontier(dims: GridDims, depth: int,
 
 def resume(cp: SearchCheckpoint,
            config: Optional[EnumerationConfig] = None) -> Iterator[PairingMatrix]:
-    """Continue emission after the positions recorded in the checkpoint.
+    """Continue emission from the position recorded in the checkpoint.
 
-    The checkpoint is updated in place as leaves are emitted, so a caller may
-    persist it at any time.  A node-budget overrun raises
+    The position is updated in place as leaves are emitted, so a caller may
+    persist the checkpoint at any time.  A node-budget overrun raises
     EnumerationBudgetExceeded carrying the updated checkpoint.  The budget
     is charged from the first new leaf or finished item on: walking again
     past the emitted leaves, and on to the next leaf, is free, so every
@@ -349,22 +344,21 @@ def resume(cp: SearchCheckpoint,
     budget = _Budget(config.max_nodes)
     budget.free = True
     dims = cp.dims
-    for i in range(len(cp.frontier)):
-        if cp.done[i]:
-            continue
-        cur = _Cursor(dims, cp.frontier[i], config.first_column_below)
-        skip = cp.emitted[i]
+    while cp.item < len(cp.frontier):
+        cur = _Cursor(dims, cp.frontier[cp.item], config.first_column_below)
+        skip = cp.leaves
         try:
             for flat in _iter_nodes(cur, cur.cell_count, budget):
                 if skip:
                     skip -= 1
                     continue
                 budget.free = False
-                cp.emitted[i] += 1
+                cp.leaves += 1
                 yield PairingMatrix._trusted(dims, flat)
         except _BudgetHit:
             raise EnumerationBudgetExceeded(cp) from None
-        cp.done[i] = True
+        cp.item += 1
+        cp.leaves = 0
         budget.free = False
 
 
@@ -387,64 +381,54 @@ def enumerate_pairings(dims: GridDims,
 # ---------------------------------------------------------------------------
 # Checkpoint file format
 
-# v2 adds an `output <bytes>` line after `items`; a checkpoint with no
-# output length is still written, and read, as v1
-_CP_HEADERS = ("gridgroups-checkpoint v1", "gridgroups-checkpoint v2")
+_CP_HEADER = "gridgroups-checkpoint v3"
+_CP_KEYS = ("dims", "depth", "items", "position", "output")  # the lines after the header
 
 
 def format_checkpoint(cp: SearchCheckpoint) -> str:
-    lines = [_CP_HEADERS[cp.output_bytes is not None],
+    lines = [_CP_HEADER,
              f"dims {cp.dims.rows} {cp.dims.cols}",
              f"depth {cp.split_depth}",
-             f"items {len(cp.frontier)}"]
-    if cp.output_bytes is not None:
-        lines.append(f"output {cp.output_bytes}")
+             f"items {len(cp.frontier)}",
+             f"position {cp.item} {cp.leaves}",
+             f"output {'-' if cp.output_bytes is None else cp.output_bytes}"]
     for idx, flat in enumerate(cp.frontier):
-        lines.append(f"item {idx} emitted {cp.emitted[idx]} done {int(cp.done[idx])}")
-        for r in range(cp.dims.rows):
-            row = flat[r * cp.dims.cols:(r + 1) * cp.dims.cols]
-            lines.append(" ".join("x" if v == SENTINEL else str(v) for v in row))
+        lines += (f"item {idx}", format_matrix(PartialPairingMatrix(cp.dims, flat)))
     return "\n".join(lines) + "\n"
 
 
 def parse_checkpoint(text: str) -> SearchCheckpoint:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    if not lines or lines[0] not in _CP_HEADERS:
+    lines = text.splitlines()
+    header = lines[0] if lines else ""
+    if header != _CP_HEADER:
+        if header.startswith("gridgroups-checkpoint "):
+            raise CheckpointError(f"{header} is an old checkpoint format; "
+                                  f"only {_CP_HEADER} is read")
         raise CheckpointError("missing checkpoint header")
-    output_bytes = None
     try:
-        _, r, c = lines[1].split()
+        keys, values = zip(*(line.split(None, 1) for line in lines[1:len(_CP_KEYS) + 1]))
+        if keys != _CP_KEYS:
+            raise ValueError(f"expected the lines {', '.join(_CP_KEYS)} after the header")
+        (r, c), (depth,), (count,), (item, leaves), (output,) = (v.split() for v in values)
         dims = GridDims(int(r), int(c))
-        depth = int(lines[2].split()[1])
-        count = int(lines[3].split()[1])
-        pos = 4
-        if lines[0] == _CP_HEADERS[1]:
-            key, value = lines[4].split()
-            if key != "output" or int(value) < 0:
-                raise ValueError(f"expected an output length, got {lines[4]!r}")
-            output_bytes = int(value)
-            pos = 5
+        depth, count, item, leaves = map(int, (depth, count, item, leaves))
+        output_bytes = None if output == "-" else int(output)
+        if output_bytes is not None and output_bytes < 0:
+            raise ValueError(f"negative output length {output_bytes}")
     except (IndexError, ValueError) as exc:
         raise CheckpointError(f"bad checkpoint preamble: {exc}") from None
-    frontier, emitted, done = [], [], []
+    frontier, pos = [], len(_CP_KEYS) + 1
     for k in range(count):
         try:
-            toks = lines[pos].split()
-            if toks[0] != "item" or int(toks[1]) != k:
+            if lines[pos] != f"item {k}":
                 raise CheckpointError(f"expected item {k} at line {pos + 1}")
-            emitted.append(int(toks[3]))
-            if toks[5] not in ("0", "1"):
-                raise CheckpointError(f"done must be 0 or 1, got {toks[5]}")
-            done.append(toks[5] == "1")
-            pos += 1
-            flat = []
-            for _ in range(dims.rows):
-                flat.extend(SENTINEL if t == "x" else int(t) for t in lines[pos].split())
-                pos += 1
-            frontier.append(tuple(flat))
+            rows = lines[pos + 1:pos + 1 + dims.rows]
+            frontier.append(tuple(SENTINEL if t == "x" else int(t)
+                                  for row in rows for t in row.split()))
+            pos += 1 + dims.rows
         except (IndexError, ValueError) as exc:
             raise CheckpointError(f"bad checkpoint item {k}: {exc}") from None
-    return SearchCheckpoint(dims, depth, frontier, emitted, done, output_bytes)
+    return SearchCheckpoint(dims, depth, frontier, item, leaves, output_bytes)
 
 
 def write_checkpoint(cp: SearchCheckpoint, path) -> None:

@@ -147,34 +147,68 @@ class TestClassifyCommand:
 class TestResumeCommand:
     def test_two_resumes_write_the_records_of_one(self, tmp_path, monkeypatch):
         from gridgroups import cli
-        from gridgroups.enumerate import read_checkpoint, split_frontier, write_checkpoint
+        from gridgroups.enumerate import (SearchCheckpoint, read_checkpoint, resume,
+                                          split_frontier, write_checkpoint)
+        split = split_frontier(GridDims(3, 5), 7)
         for name in ("whole.txt", "parts.txt"):
-            write_checkpoint(split_frontier(GridDims(3, 5), 4), tmp_path / name)
+            write_checkpoint(split, tmp_path / name)
         whole = tmp_path / "whole.jsonl"
         assert run_cli("resume", str(tmp_path / "whole.txt"), "--classify",
                        "--out", str(whole), "--max-cosets", "20000") == 0
+
+        # the leaves before a position: those of the items it has finished,
+        # and its leaves of the next
+        sizes = [len(list(resume(SearchCheckpoint(split.dims, 7, [item]))))
+                 for item in split.frontier]
+
+        def counted(cp):
+            return sum(sizes[:cp.item]) + cp.leaves
 
         parts = tmp_path / "parts.jsonl"
         stop_at = [10]
 
         def checkpoint_then_stop(cp, path):
             # every record the checkpoint counts is already in the file
-            assert len(parts.read_text().splitlines()) == sum(cp.emitted)
+            assert len(parts.read_text().splitlines()) == counted(cp)
+            assert len(parts.read_bytes()) == cp.output_bytes
             write_checkpoint(cp, path)
-            if sum(cp.emitted) == stop_at[0]:
+            if counted(cp) == stop_at[0]:
                 raise KeyboardInterrupt
 
+        monkeypatch.setattr(cli, "CHECKPOINT_SECONDS", 0)
         monkeypatch.setattr(cli, "write_checkpoint", checkpoint_then_stop)
         with pytest.raises(KeyboardInterrupt):
             run_cli("resume", str(tmp_path / "parts.txt"), "--classify",
                     "--out", str(parts), "--max-cosets", "20000")
-        assert sum(read_checkpoint(tmp_path / "parts.txt").emitted) == 10
+        assert counted(read_checkpoint(tmp_path / "parts.txt")) == 10
         assert len(parts.read_text().splitlines()) == 10
         stop_at[0] = None
         assert run_cli("resume", str(tmp_path / "parts.txt"), "--classify",
                        "--out", str(parts), "--max-cosets", "20000") == 0
         assert parts.read_bytes() == whole.read_bytes()
         assert len(whole.read_text().splitlines()) == 76
+
+    def test_checkpoint_written_at_most_once_a_second(self, tmp_path, monkeypatch):
+        """Besides the writes before the first line and after the last, a
+        resume into a file writes its checkpoint at most once a second."""
+        from gridgroups import cli
+        from gridgroups.enumerate import split_frontier, write_checkpoint
+        cp = tmp_path / "cp.txt"
+        write_checkpoint(split_frontier(GridDims(3, 7), 10), cp)
+        writes = []
+
+        def counted_write(checkpoint, path):
+            writes.append(path)
+            write_checkpoint(checkpoint, path)
+
+        monkeypatch.setattr(cli, "write_checkpoint", counted_write)
+        out = tmp_path / "records.jsonl"
+        start = time.monotonic()
+        assert run_cli("resume", str(cp), "--classify", "--out", str(out),
+                       "--max-cosets", "20000", "--kb-max-rules", "1500") == 0
+        elapsed = time.monotonic() - start
+        assert len(out.read_text().splitlines()) == 3403
+        assert 2 <= len(writes) <= 2 + elapsed
 
     def test_resumed_to_the_end_every_item_is_done(self, tmp_path):
         import shutil
@@ -190,7 +224,7 @@ class TestResumeCommand:
             out = tmp_path / (cp.stem + ".resumed")
             assert run_cli("resume", str(cp), "--out", str(out)) == 0
             items = [line for line in cp.read_text().splitlines() if line.startswith("item ")]
-            assert items and not [line for line in items if line.endswith(" done 0")]
+            assert items and f"\nposition {len(items)} 0\n" in cp.read_text()
             written, saved = out.read_bytes(), cp.read_bytes()
             assert run_cli("resume", str(cp), "--out", str(out)) == 0
             assert (out.read_bytes(), cp.read_bytes()) == (written, saved)
@@ -201,34 +235,45 @@ class TestResumeCommand:
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# `resume` in a process that kills itself with SIGKILL at the given call of
-# write_checkpoint, after the output was flushed and before the checkpoint
-# is written: the window that once left a record the checkpoint did not count
-KILLED_AT_CHECKPOINT = """
-import os, signal, sys
-from gridgroups import cli
-real, calls, kill_at = cli.write_checkpoint, [0], int(sys.argv[1])
-def write_checkpoint(cp, path):
-    calls[0] += 1
-    if calls[0] == kill_at:
-        os.kill(os.getpid(), signal.SIGKILL)
-    real(cp, path)
-cli.write_checkpoint = write_checkpoint
-sys.exit(cli.main(sys.argv[2:]))
-"""
-
-
-def resume_process(*args, kill_at=None):
-    cmd = [sys.executable, "-m", "gridgroups.cli"] if kill_at is None \
-        else [sys.executable, "-c", KILLED_AT_CHECKPOINT, str(kill_at)]
+def resume_process(*args):
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.Popen(cmd + ["resume", *args, "--classify", "--max-cosets", "20000"],
+    return subprocess.Popen([sys.executable, "-m", "gridgroups.cli", "resume", *args,
+                             "--classify", "--max-cosets", "20000"],
                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
 
 
 def assert_exit(proc, code):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == code, err
+
+
+def killed_at_checkpoint(kill_at, *args):
+    """How `resume *args --classify` ends in a forked process that writes
+    its checkpoint after every line and kills itself with SIGKILL at the
+    given call of write_checkpoint, after the output was flushed and before
+    the checkpoint is written: the window that once left a record the
+    checkpoint did not count.  Minus the signal number when killed, else
+    the exit status."""
+    pid = os.fork()
+    if pid == 0:
+        status = 70
+        try:
+            from gridgroups import cli
+            real, calls = cli.write_checkpoint, [0]
+
+            def write_checkpoint(cp, path):
+                calls[0] += 1
+                if calls[0] == kill_at:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                real(cp, path)
+
+            cli.CHECKPOINT_SECONDS = 0
+            cli.write_checkpoint = write_checkpoint
+            status = main(["resume", *args, "--classify", "--max-cosets", "20000"])
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    return -os.WTERMSIG(status) if os.WIFSIGNALED(status) else os.WEXITSTATUS(status)
 
 
 class TestKilledResume:
@@ -246,15 +291,20 @@ class TestKilledResume:
         return str(tmp_path / "parts.txt"), tmp_path / "parts.jsonl", whole.read_bytes()
 
     def test_killed_between_the_flush_and_the_checkpoint(self, tmp_path):
-        cp, parts, whole = self.checkpoints(tmp_path, 5, 4)
-        # the first write precedes every line; the other kills leave one
-        # line that the checkpoint does not count
-        for kill_at in (1, 2, 30, 3):
-            assert_exit(resume_process(cp, "--out", str(parts), kill_at=kill_at),
-                        -signal.SIGKILL)
         from gridgroups.enumerate import read_checkpoint
-        assert read_checkpoint(cp).output_bytes < len(parts.read_bytes())
-        assert_exit(resume_process(cp, "--out", str(parts)), 0)
+        cp, parts, whole = self.checkpoints(tmp_path, 5, 4)
+        # the first run dies at the write before every line.  Each later run
+        # writes one line and its checkpoint, then dies at its second write,
+        # with one line that the checkpoint does not count, or at the write
+        # that ends the stream: so some run dies at each write of the
+        # uninterrupted resume, the first, one after each line and the last
+        assert killed_at_checkpoint(1, cp, "--out", str(parts)) == -signal.SIGKILL
+        uncounted = []
+        while (status := killed_at_checkpoint(2, cp, "--out", str(parts))) == -signal.SIGKILL:
+            uncounted.append(len(parts.read_bytes()) - read_checkpoint(cp).output_bytes)
+        assert status == 0
+        assert 1 + len(uncounted) == whole.count(b"\n") + 2
+        assert min(uncounted[:-1]) > 0 and uncounted[-1] == 0
         assert parts.read_bytes() == whole
 
     def test_killed_from_outside(self, tmp_path):
@@ -272,7 +322,7 @@ class TestKilledResume:
 
     def test_a_shorter_output_is_bad_input(self, tmp_path, capsys):
         cp, parts, whole = self.checkpoints(tmp_path, 5, 4)
-        assert_exit(resume_process(cp, "--out", str(parts), kill_at=20), -signal.SIGKILL)
+        assert killed_at_checkpoint(20, cp, "--out", str(parts)) == -signal.SIGKILL
         parts.write_bytes(parts.read_bytes()[:100])
         with pytest.raises(SystemExit) as exc:
             run_cli("resume", cp, "--classify", "--out", str(parts))
@@ -316,6 +366,8 @@ class TestBadInput:
           "--rows", "3", "--cols", "5"], "do not apply to --from"),
         (["classify", "--from", os.path.join(SAMPLES, "matrix.txt"), "--cols", "3"],
          "do not apply to --from"),
+        (["enumerate", "--rows", "3", "--cols", "3", "--checkpoint", "cp.txt"],
+         "--checkpoint needs --max-nodes"),
     ])
     def test_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -353,13 +405,17 @@ class TestBadInput:
          "integers, got 3)"),
         (["export-gap", os.path.join(DATA, "short-matrix.jsonl")],
          "short-matrix.jsonl line 1: not a matrix"),
-        (["resume", os.path.join(DATA, "negative-emitted.ckpt"), "--classify"],
-         "negative emitted count"),
-        (["resume", os.path.join(DATA, "done-7.ckpt")], "done must be 0 or 1, got 7"),
+        (["resume", os.path.join(DATA, "negative-leaves.ckpt"), "--classify"],
+         "position 0 -1 is outside the 1 frontier items"),
+        (["resume", os.path.join(DATA, "past-the-frontier.ckpt")],
+         "position 2 0 is outside the 1 frontier items"),
         (["resume", os.path.join(DATA, "even-dims.ckpt")],
          "full pairings need odd row/column counts, got 2x2"),
         (["resume", os.path.join(DATA, "duplicate-item.ckpt")],
          "frontier items are not in strictly increasing order"),
+        (["resume", os.path.join(DATA, "version-1.ckpt")],
+         "gridgroups-checkpoint v1 is an old checkpoint format; "
+         "only gridgroups-checkpoint v3 is read"),
     ])
     def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
         out_flag = "--outdir" if argv[0] == "export-gap" else "--out"
@@ -368,6 +424,33 @@ class TestBadInput:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--rows", "3", "--cols", "5", "--out", "{bad}"],
+        ["enumerate", "--rows", "3", "--cols", "5", "--max-nodes", "10",
+         "--checkpoint", "{bad}", "--out", "{out}"],
+        ["classify", "--rows", "3", "--cols", "3", "--out", "{bad}"],
+        ["resume", "{checkpoint}", "--out", "{bad}"],
+        ["table", os.path.join(SAMPLES, "records.jsonl"), "--out", "{bad}"],
+    ], ids=["enumerate", "enumerate-checkpoint", "classify", "resume", "table"])
+    def test_unwritable_output_is_one_line(self, argv, tmp_path, capsys):
+        """An output path in a directory that does not exist is bad input,
+        found before any work: no output is written and the checkpoint
+        stays as it was."""
+        import shutil
+        checkpoint = tmp_path / "checkpoint.txt"
+        shutil.copy(os.path.join(SAMPLES, "checkpoint.txt"), checkpoint)
+        bad = tmp_path / "no-such-directory" / "out.txt"
+        paths = {"{bad}": str(bad), "{out}": str(tmp_path / "out.txt"),
+                 "{checkpoint}": str(checkpoint)}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*[paths.get(arg, arg) for arg in argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No such file or directory" in err
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.txt"]
+        assert checkpoint.read_text() == open(os.path.join(SAMPLES, "checkpoint.txt")).read()
 
 
 class TestTableCommand:

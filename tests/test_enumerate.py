@@ -286,10 +286,25 @@ class TestSplitResume:
         rest = [m.flat for m in resume(cp)]
         assert first + rest == [m.flat for m in leaves(3, 5)]
 
+    def test_every_position_resumes_the_rest(self):
+        """A checkpoint taken after any leaf, in any item, resumes with the
+        leaves after it: the position alone says where the stream stands."""
+        dims = GridDims(3, 5)
+        whole = [m.flat for m in leaves(3, 5)]
+        cp = split_frontier(dims, 7)
+        positions = [(cp.item, cp.leaves)]
+        positions.extend((cp.item, cp.leaves) for _ in resume(cp))
+        assert len(positions) == len(whole) + 1
+        assert (cp.item, cp.leaves) == (len(cp.frontier), 0)
+        assert len({item for item, _ in positions}) > 1
+        for done, (item, count) in enumerate(positions):
+            at = SearchCheckpoint(dims, 7, cp.frontier, item, count)
+            assert [m.flat for m in resume(at)] == whole[done:]
+
     def test_resume_exhausted_checkpoint_is_empty(self):
         cp = split_frontier(GridDims(3, 3), 0)
         list(resume(cp))
-        assert cp.exhausted()
+        assert (cp.item, cp.leaves) == (len(cp.frontier), 0)
         assert list(resume(cp)) == []
 
     def test_budget_overrun_checkpoint_resumes_exactly(self):
@@ -311,13 +326,13 @@ class TestSplitResume:
         config = EnumerationConfig(max_nodes=2000)
         stream, retries = [], 0
         while True:
-            before = (sum(cp.emitted), sum(cp.done))
+            before = (cp.item, cp.leaves)
             try:
                 stream.extend(m.flat for m in resume(cp, config))
                 break
             except EnumerationBudgetExceeded as exc:
                 cp = exc.checkpoint
-            assert (sum(cp.emitted), sum(cp.done)) > before
+            assert (cp.item, cp.leaves) > before
             retries += 1
         assert retries > 1
         assert len(stream) == 3403
@@ -327,30 +342,36 @@ class TestSplitResume:
 class TestCheckpointFormat:
     def test_round_trip(self, tmp_path):
         cp = split_frontier(GridDims(3, 5), 5)
-        cp.emitted[0] = 2
-        cp.done[0] = False
+        cp.leaves = 2
         path = tmp_path / "cp.txt"
         write_checkpoint(cp, path)
         back = read_checkpoint(path)
         assert back.dims == cp.dims
         assert back.split_depth == cp.split_depth
         assert back.frontier == cp.frontier
-        assert back.emitted == cp.emitted
-        assert back.done == cp.done
+        assert (back.item, back.leaves) == (0, 2)
         assert format_checkpoint(back) == format_checkpoint(cp)
 
-    def test_output_length_makes_a_v2_checkpoint(self):
+    def test_output_length_line(self):
         cp = split_frontier(GridDims(3, 5), 5)
-        v1 = format_checkpoint(cp)
-        assert v1.startswith("gridgroups-checkpoint v1\n")
+        unsized = format_checkpoint(cp)
+        assert unsized.startswith("gridgroups-checkpoint v3\n")
+        assert "\nposition 0 0\noutput -\nitem 0\n" in unsized
         cp.output_bytes = 1234
-        v2 = format_checkpoint(cp)
-        assert v2 == v1.replace("v1", "v2", 1).replace("items 2\n", "items 2\noutput 1234\n")
-        assert parse_checkpoint(v2) == cp
-        assert parse_checkpoint(v1).output_bytes is None
-        for bad in ("output -1", "output x", "outputs 5", "item 0 emitted 0 done 0"):
-            with pytest.raises(CheckpointError):
-                parse_checkpoint(v2.replace("output 1234", bad))
+        sized = format_checkpoint(cp)
+        assert sized == unsized.replace("output -", "output 1234")
+        assert parse_checkpoint(sized) == cp
+        assert parse_checkpoint(unsized).output_bytes is None
+        for bad in ("output -1", "output x", "outputs 5", "output", "output 1 2", ""):
+            with pytest.raises(CheckpointError, match="bad checkpoint preamble"):
+                parse_checkpoint(sized.replace("output 1234\n", bad and bad + "\n"))
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_old_formats_are_named_and_rejected(self, version):
+        text = format_checkpoint(split_frontier(GridDims(3, 5), 5))
+        with pytest.raises(CheckpointError, match=f"gridgroups-checkpoint {version} "
+                                                  "is an old checkpoint format"):
+            parse_checkpoint(text.replace("v3", version, 1))
 
     def test_corrupted_header_rejected(self):
         with pytest.raises(CheckpointError):
@@ -363,13 +384,14 @@ class TestCheckpointFormat:
             parse_checkpoint(text)
 
     @pytest.mark.parametrize("old, new, message", [
-        ("emitted 0 done 0", "emitted -1 done 0", "negative emitted count"),
-        ("emitted 0 done 0", "emitted 0 done 7", "done must be 0 or 1, got 7"),
-        ("emitted 0 done 0", "emitted 0 done -1", "done must be 0 or 1, got -1"),
+        ("position 0 0", "position 0 -1", "position 0 -1 is outside the 1 frontier items"),
+        ("position 0 0", "position 2 0", "position 2 0 is outside the 1 frontier items"),
+        ("position 0 0", "position 1 3", "position 1 3 is outside the 1 frontier items"),
+        ("position 0 0", "position -1 0", "position -1 0 is outside the 1 frontier items"),
         ("dims 3 3", "dims 3 4", "need odd row/column counts"),
     ])
     def test_counts_and_dims_are_checked_when_read(self, old, new, message):
-        """A checkpoint whose counts `resume` would misread, or whose dims
+        """A checkpoint whose position `resume` would misread, or whose dims
         `enumerate` rejects, is an error rather than a silent empty run."""
         text = format_checkpoint(split_frontier(GridDims(3, 3), 2))
         assert old in text
@@ -394,6 +416,8 @@ class TestCheckpointFormat:
 
     def test_counts_are_checked_when_built(self):
         cp = split_frontier(GridDims(3, 3), 2)
-        with pytest.raises(CheckpointError, match="negative emitted count"):
-            SearchCheckpoint(cp.dims, cp.split_depth, cp.frontier,
-                             [-1] * len(cp.frontier))
+        end = len(cp.frontier)
+        for item, leaves in ((0, -1), (-1, 0), (end + 1, 0), (end, 1)):
+            with pytest.raises(CheckpointError, match="outside the"):
+                SearchCheckpoint(cp.dims, cp.split_depth, cp.frontier, item, leaves)
+        assert SearchCheckpoint(cp.dims, cp.split_depth, cp.frontier, end).item == end

@@ -29,7 +29,7 @@ def test_checkpoint_sample_round_trips():
     assert format_checkpoint(cp) == text
     fresh = split_frontier(GridDims(3, 5), 5)
     assert cp.frontier == fresh.frontier
-    assert cp.emitted[0] == 2
+    assert (cp.item, cp.leaves) == (0, 2)
 
 
 def test_presentation_sample():
