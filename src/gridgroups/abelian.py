@@ -8,9 +8,9 @@ problem's abelian images all come from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .present import Presentation, Word
+from .present import Presentation, SimplifiedPresentation, Word
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]):
@@ -116,12 +116,14 @@ class AbelianInvariants:
 class Abelianization:
     """Abelianised presentation with coordinates for word images.
 
-    The abelianisation of a presentation with eliminated generators takes
-    `images`, for each original generator a word over the presentation's
-    generators, and `image` then reads words over the original generators
-    through them."""
+    The abelianisation of a Tietze pass's presentation may be built on the
+    pass itself, and `image` then reads words over the original generators
+    through it."""
 
-    def __init__(self, pres: Presentation, images: Optional[Sequence[Word]] = None):
+    def __init__(self, pres: Presentation | SimplifiedPresentation):
+        self._tietze = None
+        if isinstance(pres, SimplifiedPresentation):
+            self._tietze, pres = pres, pres.presentation
         n = pres.generator_count
         rows = []
         for rel in pres.relators:
@@ -134,7 +136,6 @@ class Abelianization:
         diag, V = smith_normal_form(rows)
         self._n = n
         self._V = V
-        self._images = images
         self._diag = [abs(d) for d in diag] + [0] * (n - len(diag))
         self.invariants = AbelianInvariants(
             free_rank=sum(1 for d in self._diag if d == 0),
@@ -149,8 +150,8 @@ class Abelianization:
         """
         n = self._n
         vec = [0] * n
-        if self._images is not None:  # the images' letters, in any order
-            word = [y if x > 0 else -y for x in word for y in self._images[abs(x) - 1]]
+        if self._tietze is not None:
+            word = self._tietze.image(word)
         for x in word:
             vec[abs(x) - 1] += 1 if x > 0 else -1
         V = self._V

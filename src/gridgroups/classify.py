@@ -104,7 +104,7 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims) -> CosetEnumeration:
 
     Free rank 0: the eliminated presentation is enumerated to the first-pass
     limit, and a closed table over it, reading the original generators
-    through their images, is the pass.  Otherwise the pass is the raw run to
+    through the elimination, is the pass.  Otherwise the pass is the raw run to
     max_cosets, unwatched, where the pass over the raw presentation has
     always ended for a group of free rank 0.
 
@@ -122,8 +122,7 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims) -> CosetEnumeration:
         run = todd_coxeter(eliminated.presentation, max_cosets=limit)
         if run.status == "complete":
             t = run.table
-            return replace(run, table=CosetTable(t.ngens, t.action, t.presentation,
-                                                 eliminated.images))
+            return replace(run, table=CosetTable(t.ngens, t.action, eliminated))
         return toolbox.coset_run(budgets.max_cosets)
     return toolbox.coset_run(limit, watch=_first_unseparated(ab, dims))
 
@@ -336,7 +335,7 @@ def _escalate(toolbox: GroupToolbox) -> bool:
 def _short_words(toolbox: GroupToolbox, max_len: int):
     """Candidate torsion words: short combinations of surviving generators,
     mapped back to the original alphabet."""
-    back = toolbox.survivors
+    back = toolbox.simplified.kept
     n = len(back)
     for g in back:
         yield (g,)

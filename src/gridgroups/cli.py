@@ -83,13 +83,16 @@ class InputError(Exception):
 
 
 @contextmanager
-def _checked_input():
-    """Where the input is read and checked, before a campaign starts: a
-    GridError or OSError there is bad input, not a fault of the program."""
+def _checked_input(path: str = "input"):
+    """Where the input is read and checked: a GridError or OSError there is
+    bad input, not a fault of the program, and so are bytes of the file
+    `path` that are not UTF-8 text."""
     try:
         yield
     except (GridError, OSError) as exc:
         raise InputError(exc) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _open_input(path: str):
@@ -162,7 +165,7 @@ def _run_campaign(out_path: Optional[str], lines: Iterable[str],
 
 def _read_matrices(fh) -> Iterator[PairingMatrix]:
     """The matrices of an open enumerate output file, one per line."""
-    with fh:
+    with fh, _checked_input(fh.name):
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -180,6 +183,8 @@ def cmd_enumerate(args) -> int:
         dims = GridDims(args.rows, args.cols).require_odd()
         if args.checkpoint:
             # written only after the search, so its path is tried first
+            if os.path.isdir(args.checkpoint):
+                raise InputError(f"{args.checkpoint}: is a directory, not a checkpoint file")
             open(args.checkpoint + ".tmp", "w").close()
             os.remove(args.checkpoint + ".tmp")
     config = EnumerationConfig(max_nodes=args.max_nodes)
@@ -218,7 +223,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    with _checked_input():
+    with _checked_input(args.checkpoint):
         cp = read_checkpoint(args.checkpoint)
         if cp.output_bytes is not None and args.out != "-":
             size = os.path.getsize(args.out) if os.path.isfile(args.out) else 0
@@ -297,18 +302,19 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
     """The records of a classify output, one JSON object per nonblank line,
     each after its place, "<file> line <n>"."""
     name = getattr(lines, "name", "records")
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        where = f"{name} line {number}"
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            raise InputError(f"{where}: not a JSON record ({exc})") from None
-        problem = _record_problem(doc)
-        if problem is not None:
-            raise InputError(f"{where}: not a classification record ({problem})")
-        yield where, doc
+    with _checked_input(name):
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            where = f"{name} line {number}"
+            try:
+                doc = json.loads(line)
+            except ValueError as exc:
+                raise InputError(f"{where}: not a JSON record ({exc})") from None
+            problem = _record_problem(doc)
+            if problem is not None:
+                raise InputError(f"{where}: not a classification record ({problem})")
+            yield where, doc
 
 
 def summarize(lines: Iterable[str]) -> dict[tuple[int, int], SummaryTable]:
@@ -443,7 +449,8 @@ def export_cas_script(doc: dict) -> str:
 
 
 def cmd_export_gap(args) -> int:
-    os.makedirs(args.outdir, exist_ok=True)
+    with _checked_input():
+        os.makedirs(args.outdir, exist_ok=True)
     count = 0
     with _open_input(args.records) as fh:
         for where, doc in _records(fh):

@@ -27,8 +27,8 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .abelian import AbelianInvariants
-from .present import (Presentation, Word, free_reduce, invert, letters_to_word,
-                      word_to_letters)
+from .present import (Presentation, SimplifiedPresentation, Word, free_reduce,
+                      letters_to_word, word_to_letters)
 
 UNDEF = -1
 
@@ -235,19 +235,19 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
 class CosetTable:
     """Completed enumeration: each generator acts as a permutation of cosets.
 
-    `trace` reads words over the table's own generators.  A table enumerated
-    over a presentation with eliminated generators takes `images`, for each
-    original generator a word over the table's generators, and `element`
-    then reads words over the original generators through them.
+    `trace` reads words over the table's own generators.  A table of a
+    Tietze pass's presentation may be built on the pass itself, and
+    `element` then reads words over the original generators through it.
     """
 
-    def __init__(self, ngens: int, action: list[list[int]], pres: Presentation,
-                 images: Optional[Sequence[Word]] = None):
+    def __init__(self, ngens: int, action: list[list[int]],
+                 pres: Presentation | SimplifiedPresentation):
         self.ngens = ngens
         self.action = action
-        self.presentation = pres
-        self.images = images
-        self._image_letters: dict[int, bytes] = {}  # letter -> its image's path
+        if isinstance(pres, SimplifiedPresentation):
+            self.tietze, self.presentation = pres, pres.presentation
+        else:
+            self.tietze, self.presentation = None, pres
         self._orders: Optional[list[int]] = None
 
     @property
@@ -265,19 +265,12 @@ class CosetTable:
 
     def element(self, word: Word) -> int:
         """The coset of a word, over the original generators when the table
-        has `images`; a one-coset table reads no image."""
-        if self.images is None:
-            return self.trace(0, word)
+        is on a Tietze pass; a one-coset table reads no image."""
         if len(self.action) == 1:
             return 0
-        coset = 0
-        for x in word:
-            letters = self._image_letters.get(x)
-            if letters is None:
-                image = self.images[x - 1] if x > 0 else invert(self.images[-x - 1])
-                letters = self._image_letters[x] = word_to_letters(image)
-            coset = self._follow(coset, letters)
-        return coset
+        if self.tietze is not None:
+            word = self.tietze.image(word)
+        return self.trace(0, word)
 
     def check_closed(self) -> bool:
         """Every relator acts trivially from every coset."""

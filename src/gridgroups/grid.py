@@ -107,9 +107,6 @@ class _Matrix:
         self.flat = tuple(flat)
         self._cells = None
 
-    def entry(self, i: int, j: int) -> int:
-        return self.flat[i * self.dims.cols + j]
-
     def rows(self) -> list[tuple[int, ...]]:
         cols = self.dims.cols
         return [self.flat[r * cols:(r + 1) * cols] for r in range(self.dims.rows)]

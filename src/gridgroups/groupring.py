@@ -216,7 +216,7 @@ def verify_direct_finiteness(dims, table: CosetTable) -> DirectFinitenessReport:
     product is the verdict under test.  Requires distinct generator images
     (a degenerate pairing does not define the intended element pair).
     The generators are read through the table's `element`, so a table over
-    eliminated generators must carry their images.
+    eliminated generators must be built on their Tietze pass.
     """
     rows, cols = dims
     a_elems, b_elems = ([table.element(w) for _, w in fam]

@@ -239,44 +239,37 @@ def presentation_from_matrix(mat) -> Presentation:
 
 @dataclass(frozen=True)
 class SimplifiedPresentation:
+    """A Tietze pass: the presentation it leaves, with for each of its
+    generators the original generator it is (`kept`), and the pass's
+    `steps`, each an eliminated original generator and the word over the
+    original generators that replaced it, in order.  The original
+    generators' images are composed from the steps on first read, so a
+    reader that needs none of them (a one-coset table) never pays for them."""
     presentation: Presentation
-    images: Sequence[Word]  # old generator index -> word over new generators
-
-
-class _ComposedImages(Sequence):
-    """The images of a Tietze pass's original generators, composed from its
-    steps on first read: a table or abelianisation that reads no word
-    through them (a one-coset table) never pays for them."""
-
-    def __init__(self, n: int, steps: list[tuple[int, Word]], remap: dict[int, int]):
-        self._n, self._steps, self._remap = n, steps, remap
+    kept: tuple[int, ...]
+    steps: tuple[tuple[int, Word], ...]
 
     @cached_property
-    def _words(self) -> tuple[Word, ...]:
-        n = self._n
-        images: list[Word] = [(i + 1,) for i in range(n)]
-        inverses: list[Word] = [(-i - 1,) for i in range(n)]
-        for g, repl in reversed(self._steps):
-            # repl names only survivors and generators eliminated after g
-            image = concat(*(images[x - 1] if x > 0 else inverses[-x - 1] for x in repl))
-            images[g - 1], inverses[g - 1] = image, invert(image)
-        remap = self._remap
-        return tuple(tuple(map(remap.__getitem__, w)) for w in images)
+    def images(self) -> tuple[Word, ...]:
+        """For each original generator, its word over the kept generators."""
+        images: list[Word] = [()] * (len(self.kept) + len(self.steps))
+        for new, old in enumerate(self.kept, 1):
+            images[old - 1] = (new,)
+        for g, repl in reversed(self.steps):
+            # repl names only kept generators and generators eliminated after g
+            images[g - 1] = _read_through(images, repl)
+        return tuple(images)
 
-    def __getitem__(self, index):
-        return self._words[index]
+    def image(self, word: Word) -> Word:
+        """A word over the original generators, read through the images:
+        the freely reduced word over the kept generators."""
+        return _read_through(self.images, word)
 
-    def __len__(self) -> int:
-        return self._n
 
-    def __eq__(self, other) -> bool:
-        return self._words == other
-
-    def __hash__(self) -> int:
-        return hash(self._words)
-
-    def __repr__(self) -> str:
-        return repr(self._words)
+def _read_through(images: Sequence[Word], word: Word) -> Word:
+    """The word with each letter replaced by its generator's image, or the
+    image's inverse, freely reduced."""
+    return concat(*(images[x - 1] if x > 0 else invert(images[-x - 1]) for x in word))
 
 
 def _substitute(word: Word, gen: int, repl: Word, inv_repl: Word) -> Word:
@@ -306,8 +299,7 @@ def simplify_presentation(pres: Presentation) -> SimplifiedPresentation:
     """Eliminate generators occurring exactly once in some relator.
 
     Deterministic greedy Tietze pass: always eliminates via the shortest
-    usable relator.  Returns the reduced presentation plus words expressing
-    every original generator in the surviving ones.
+    usable relator.  Returns the pass (see SimplifiedPresentation).
     """
     relators = [cyclic_reduce(r) for r in pres.relators]
     eliminated: list[tuple[int, Word]] = []  # (generator, its word), in order
@@ -399,14 +391,13 @@ def eliminate_generators(pres: Presentation) -> SimplifiedPresentation:
 def _survivors(pres: Presentation, relators: list[Word],
                eliminated: list[tuple[int, Word]]) -> SimplifiedPresentation:
     """The end of a Tietze pass: its relators, freely reduced words over the
-    generators it did not eliminate, renumbered onto those survivors, and the
-    original generators' images composed from its steps."""
+    generators it did not eliminate, renumbered onto those survivors."""
     done = {g for g, _ in eliminated}
-    keep = [i for i in range(pres.generator_count) if i + 1 not in done]
+    kept = tuple(g for g in range(1, pres.generator_count + 1) if g not in done)
     remap: dict[int, int] = {}
-    for new, old in enumerate(keep, 1):
-        remap[old + 1], remap[-old - 1] = new, -new
+    for new, old in enumerate(kept, 1):
+        remap[old], remap[-old] = new, -new
     return SimplifiedPresentation(
-        Presentation._trusted(tuple(pres.names[i] for i in keep),
+        Presentation._trusted(tuple(pres.names[g - 1] for g in kept),
                               tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
-        _ComposedImages(pres.generator_count, eliminated, remap))
+        kept, tuple(eliminated))

@@ -182,19 +182,11 @@ class GroupToolbox:
         whether two images, or their free coordinates, are equal; an
         isomorphism of abelianisations keeps both, so it answers as the raw
         presentation's would, from a smaller matrix."""
-        eliminated = self.eliminated
-        return Abelianization(eliminated.presentation, eliminated.images)
+        return Abelianization(self.eliminated)
 
     @cached_property
     def simplified(self) -> SimplifiedPresentation:
         return simplify_presentation(self.presentation)
-
-    @cached_property
-    def survivors(self) -> tuple[int, ...]:
-        """For each simplified generator, the original generator it is."""
-        original = self.presentation.names
-        return tuple(original.index(name) + 1
-                     for name in self.simplified.presentation.names)
 
     def coset_run(self, max_cosets: Optional[int] = None,
                   watch: Optional[tuple[Word, Word]] = None) -> CosetEnumeration:
@@ -229,16 +221,11 @@ class GroupToolbox:
         Occasionally confluent when the raw system is not (few generators,
         e.g. virtually cyclic groups); word_equal's last resort, and a
         second chance to prove a group of free rank 0 infinite.  Words must
-        be translated with simplify_word before reduction here.
+        be read through the pass (`simplified.image`) before reduction here.
         """
         return RewriteSystem(self.simplified.presentation,
                              max_rules=self.budgets.kb_max_rules,
                              max_len=self.budgets.kb_max_len)
-
-    def simplify_word(self, word: Word) -> Word:
-        images = self.simplified.images
-        return concat(*(images[x - 1] if x > 0 else invert(images[-x - 1])
-                        for x in word))
 
     # -- the word problem ------------------------------------------------------
 
@@ -253,7 +240,7 @@ class GroupToolbox:
         image = self.abelianization.image
         if image(w1) != image(w2):
             return WordVerdict("distinct", "separated in the abelianisation")
-        if self.simplify_word(w1) == self.simplify_word(w2):
+        if self.simplified.image(w1) == self.simplified.image(w2):
             return WordVerdict("equal", "identical after generator elimination")
         kb = self.rewriting
         if kb.reduce_word(w1) == kb.reduce_word(w2):
@@ -281,7 +268,8 @@ class GroupToolbox:
         if verdict is not None:
             return verdict
 
-        diff = concat(self.simplify_word(w1), invert(self.simplify_word(w2)))
+        u1, u2 = self.simplified.image(w1), self.simplified.image(w2)
+        diff = concat(u1, invert(u2))
         sep = search_hom(self.simplified.presentation,
                          hom_targets(HOM_DEGREE),
                          lambda t, imgs: t.eval_word(diff, imgs) != t.identity,
@@ -292,9 +280,7 @@ class GroupToolbox:
                                f"with generator images {sep[1]}")
 
         kb2 = self.rewriting_simplified  # last resort: may be costly to build
-        q1 = kb2.reduce_word(self.simplify_word(w1))
-        q2 = kb2.reduce_word(self.simplify_word(w2))
-        if q1 == q2:
+        if kb2.reduce_word(u1) == kb2.reduce_word(u2):
             return WordVerdict("equal", "common reduct after generator elimination")
         if kb2.confluent:
             return WordVerdict("distinct",
@@ -331,7 +317,7 @@ class GroupToolbox:
         Commutators of the surviving simplified generators suffice: they
         still generate, and there are far fewer pairs to test.
         """
-        gens = self.survivors
+        gens = self.simplified.kept
         unknown = False
         for i, x in enumerate(gens):
             for y in gens[i + 1:]:

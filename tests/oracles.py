@@ -26,9 +26,8 @@ from gridgroups.coset import GroupFingerprint
 from gridgroups.grid import (SENTINEL, GridDims, GridError, PairingMatrix,
                              all_symmetries, apply_symmetry, cell_partners,
                              consecutive_renumbering)
-from gridgroups.present import (MAX_REPLACEMENT_LENGTH, Presentation,
-                                SimplifiedPresentation, _cyclic_key, _substitute,
-                                concat, cyclic_reduce, invert)
+from gridgroups.present import (MAX_REPLACEMENT_LENGTH, Presentation, _cyclic_key,
+                                _substitute, concat, cyclic_reduce, invert)
 from gridgroups.rewrite import RewriteSystem
 
 
@@ -329,7 +328,8 @@ def reference_validate_flat(dims, flat, complete):
 
 def reference_eliminate_generators(pres):
     """The greedy Tietze pass that calls the substitution on every relator
-    and composes the original generators' images as it returns."""
+    and composes the original generators' images as it returns: the
+    presentation it leaves, and those images."""
     n = pres.generator_count
     relators = [cyclic_reduce(r) if r[0] == -r[-1] else r for r in pres.relators if r]
     eliminated = []
@@ -365,16 +365,15 @@ def reference_eliminate_generators(pres):
     remap = {}
     for new, old in enumerate(keep, 1):
         remap[old + 1], remap[-old - 1] = new, -new
-    return SimplifiedPresentation(
-        Presentation(tuple(pres.names[i] for i in keep),
-                     tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
-        tuple(tuple(map(remap.__getitem__, w)) for w in images))
+    return (Presentation(tuple(pres.names[i] for i in keep),
+                         tuple(tuple(map(remap.__getitem__, r)) for r in relators)),
+            tuple(tuple(map(remap.__getitem__, w)) for w in images))
 
 
 def reference_simplify_presentation(pres):
     """The canonical greedy Tietze pass that substitutes into every
     original generator's image on each round and renumbers the survivors
-    at the end."""
+    at the end: the presentation it leaves, and those images."""
     n = pres.generator_count
     relators = [cyclic_reduce(r) for r in pres.relators]
     images = [(i + 1,) for i in range(n)]
@@ -428,7 +427,7 @@ def reference_simplify_presentation(pres):
 
     new_pres = Presentation(tuple(pres.names[i] for i in keep),
                             tuple(remap_word(r) for r in relators))
-    return SimplifiedPresentation(new_pres, tuple(remap_word(w) for w in images))
+    return new_pres, tuple(remap_word(w) for w in images)
 
 
 def naive_group_from_table(table):
@@ -1070,6 +1069,13 @@ def composed_eval(target, word, images):
     return acc
 
 
+def simplified_word(toolbox, word):
+    """A word over the original generators read through the toolbox's
+    simplified pass, one image per letter, freely reduced."""
+    images = toolbox.simplified.images
+    return concat(*(images[x - 1] if x > 0 else invert(images[-x - 1]) for x in word))
+
+
 def reference_word_equal(toolbox, w1, w2):
     """GroupToolbox.word_equal with its own copy of the search-free stages,
     which asked the abelianisation only after the completion: the same
@@ -1089,7 +1095,7 @@ def reference_word_equal(toolbox, w1, w2):
                            f"separated in the regular action on {run.table.coset_count} cosets")
     if run.equal_words(w1, w2):
         return WordVerdict("equal", "coincidence in partial coset enumeration")
-    if toolbox.simplify_word(w1) == toolbox.simplify_word(w2):
+    if simplified_word(toolbox, w1) == simplified_word(toolbox, w2):
         return WordVerdict("equal", "identical after generator elimination")
     kb = toolbox.rewriting
     if kb.reduce_word(w1) == kb.reduce_word(w2):
@@ -1098,7 +1104,7 @@ def reference_word_equal(toolbox, w1, w2):
         return WordVerdict("distinct", "distinct confluent normal forms")
     if toolbox.abelianization.image(w1) != toolbox.abelianization.image(w2):
         return WordVerdict("distinct", "separated in the abelianisation")
-    diff = concat(toolbox.simplify_word(w1), invert(toolbox.simplify_word(w2)))
+    diff = concat(simplified_word(toolbox, w1), invert(simplified_word(toolbox, w2)))
     sep = search_hom(toolbox.simplified.presentation, hom_targets(HOM_DEGREE),
                      lambda t, imgs: t.eval_word(diff, imgs) != t.identity,
                      toolbox.budgets.hom_nodes)
@@ -1106,8 +1112,8 @@ def reference_word_equal(toolbox, w1, w2):
         return WordVerdict("distinct", f"separated by homomorphism to {sep[0]} "
                                        f"with generator images {sep[1]}")
     kb2 = toolbox.rewriting_simplified
-    q1 = kb2.reduce_word(toolbox.simplify_word(w1))
-    q2 = kb2.reduce_word(toolbox.simplify_word(w2))
+    q1 = kb2.reduce_word(simplified_word(toolbox, w1))
+    q2 = kb2.reduce_word(simplified_word(toolbox, w2))
     if q1 == q2:
         return WordVerdict("equal", "common reduct after generator elimination")
     if kb2.confluent:
@@ -1134,7 +1140,7 @@ def reference_degeneracy_partial(toolbox, dims, run):
                     return (n1, n2, "coincidence in partial coset enumeration"), []
                 if image(w1) != image(w2):
                     continue
-                if toolbox.simplify_word(w1) == toolbox.simplify_word(w2):
+                if simplified_word(toolbox, w1) == simplified_word(toolbox, w2):
                     return (n1, n2, "identical after generator elimination"), []
                 if kb is None:
                     kb = toolbox.rewriting

@@ -416,15 +416,54 @@ class TestBadInput:
         (["resume", os.path.join(DATA, "version-1.ckpt")],
          "gridgroups-checkpoint v1 is an old checkpoint format; "
          "only gridgroups-checkpoint v3 is read"),
+        # bytes that are not UTF-8 text: an executable's header, and a good
+        # matrix line followed by a Latin-1 one
+        (["classify", "--from", os.path.join(DATA, "elf-head.bin")],
+         "elf-head.bin: not UTF-8 text"),
+        (["classify", "--from", os.path.join(DATA, "latin-1-line.txt")],
+         "latin-1-line.txt: not UTF-8 text"),
+        (["classify", "--from", os.path.join(DATA, "latin-1-line.txt"), "--workers", "2"],
+         "latin-1-line.txt: not UTF-8 text"),
+        (["table", os.path.join(DATA, "elf-head.bin")], "elf-head.bin: not UTF-8 text"),
+        (["table", os.path.join(DATA, "latin-1-line.txt")],
+         "latin-1-line.txt: not UTF-8 text"),
+        (["export-gap", os.path.join(DATA, "elf-head.bin")], "elf-head.bin: not UTF-8 text"),
+        (["export-gap", os.path.join(DATA, "latin-1-line.txt")],
+         "latin-1-line.txt: not UTF-8 text"),
+        (["resume", os.path.join(DATA, "elf-head.bin")], "elf-head.bin: not UTF-8 text"),
+        (["resume", os.path.join(DATA, "latin-1-line.txt")],
+         "latin-1-line.txt: not UTF-8 text"),
+        # an output directory that cannot be made
+        (["export-gap", os.path.join(SAMPLES, "records.jsonl"),
+          "--outdir", os.path.join(SAMPLES, "matrix.txt")], "File exists"),
+        (["export-gap", os.path.join(SAMPLES, "records.jsonl"),
+          "--outdir", os.path.join(SAMPLES, "matrix.txt", "scripts")], "Not a directory"),
+        (["export-gap", os.path.join(SAMPLES, "records.jsonl"), "--outdir", ""],
+         "No such file or directory"),
     ])
     def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
         out_flag = "--outdir" if argv[0] == "export-gap" else "--out"
+        if out_flag not in argv:
+            argv = [*argv, out_flag, str(tmp_path / "out.txt")]
         with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, out_flag, str(tmp_path / "out.txt"))
+            run_cli(*argv)
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    def test_checkpoint_naming_a_directory_is_one_line(self, tmp_path, capsys):
+        """A --checkpoint that names a directory is reported before the
+        search: no output is written and no temporary file is left."""
+        (tmp_path / "checkpoints").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("enumerate", "--rows", "3", "--cols", "5", "--max-nodes", "3",
+                    "--checkpoint", str(tmp_path / "checkpoints"),
+                    "--out", str(tmp_path / "out.txt"))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "checkpoints: is a directory" in err
+        assert os.listdir(tmp_path) == ["checkpoints"]
+        assert os.listdir(tmp_path / "checkpoints") == []
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--rows", "3", "--cols", "5", "--out", "{bad}"],

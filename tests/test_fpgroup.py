@@ -17,7 +17,9 @@ from gridgroups.present import (Presentation, PresentationError, concat,
                                 format_word, free_reduce, generator_families, invert,
                                 parse_presentation, parse_word,
                                 presentation_from_matrix, simplify_presentation)
+from gridgroups import present as present_module
 from gridgroups import rewrite as rewrite_module
+from gridgroups import wordprob as wordprob_module
 from gridgroups.rewrite import RewriteSystem
 from gridgroups.smallgroups import catalog, identify_small_group
 from gridgroups.wordprob import Budgets, GroupToolbox, hom_targets, search_hom
@@ -218,7 +220,7 @@ class TestAbelianInvariants:
             pres = presentation_from_matrix(mat)
             raw = Abelianization(pres)
             eliminated = eliminate_generators(pres)
-            through = Abelianization(eliminated.presentation, eliminated.images)
+            through = Abelianization(eliminated)
             assert through.invariants == raw.invariants, text
             n = pres.generator_count
             words = [()] + [(g,) for g in range(-n, n + 1) if g] \
@@ -242,11 +244,23 @@ class TestAbelianInvariants:
 
 def check_simplification(pres):
     """simplify_presentation gives the presentation and images of the pass
-    it replaced, which substituted into every image on each round."""
+    it replaced, which substituted into every image on each round, and
+    reads each letter as its image."""
     sp = simplify_presentation(pres)
     new = sp.presentation
     assert Presentation(new.names, new.relators) == new  # built without the check
-    assert sp == reference_simplify_presentation(pres)
+    assert (new, sp.images) == reference_simplify_presentation(pres)
+    check_image(pres, sp)
+
+
+def check_image(pres, sp):
+    """The pass keeps the generators of its presentation's names, and reads
+    each original letter as its image, or the image's inverse."""
+    assert [pres.names[g - 1] for g in sp.kept] == list(sp.presentation.names)
+    for g in range(1, pres.generator_count + 1):
+        assert sp.image((g,)) == sp.images[g - 1]
+        assert sp.image((-g,)) == invert(sp.images[g - 1])
+        assert sp.image((g, -g)) == ()
 
 
 class TestSimplify:
@@ -301,13 +315,15 @@ def check_elimination(pres, limit=2000):
         return tuple(back[x - 1] if x > 0 else -back[-x - 1] for x in word)
 
     assert Presentation(new.names, new.relators) == new  # built without the check
-    assert sp == reference_eliminate_generators(pres)
+    assert (new, sp.images) == reference_eliminate_generators(pres)
+    assert list(sp.kept) == back
+    check_image(pres, sp)
     assert Abelianization(new).invariants == Abelianization(pres).invariants
     assert [sp.images[g - 1] for g in back] == [(k,) for k in range(1, len(back) + 1)]
     run = todd_coxeter(new, max_cosets=limit)
     raw = todd_coxeter(pres, max_cosets=limit)
     if run.status == "complete":
-        table = CosetTable(run.table.ngens, run.table.action, new, sp.images)
+        table = CosetTable(run.table.ngens, run.table.action, sp)
         assert all(table.element(rel) == 0 for rel in pres.relators)
     if raw.status == "complete":
         t = raw.table
@@ -345,31 +361,47 @@ class TestEliminate:
         assert sp.images == ((), ())
         assert check_elimination(pres)
 
-    def test_one_coset_table_reads_no_image(self):
+    def test_one_coset_table_reads_no_image(self, monkeypatch):
         """A word's element in a one-coset table is the identity coset, read
-        without the images; a bigger table reads each letter's image once."""
-        reads = []
-
-        class Images(tuple):
-            def __getitem__(self, index):
-                reads.append(index)
-                return tuple.__getitem__(self, index)
-
+        without composing the pass's images, and so is every element the
+        classification of a trivial-group class reads; a bigger table
+        composes them once."""
         pres = parse_presentation("gens x y\nx*y^-1\ny^2*x\ny")
         sp = eliminate_generators(pres)
         run = todd_coxeter(sp.presentation)
-        one = CosetTable(run.table.ngens, run.table.action, sp.presentation,
-                         Images(sp.images))
+        one = CosetTable(run.table.ngens, run.table.action, sp)
         assert one.coset_count == 1
-        assert one.element((1, 2, -1)) == 0 and reads == []
+        assert one.element((1, 2, -1)) == 0 and "images" not in sp.__dict__
+
+        passes = []
+
+        def eliminate(p):
+            passes.append(eliminate_generators(p))
+            return passes[-1]
+
+        monkeypatch.setattr(wordprob_module, "eliminate_generators", eliminate)
+        # the first class of the seed-1 degenerate 3x9 benchmark sample
+        mat = parse_matrix("x 1 2 3 4 5 6 7 8\n1 2 3 4 9 10 11 12 13\n5 6 7 12 8 11 13 10 9")
+        record = classify_module.classify_matrix(mat, Budgets(max_cosets=20000))
+        assert record.verdict.witness[2] == "same element of the closed coset table"
+        assert [p.presentation.generator_count for p in passes] == [2]
+        assert "images" not in passes[0].__dict__
+
         pres = parse_presentation("gens x y\nx^3\ny*x^-1")
         sp = eliminate_generators(pres)
         run = todd_coxeter(sp.presentation)
-        three = CosetTable(run.table.ngens, run.table.action, sp.presentation,
-                           Images(sp.images))
-        assert three.coset_count == 3
+        three = CosetTable(run.table.ngens, run.table.action, sp)
+        assert three.coset_count == 3 and "images" not in sp.__dict__
+        reads = []  # what each word is read through: a list while composing
+        read_through = present_module._read_through
+
+        def counted(images, word):
+            reads.append(type(images))
+            return read_through(images, word)
+
+        monkeypatch.setattr(present_module, "_read_through", counted)
         assert three.element((1, 2, 2)) == 0 and three.element((2,)) != 0
-        assert sorted(reads) == [0, 1]
+        assert reads == [list] * len(sp.steps) + [tuple, tuple]
 
 
 class TestWordProblem:
@@ -421,13 +453,14 @@ class TestWordProblem:
     def test_artifacts_are_built_once(self):
         pres = Presentation(("x", "y", "z"), ((1, 2, -3), (1, 1), (2, 2, 2)))
         tb = GroupToolbox(pres, Budgets(max_cosets=100))
-        for name in ("eliminated", "abelianization", "simplified", "survivors",
+        for name in ("eliminated", "abelianization", "simplified",
                      "rewriting", "rewriting_simplified"):
             assert getattr(tb, name) is getattr(tb, name), name
+        assert tb.simplified.images is tb.simplified.images
         # each simplified generator is the original generator of its name
-        assert [pres.names[g - 1] for g in tb.survivors] \
+        assert [pres.names[g - 1] for g in tb.simplified.kept] \
             == list(tb.simplified.presentation.names)
-        assert len(tb.survivors) < pres.generator_count
+        assert len(tb.simplified.kept) < pres.generator_count
 
     def test_a_stopped_run_is_not_cached(self):
         """Only a caller that watches sees a stopped run: the toolbox does
