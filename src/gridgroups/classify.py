@@ -8,7 +8,7 @@ within budget is reported undecided, with the budgets it was given.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -118,12 +118,8 @@ def _first_pass(toolbox: GroupToolbox, dims: GridDims) -> CosetEnumeration:
     limit = min(TC_FIRST_PASS, budgets.max_cosets)
     ab = toolbox.abelianization
     if ab.invariants.free_rank == 0:
-        eliminated = toolbox.eliminated
-        run = todd_coxeter(eliminated.presentation, max_cosets=limit)
-        if run.status == "complete":
-            t = run.table
-            return replace(run, table=CosetTable(t.ngens, t.action, eliminated))
-        return toolbox.coset_run(budgets.max_cosets)
+        run = todd_coxeter(toolbox.eliminated, max_cosets=limit)
+        return run if run.status == "complete" else toolbox.coset_run(budgets.max_cosets)
     return toolbox.coset_run(limit, watch=_first_unseparated(ab, dims))
 
 
@@ -200,7 +196,7 @@ def classify_matrix(mat: PairingMatrix, budgets: Budgets = Budgets(),
             kb = toolbox.rewriting
             if not kb.confluent:
                 kb = toolbox.rewriting_simplified
-            if kb.confluent and kb.language()[0] == "infinite":
+            if kb.confluent and kb.language() == "infinite":
                 verdict = Verdict("infinite", abelian=toolbox.is_abelian(),
                                   evidence="confluent system with infinitely many normal forms")
             else:
@@ -279,7 +275,7 @@ def torsion_quotient_report(toolbox: GroupToolbox, dims: GridDims) -> TorsionQuo
             return TorsionQuotientReport(tuple(found), iterations, True, coll)
         existing = {free_reduce(r) for r in current.relators}
         new_relators: list[tuple[Word, int]] = []
-        for word in _short_words(toolbox, budgets.torsion_word_len):
+        for word in _short_words(toolbox):
             if free_reduce(word) in existing:
                 continue
             order = toolbox.element_order(word)
@@ -332,23 +328,20 @@ def _escalate(toolbox: GroupToolbox) -> bool:
         and toolbox.coset_run(toolbox.budgets.max_cosets) is not run
 
 
-def _short_words(toolbox: GroupToolbox, max_len: int):
-    """Candidate torsion words: short combinations of surviving generators,
-    mapped back to the original alphabet."""
+def _short_words(toolbox: GroupToolbox):
+    """Candidate torsion words of length 1, 2 and 4: the surviving
+    generators, their products and quotients, and their commutators, over
+    the original alphabet."""
     back = toolbox.simplified.kept
     n = len(back)
     for g in back:
         yield (g,)
-    if max_len < 2:
-        return
     for i in range(n):
         for j in range(n):
             if i != j:
                 yield (back[i], -back[j])
             if i < j:
                 yield (back[i], back[j])
-    if max_len < 4:
-        return
     for i in range(n):
         for j in range(i + 1, n):
             x, y = back[i], back[j]

@@ -15,7 +15,7 @@ import stat
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -32,7 +32,7 @@ from .groupring import (GroupRingError, check_prime, matrix_unit_lab, rank2_inve
 from .present import format_word, presentation_from_matrix
 from .wordprob import Budgets
 
-_BUDGET_FLAGS = ("max_cosets", "kb_max_rules", "kb_max_len", "torsion_word_len")
+_BUDGET_FLAGS = ("max_cosets", "kb_max_rules")
 
 
 def _budgets_from_args(args) -> Budgets:
@@ -247,13 +247,9 @@ class SummaryTable:
     infinite_abelian: int = 0
     infinite_nonabelian: int = 0
     infinite_unknown: int = 0
-    finite_by_order: dict = None
-    name_freq: dict = None
+    finite_by_order: dict = field(default_factory=dict)
+    name_freq: dict = field(default_factory=dict)
     dfc_failures: int = 0
-
-    def __post_init__(self):
-        self.finite_by_order = {}
-        self.name_freq = {}
 
     @property
     def finite_total(self) -> int:
@@ -449,8 +445,13 @@ def export_cas_script(doc: dict) -> str:
 
 
 def cmd_export_gap(args) -> int:
-    with _checked_input():
-        os.makedirs(args.outdir, exist_ok=True)
+    """Bad records, and a records file that cannot be read, leave no
+    `--outdir` behind: it is made when the first script is ready, or at the
+    end when the file held no record."""
+    def make_outdir():
+        with _checked_input():
+            os.makedirs(args.outdir, exist_ok=True)
+
     count = 0
     with _open_input(args.records) as fh:
         for where, doc in _records(fh):
@@ -458,10 +459,14 @@ def cmd_export_gap(args) -> int:
                 script = export_cas_script(doc)
             except ValueError as exc:  # GridError and PresentationError among them
                 raise InputError(f"{where}: not a matrix ({exc})") from None
+            if count == 0:
+                make_outdir()
             path = os.path.join(args.outdir, f"class_{count:06d}.g")
             with open(path, "w") as out:
                 out.write(script)
             count += 1
+    if count == 0:
+        make_outdir()
     print(f"wrote {count} scripts to {args.outdir}", file=sys.stderr)
     return 0
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Sequence
 
 from .abelian import AbelianInvariants
@@ -86,14 +85,13 @@ def _paths_meet(neigh: list[list[int]], p1, p2) -> bool:
     return end is not None and end == _trace_partial(neigh, p2)
 
 
-def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
-                 max_cosets: int = 200_000,
+def todd_coxeter(pres: Presentation | SimplifiedPresentation, max_cosets: int = 200_000,
                  watch: Optional[tuple[Word, Word]] = None) -> CosetEnumeration:
-    """Enumerate cosets of the subgroup generated by the given words.
-
-    A complete run yields the permutation action on the cosets: for the
-    trivial subgroup that is the regular action and the coset count is the
-    group order.  `max_cosets` bounds the total number of cosets defined.
+    """Enumerate the cosets of the trivial subgroup: a complete run yields
+    the regular action, and the coset count is the group order.
+    `max_cosets` bounds the total number of cosets defined.  A Tietze pass
+    is enumerated on its presentation, and a closed table is built on the
+    pass (see CosetTable).
 
     With `watch`, a pair of words, the run stops once the two trace to the
     same coset (see the module docstring); a run whose live cosets are all
@@ -101,23 +99,20 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    ngens = pres.generator_count
+    presentation = pres.presentation if isinstance(pres, SimplifiedPresentation) else pres
+    ngens = presentation.generator_count
     nd = 2 * ngens
-    for w in chain(subgroup, watch or ()):
+    for w in watch or ():
         for x in w:
             if not 1 <= abs(x) <= ngens:
                 raise ValueError(f"letter {x} out of range for {ngens} generators")
     # each word as its edge directions, in tuples: the scans index them,
     # which is faster on a tuple than on bytes
-    rel_paths = [tuple(word_to_letters(w)) for w in pres.relators]
-    sub_paths = [tuple(word_to_letters(free_reduce(w))) for w in subgroup]
+    paths = [tuple(word_to_letters(w)) for w in presentation.relators]
     watch_paths = [tuple(word_to_letters(free_reduce(w))) for w in watch] if watch else None
     neigh: list[list[int]] = [[UNDEF] * nd]
     label = [0]
     alpha = 0
-    # subgroup words from coset 0 first, then every relator from each live
-    # coset in turn, until that coset dies
-    paths = sub_paths + rel_paths
 
     def find(c: int) -> int:
         root = c
@@ -165,6 +160,7 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
 
     status = "complete"
     try:
+        # every relator from each live coset in turn, until that coset dies
         while alpha < len(neigh):
             if label[alpha] == alpha:
                 for path in paths:
@@ -213,7 +209,6 @@ def todd_coxeter(pres: Presentation, subgroup: Sequence[Word] = (),
                         label[c] == c for c in range(alpha + 1, len(neigh))):
                     status = "stopped"
                     break
-            paths = rel_paths
             alpha += 1
     except EnumerationExhausted:
         status = "exhausted"

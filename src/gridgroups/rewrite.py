@@ -31,6 +31,7 @@ def _shortlex_orient(a: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:
 
 
 _ONE_LETTER = 1 << 62  # trie priority of one-letter rules: after every other
+MAX_RULE_LENGTH = 40  # a longer rule is discarded, and completion is then not confluent
 
 
 @dataclass
@@ -43,10 +44,9 @@ class RewriteStats:
 class RewriteSystem:
     """Shortlex rewriting system derived from a presentation."""
 
-    def __init__(self, pres: Presentation, max_rules: int = 5000, max_len: int = 40):
+    def __init__(self, pres: Presentation, max_rules: int = 5000):
         self.presentation = pres
         self.max_rules = max_rules
-        self.max_len = max_len
         self.confluent = False
         self.stats = RewriteStats(0, 0, 0)
         self._rules: dict[bytes, bytes] = {}
@@ -146,7 +146,7 @@ class RewriteSystem:
 
         def add_rule(lhs: bytes, rhs: bytes) -> None:
             nonlocal discarded, overflow
-            if len(lhs) > self.max_len:
+            if len(lhs) > MAX_RULE_LENGTH:
                 discarded += 1
                 return
             if len(rules) >= self.max_rules:
@@ -225,8 +225,9 @@ class RewriteSystem:
 
     # -- normal form language -----------------------------------------------
 
-    def language(self) -> tuple[str, Optional[int]]:
-        """("finite", order) or ("infinite", None); needs a confluent system."""
+    def language(self) -> str:
+        """Whether the normal forms are "finite" or "infinite" in number;
+        needs a confluent system."""
         if not self.confluent:
             raise ValueError("language analysis requires a confluent system")
         nd = 2 * self.presentation.generator_count
@@ -268,31 +269,24 @@ class RewriteSystem:
         # walk the product of the automaton with the free monoid, skipping
         # terminal states; a reachable cycle means infinitely many forms.
         # Depth-first with an explicit stack: one frame per open state
-        # (state, next letter, irreducible words readable from it so far).
+        # (state, next letter).
         GRAY, BLACK = 1, 2
         color = [0] * len(goto)
-        counts = [0] * len(goto)
         color[0] = GRAY
-        stack = [[0, 0, 1]]  # the empty continuation counts once
+        stack = [[0, 0]]
         while stack:
             frame = stack[-1]
-            node, ch = frame[0], frame[1]
+            node, ch = frame
             if ch == nd:
                 stack.pop()
                 color[node] = BLACK
-                counts[node] = frame[2]
-                if stack:
-                    stack[-1][2] += frame[2]
                 continue
             frame[1] = ch + 1
             nxt = step(node, ch)
-            if terminal[nxt]:
+            if terminal[nxt] or color[nxt] == BLACK:
                 continue
             if color[nxt] == GRAY:
-                return "infinite", None
-            if color[nxt] == BLACK:
-                frame[2] += counts[nxt]
-                continue
+                return "infinite"
             color[nxt] = GRAY
-            stack.append([nxt, 0, 1])
-        return "finite", counts[0]
+            stack.append([nxt, 0])
+        return "finite"

@@ -30,13 +30,11 @@ from .smallgroups import catalog
 class Budgets:
     max_cosets: int = 200_000
     kb_max_rules: int = 5000
-    kb_max_len: int = 40
-    torsion_word_len: int = 4
-    hom_nodes: int = 50_000
 
 
 ORDER_CAP = 12   # the highest power element_order tries
 HOM_DEGREE = 6   # symmetric-group targets up to Sym6
+HOM_NODES = 50_000  # search nodes for one separating homomorphism
 
 
 @dataclass(frozen=True)
@@ -113,15 +111,14 @@ def hom_targets(max_degree: int) -> tuple[_HomTarget, ...]:
 
 
 def _extend_images(target: _HomTarget, images: list[int], depth: int,
-                   by_depth: list[list[Word]],
-                   predicate: Callable[[_HomTarget, list[int]], bool],
-                   budget: list[int]) -> bool:
+                   by_depth: list[list[Word]], word: Word, budget: list[int]) -> bool:
     """Assign generator images from `depth` on, depth first, checking each
-    relator once its support is assigned; True once the predicate holds."""
+    relator once its support is assigned; True once `word` maps off the
+    identity."""
     if budget[0] <= 0:
         return False
     if depth == len(images):
-        return predicate(target, images)
+        return target.eval_word(word, images) != target.identity
     for cand in range(target.size):
         budget[0] -= 1
         if budget[0] <= 0:
@@ -129,16 +126,15 @@ def _extend_images(target: _HomTarget, images: list[int], depth: int,
         images[depth] = cand
         if all(target.eval_word(rel, images) == target.identity
                for rel in by_depth[depth + 1]):
-            if _extend_images(target, images, depth + 1, by_depth, predicate, budget):
+            if _extend_images(target, images, depth + 1, by_depth, word, budget):
                 return True
     return False
 
 
-def search_hom(pres: Presentation, targets: Sequence[_HomTarget],
-               predicate: Callable[[_HomTarget, list[int]], bool],
+def search_hom(pres: Presentation, targets: Sequence[_HomTarget], word: Word,
                node_budget: int) -> Optional[tuple[str, list[int]]]:
-    """First homomorphism (by deterministic search order) whose generator
-    images satisfy the predicate; None when the budget or space runs out."""
+    """First homomorphism (by deterministic search order) under which `word`
+    is not the identity; None when the budget or space runs out."""
     n = pres.generator_count
     relators = pres.relators
     budget = [node_budget]
@@ -150,7 +146,7 @@ def search_hom(pres: Presentation, targets: Sequence[_HomTarget],
 
     for target in targets:
         images = [0] * n
-        if _extend_images(target, images, 0, by_depth, predicate, budget):
+        if _extend_images(target, images, 0, by_depth, word, budget):
             return target.name, images
         if budget[0] <= 0:
             return None
@@ -211,8 +207,7 @@ class GroupToolbox:
         # completion runs over the raw presentation: its relators are short,
         # which keeps rule growth tame (eliminating generators lengthens
         # relators and slows completion badly)
-        return RewriteSystem(self.presentation, max_rules=self.budgets.kb_max_rules,
-                             max_len=self.budgets.kb_max_len)
+        return RewriteSystem(self.presentation, max_rules=self.budgets.kb_max_rules)
 
     @cached_property
     def rewriting_simplified(self) -> RewriteSystem:
@@ -224,8 +219,7 @@ class GroupToolbox:
         be read through the pass (`simplified.image`) before reduction here.
         """
         return RewriteSystem(self.simplified.presentation,
-                             max_rules=self.budgets.kb_max_rules,
-                             max_len=self.budgets.kb_max_len)
+                             max_rules=self.budgets.kb_max_rules)
 
     # -- the word problem ------------------------------------------------------
 
@@ -269,11 +263,8 @@ class GroupToolbox:
             return verdict
 
         u1, u2 = self.simplified.image(w1), self.simplified.image(w2)
-        diff = concat(u1, invert(u2))
-        sep = search_hom(self.simplified.presentation,
-                         hom_targets(HOM_DEGREE),
-                         lambda t, imgs: t.eval_word(diff, imgs) != t.identity,
-                         self.budgets.hom_nodes)
+        sep = search_hom(self.simplified.presentation, hom_targets(HOM_DEGREE),
+                         concat(u1, invert(u2)), HOM_NODES)
         if sep is not None:
             return WordVerdict("distinct",
                                f"separated by homomorphism to {sep[0]} "

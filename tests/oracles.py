@@ -632,7 +632,7 @@ class _Exhausted(Exception):
     pass
 
 
-def reference_todd_coxeter(pres, subgroup=(), max_cosets=200_000):
+def reference_todd_coxeter(pres, max_cosets=200_000):
     """Fill-as-you-scan enumeration with a union-find over coset numbers.
 
     Coincidences are merged lazily: the table may keep pointing at merged
@@ -640,8 +640,6 @@ def reference_todd_coxeter(pres, subgroup=(), max_cosets=200_000):
     ReferenceEnumeration whose action table (complete runs) or graph
     (partial runs) the eager-coincidence kernel must reproduce exactly.
     """
-    from gridgroups.present import free_reduce
-
     UNDEF = -1
     ngens = pres.generator_count
     nd = 2 * ngens
@@ -651,7 +649,6 @@ def reference_todd_coxeter(pres, subgroup=(), max_cosets=200_000):
                 for w in words]
 
     rel_paths = paths(pres.relators)
-    sub_paths = paths([free_reduce(w) for w in subgroup])
     g = _ReferenceGraph(nd)
     g.add()
     neigh = g.neigh
@@ -726,8 +723,6 @@ def reference_todd_coxeter(pres, subgroup=(), max_cosets=200_000):
 
     status = "complete"
     try:
-        for path in sub_paths:
-            scan_and_fill(0, path)
         alpha = 0
         while alpha < len(g.label):
             if g.label[alpha] == alpha:
@@ -932,7 +927,7 @@ def reference_torsion_quotient_report(pres, dims, budgets, max_iterations=4):
             return TorsionQuotientReport(tuple(found), iterations, True, coll)
         existing = {free_reduce(r) for r in current.relators}
         new_relators = []
-        for word in _short_words(toolbox, budgets.torsion_word_len):
+        for word in _short_words(toolbox):
             if free_reduce(word) in existing:
                 continue
             order = toolbox.element_order(word)
@@ -992,9 +987,10 @@ def reference_first_pass(toolbox, dims):
     return first
 
 
-def closure_search_hom(pres, targets, predicate, node_budget):
+def closure_search_hom(pres, targets, word, node_budget):
     """wordprob.search_hom as it was with a self-referencing closure (one
-    reference cycle per call): the same search order and node charges."""
+    reference cycle per call): the same search order and node charges, and
+    the first homomorphism under which `word` is not the identity."""
     n = pres.generator_count
     relators = pres.relators
     budget = [node_budget]
@@ -1010,7 +1006,7 @@ def closure_search_hom(pres, targets, predicate, node_budget):
             if budget[0] <= 0:
                 return False
             if depth == n:
-                return predicate(target, images)
+                return target.eval_word(word, images) != target.identity
             for cand in range(target.size):
                 budget[0] -= 1
                 if budget[0] <= 0:
@@ -1081,6 +1077,7 @@ def reference_word_equal(toolbox, w1, w2):
     which asked the abelianisation only after the completion: the same
     outcomes, and the same evidence for every `equal`."""
     from gridgroups.present import concat, free_reduce, invert
+    from gridgroups import wordprob
     from gridgroups.wordprob import HOM_DEGREE, WordVerdict, hom_targets, search_hom
 
     w1, w2 = free_reduce(w1), free_reduce(w2)
@@ -1105,9 +1102,8 @@ def reference_word_equal(toolbox, w1, w2):
     if toolbox.abelianization.image(w1) != toolbox.abelianization.image(w2):
         return WordVerdict("distinct", "separated in the abelianisation")
     diff = concat(simplified_word(toolbox, w1), invert(simplified_word(toolbox, w2)))
-    sep = search_hom(toolbox.simplified.presentation, hom_targets(HOM_DEGREE),
-                     lambda t, imgs: t.eval_word(diff, imgs) != t.identity,
-                     toolbox.budgets.hom_nodes)
+    sep = search_hom(toolbox.simplified.presentation, hom_targets(HOM_DEGREE), diff,
+                     wordprob.HOM_NODES)
     if sep is not None:
         return WordVerdict("distinct", f"separated by homomorphism to {sep[0]} "
                                        f"with generator images {sep[1]}")

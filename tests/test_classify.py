@@ -275,9 +275,9 @@ class TestTorsionQuotient:
         completions = Counter()
         real = wordprob.RewriteSystem
 
-        def counting(pres, max_rules, max_len):
-            completions[pres.relators, max_rules, max_len] += 1
-            return real(pres, max_rules=max_rules, max_len=max_len)
+        def counting(pres, max_rules):
+            completions[pres.relators, max_rules] += 1
+            return real(pres, max_rules=max_rules)
 
         monkeypatch.setattr(wordprob, "RewriteSystem", counting)
         rec = classify_matrix(parse_matrix(RANK_3x7_INFINITE[0][0]), QUICK,
@@ -325,7 +325,8 @@ class TestTorsionQuotient:
         real = wordprob.todd_coxeter
 
         def counting(pres, max_cosets, watch=None):
-            runs[pres.relators, max_cosets] += 1
+            # the first pass enumerates a Tietze pass: its presentation counts
+            runs[getattr(pres, "presentation", pres).relators, max_cosets] += 1
             return real(pres, max_cosets=max_cosets, watch=watch)
 
         monkeypatch.setattr(wordprob, "todd_coxeter", counting)
@@ -349,16 +350,19 @@ class TestTorsionQuotient:
         the enumeration to max_cosets proves the first 3x3 class's quotient
         abelian, so the report's final test must go past its first pass.
         Every report still equals the fresh-toolbox oracle, which enumerates
-        to max_cosets at once."""
+        to max_cosets at once.  The first case also searches only 100
+        homomorphism nodes."""
         monkeypatch.setattr("gridgroups.classify.TC_FIRST_PASS", 2)
         family_budgets = Budgets(max_cosets=4000, kb_max_rules=2500)
+        nodes = wordprob.HOM_NODES
         cases = [(parse_matrix(RANK_3x3[0][0]),
-                  Budgets(max_cosets=20_000, kb_max_rules=4, hom_nodes=100)),
-                 (parse_matrix(RANK_3x3[0][0]), QUICK)]
-        cases += [(parse_matrix(text), QUICK) for text, _ in RANK_3x7_INFINITE]
-        cases.append((family_pairing(2), family_budgets))
+                  Budgets(max_cosets=20_000, kb_max_rules=4), 100),
+                 (parse_matrix(RANK_3x3[0][0]), QUICK, nodes)]
+        cases += [(parse_matrix(text), QUICK, nodes) for text, _ in RANK_3x7_INFINITE]
+        cases.append((family_pairing(2), family_budgets, nodes))
         reports = []
-        for mat, budgets in cases:
+        for mat, budgets, hom_nodes in cases:
+            monkeypatch.setattr(wordprob, "HOM_NODES", hom_nodes)
             mat = orbit_canonical_form(mat)
             rec = classify_matrix(mat, budgets)
             assert rec.verdict.kind == "infinite", format_matrix(mat)
@@ -530,8 +534,10 @@ class TestProofLadder:
         "low-budgets": lambda: _open_first_passes(
             [parse_matrix(text) for text in MIRROR_5x5_PROVED_WITHOUT_COINCIDENCE]
             + list(enumerate_pairings(GridDims(3, 7))),
-            Budgets(max_cosets=300, kb_max_rules=40, hom_nodes=300)),
+            Budgets(max_cosets=300, kb_max_rules=40)),
     }
+    # the homomorphism nodes a corpus searches, where not wordprob.HOM_NODES
+    HOM_NODES = {"low-budgets": 300}
     # each corpus's size, and the witness evidence that must occur in it
     EXPECTED = {
         "open-3x7": (127, {"coincidence in partial coset enumeration"}),
@@ -542,9 +548,15 @@ class TestProofLadder:
                                          "open pairs"}),
     }
 
+    def cases(self, corpus, monkeypatch):
+        """The corpus, made and then read at its own homomorphism nodes."""
+        monkeypatch.setattr(wordprob, "HOM_NODES",
+                            self.HOM_NODES.get(corpus, wordprob.HOM_NODES))
+        return self.CORPORA[corpus]()
+
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    def test_witness_and_open_pairs_match_the_replaced_pass(self, corpus):
-        cases = self.CORPORA[corpus]()
+    def test_witness_and_open_pairs_match_the_replaced_pass(self, corpus, monkeypatch):
+        cases = self.cases(corpus, monkeypatch)
         size, must = self.EXPECTED[corpus]
         assert len(cases) == size
         evidence = set()
@@ -560,13 +572,13 @@ class TestProofLadder:
         assert must <= evidence
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    def test_word_equal_matches_the_replaced_ladder(self, corpus):
+    def test_word_equal_matches_the_replaced_ladder(self, corpus, monkeypatch):
         """Same outcome, and for `equal` the same evidence; a `distinct`
         may cite the abelianisation where the old ladder cited confluent
         normal forms."""
         rng = random.Random(7)
         outcomes = Counter()
-        for mat, toolbox, _ in self.CORPORA[corpus]():
+        for mat, toolbox, _ in self.cases(corpus, monkeypatch):
             toolbox.coset_run(min(classify_module.TC_FIRST_PASS, toolbox.budgets.max_cosets))
             for w1, w2 in _word_pairs(rng, toolbox.presentation, 4):
                 got = toolbox.word_equal(w1, w2)

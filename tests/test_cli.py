@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -331,6 +332,8 @@ class TestKilledResume:
 
 
 class TestBudgetFlags:
+    # the last two flags are no budgets any more, so any value of them is a
+    # usage error naming the flag
     @pytest.mark.parametrize("flag", ["--max-cosets", "--kb-max-rules",
                                       "--kb-max-len", "--torsion-word-len"])
     @pytest.mark.parametrize("value", ["0", "-3", "many"])
@@ -340,14 +343,16 @@ class TestBudgetFlags:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_flags_override_the_profile(self):
-        """The budget flags given override the default Budgets(); the
-        others keep their defaults."""
+    def test_flags_override_the_defaults(self):
+        """Budgets holds the two budgets, and each flag given overrides its
+        default in Budgets(); the other keeps its default."""
         from gridgroups.cli import _budgets_from_args, build_parser
-        args = build_parser().parse_args(["classify", "--max-cosets", "1",
-                                          "--kb-max-len", "7"])
-        assert _budgets_from_args(args) == Budgets(max_cosets=1, kb_max_len=7)
-        assert _budgets_from_args(build_parser().parse_args(["classify"])) == Budgets()
+        assert [f.name for f in fields(Budgets)] == ["max_cosets", "kb_max_rules"]
+        for argv, budgets in ((["--max-cosets", "1"], Budgets(max_cosets=1)),
+                              (["--kb-max-rules", "7"], Budgets(kb_max_rules=7)),
+                              ([], Budgets())):
+            args = build_parser().parse_args(["classify", *argv])
+            assert _budgets_from_args(args) == budgets
 
 
 class TestBadInput:
@@ -368,6 +373,10 @@ class TestBadInput:
          "do not apply to --from"),
         (["enumerate", "--rows", "3", "--cols", "3", "--checkpoint", "cp.txt"],
          "--checkpoint needs --max-nodes"),
+        (["classify", "--rows", "3", "--cols", "3", "--kb-max-len", "7"],
+         "unrecognized arguments: --kb-max-len 7"),
+        (["resume", "cp.txt", "--classify", "--torsion-word-len", "2"],
+         "unrecognized arguments: --torsion-word-len 2"),
     ])
     def test_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -442,14 +451,19 @@ class TestBadInput:
          "No such file or directory"),
     ])
     def test_bad_input_is_one_line(self, argv, message, tmp_path, capsys):
+        """One line and exit 1; export-gap makes its --outdir only once a
+        script is ready, so records it cannot read leave no directory."""
         out_flag = "--outdir" if argv[0] == "export-gap" else "--out"
+        out = tmp_path / "out.txt"
         if out_flag not in argv:
-            argv = [*argv, out_flag, str(tmp_path / "out.txt")]
+            argv = [*argv, out_flag, str(out)]
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        if argv[0] == "export-gap":
+            assert not out.exists()
 
     def test_checkpoint_naming_a_directory_is_one_line(self, tmp_path, capsys):
         """A --checkpoint that names a directory is reported before the
